@@ -22,7 +22,6 @@ import json
 import sys
 import time
 import tracemalloc
-import warnings
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -31,7 +30,6 @@ from repro.datasets import DatasetModel  # noqa: E402
 from repro.errors import PolicyError  # noqa: E402
 from repro.perfmodel import Source, sec6_cluster  # noqa: E402
 from repro.sim import (  # noqa: E402
-    KERNEL_BACKENDS,
     NaivePolicy,
     NoPFSPolicy,
     ScenarioContext,
@@ -204,56 +202,6 @@ def test_engine_paper_scale_throughput(benchmark):
     sim = Simulator(config, tile_rows=PAPER_SCALE_TILE_ROWS)
     sim.run(NaivePolicy())  # warm the scenario state once
     benchmark.pedantic(sim.run, args=(NoPFSPolicy(),), rounds=2, iterations=1)
-
-
-# -- kernel backends (ISSUE 9) ---------------------------------------------
-
-
-def test_engine_backend_comparison(report):
-    """Every registered kernel backend reproduces the default bitwise.
-
-    Where a compiled backend is unavailable (no numba in the
-    environment) its registration falls back to numpy with a warning —
-    the comparison then times the fallback, which must *still* be
-    bitwise-identical, so the report stays meaningful either way.
-    """
-    config = _scenario()
-    baseline = {
-        policy.name: json.dumps(Simulator(config).run(policy).to_dict(),
-                                sort_keys=True)
-        for policy in _lineup()
-    }
-    cells = len(_lineup())
-    lines = [
-        f"scenario: N={NUM_WORKERS} workers, "
-        f"F={config.dataset.num_samples} samples, "
-        f"E={config.num_epochs} epochs, B={config.batch_size}",
-    ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numba fallback
-        for name in KERNEL_BACKENDS.names():
-            backend = KERNEL_BACKENDS.resolve(name)
-            sim = Simulator(config, kernel_backend=backend)
-            for policy in _lineup():
-                got = json.dumps(sim.run(policy).to_dict(), sort_keys=True)
-                assert got == baseline[policy.name], (
-                    f"backend {name!r} diverges from numpy for {policy.name}"
-                )
-            secs = _time_engine(sim.run, _lineup())
-            kind = "compiled" if backend.compiled else "interpreted"
-            lines.append(
-                f"{name:>8} ({kind:>11}): {secs:7.3f}s "
-                f"({cells / secs:6.2f} cells/s)  [bitwise-identical]"
-            )
-    report("engine_backends", "\n".join(lines))
-
-
-def test_engine_backend_throughput(benchmark):
-    """Timing series for BENCH_engine.json: the N=64 cell through the
-    registry's explicit ``numpy`` spec (the `--kernels numpy` path)."""
-    sim = Simulator(_scenario(), kernel_backend="numpy")
-    sim.run(NaivePolicy())  # warm the scenario state once
-    benchmark.pedantic(sim.run, args=(NoPFSPolicy(),), rounds=3, iterations=1)
 
 
 # -- seed-sharing multi-cell execution (ISSUE 9) ---------------------------

@@ -1,9 +1,7 @@
 """CLI entry: ``python -m repro`` (run/sweep/cache/experiments/list).
 
 The consolidated interface over :mod:`repro.api`; see :mod:`repro.cli`
-for the subcommand reference. The historical ``python -m repro.sweep``
-and ``python -m repro.experiments`` entry points remain as deprecated
-shims over the same implementation.
+for the subcommand reference.
 """
 
 import os

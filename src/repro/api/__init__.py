@@ -23,9 +23,8 @@ experiment as data::
   run/sweep facade shared by the CLI, the figure modules and future
   services.
 
-``SEARCHERS`` — the :mod:`repro.search` driver registry — and
-``KERNEL_BACKENDS`` — the :mod:`repro.sim` kernel backend registry —
-are exported lazily from here too, alongside the other registries.
+``SEARCHERS`` — the :mod:`repro.search` driver registry — is exported
+lazily from here too, alongside the other registries.
 
 The consolidated CLI (``python -m repro``) lives in :mod:`repro.cli`.
 """
@@ -57,7 +56,6 @@ from .session import Session
 #: rather than eagerly here.
 _LAZY_EXPORTS = {
     "SEARCHERS": ("repro.search", "SEARCHERS"),
-    "KERNEL_BACKENDS": ("repro.sim.backends", "KERNEL_BACKENDS"),
 }
 
 
@@ -84,7 +82,6 @@ __all__ = [
     "DatasetSpec",
     "DuplicateNameError",
     "FIG8_POLICIES",
-    "KERNEL_BACKENDS",
     "POLICIES",
     "PolicySpec",
     "Registry",

@@ -67,12 +67,6 @@ class Session:
         band) to bound peak memory on paper-scale scenarios; ``None``
         executes whole epochs at once. Results and cache entries are
         bitwise identical for every value.
-    kernel_backend:
-        Kernel backend name from :data:`repro.sim.KERNEL_BACKENDS`
-        (``None`` = ``"numpy"``; ``"numba"`` JIT-compiles the
-        bit-replicable kernels when numba is installed, falling back
-        to numpy with a warning otherwise). Results and cache entries
-        are bitwise identical for every backend.
     """
 
     def __init__(
@@ -83,7 +77,6 @@ class Session:
         executor: "str | Executor | None" = None,
         cache: "str | Path | CacheBackend | ResultCache | None" = None,
         tile_rows: int | None = None,
-        kernel_backend: str | None = None,
     ) -> None:
         self._executor_spec = executor
         self._runner = SweepRunner(
@@ -92,7 +85,6 @@ class Session:
             executor=executor,
             cache=cache,
             tile_rows=tile_rows,
-            kernel_backend=kernel_backend,
         )
 
     @property
@@ -196,14 +188,13 @@ class Session:
         executor: "str | Executor | None" = None,
         cache: "str | Path | CacheBackend | ResultCache | None" = None,
         tile_rows: int | None = None,
-        kernel_backend: str | None = None,
         on_event: Callable[[SweepEvent], None] | None = None,
     ) -> SweepOutcome:
         """Evaluate a grid (optionally one shard of it) and collect results.
 
         ``jobs`` / ``cache_dir`` / ``executor`` / ``cache`` /
-        ``tile_rows`` / ``kernel_backend`` override the session's
-        configuration for this call only (a one-off runner executes the
+        ``tile_rows`` override the session's configuration for this
+        call only (a one-off runner executes the
         sweep on the session's progress bus; its counters are folded
         into :attr:`stats` so the session totals stay complete).
         ``on_event`` subscribes a progress listener for just this sweep
@@ -211,10 +202,7 @@ class Session:
         is delivered to it.
         """
         runner = self._runner
-        if any(
-            v is not None
-            for v in (jobs, cache_dir, executor, cache, tile_rows, kernel_backend)
-        ):
+        if any(v is not None for v in (jobs, cache_dir, executor, cache, tile_rows)):
             if cache is None and cache_dir is None:
                 # Inherit the session's cache *object* so overridden
                 # sweeps still share its entries (and its backend).
@@ -230,11 +218,6 @@ class Session:
                 bus=self._runner.bus,
                 tile_rows=(
                     self._runner.tile_rows if tile_rows is None else tile_rows
-                ),
-                kernel_backend=(
-                    self._runner.kernel_backend
-                    if kernel_backend is None
-                    else kernel_backend
                 ),
             )
         unsubscribe = None if on_event is None else runner.bus.subscribe(on_event)

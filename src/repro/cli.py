@@ -14,8 +14,7 @@ One entry point over the whole library, built on :mod:`repro.api`:
 ``cache``
     Result-cache lifecycle: ``gc`` / ``stats`` / ``verify``.
 ``experiments``
-    The full-paper driver (figures/tables through one shared sweep);
-    identical flags to the old ``python -m repro.experiments``.
+    The full-paper driver (figures/tables through one shared sweep).
 ``search``
     Branch-and-bound (or baseline) search over a declared space:
     ``--driver bb|random|halving``, the same axis flags as ``run``
@@ -24,12 +23,7 @@ One entry point over the whole library, built on :mod:`repro.api`:
     :class:`~repro.search.manifest.SearchManifest`.
 ``list``
     Registry and figure listings: ``list policies | datasets |
-    systems | searchers | kernels | figures`` (or no argument for
-    everything).
-
-The two historical entry points — ``python -m repro.sweep`` and
-``python -m repro.experiments`` — still work as deprecated shims over
-this module.
+    systems | searchers | figures`` (or no argument for everything).
 """
 
 from __future__ import annotations
@@ -123,7 +117,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         executor=args.executor,
         cache=args.cache,
-        kernel_backend=args.kernels,
     )
     result = session.run(scenario)
     print(f"scenario: {scenario.label} [{result.scenario}] scale={scenario.scale}")
@@ -174,11 +167,6 @@ def _configure_run(sub) -> None:
     run.add_argument(
         "--executor", choices=("serial", "process", "batched"), default=None,
         help="sweep execution strategy (default: derived from --jobs)",
-    )
-    run.add_argument(
-        "--kernels", default=None, metavar="BACKEND",
-        help="kernel backend (see `list kernels`; default numpy; "
-             "results are bitwise identical across backends)",
     )
     run.add_argument("--json", default=None, metavar="FILE|-",
                      help="write the full SimulationResult JSON to FILE ('-' = stdout)")
@@ -289,7 +277,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         executor=args.executor,
         cache=args.cache,
-        kernel_backend=args.kernels,
     )
     on_event = None
     if args.progress:
@@ -368,11 +355,6 @@ def _configure_search(sub) -> None:
         "--executor", choices=("serial", "process", "batched"), default=None,
         help="sweep execution strategy (default: derived from --jobs)",
     )
-    search.add_argument(
-        "--kernels", default=None, metavar="BACKEND",
-        help="kernel backend (see `list kernels`; default numpy; "
-             "results are bitwise identical across backends)",
-    )
     search.add_argument("--manifest", default=None, metavar="FILE",
                         help="write the byte-reproducible SearchManifest here")
     search.add_argument("--timestamp", default=None, metavar="ISO8601",
@@ -392,14 +374,13 @@ def _figure_names() -> list[str]:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    from .api import DATASETS, KERNEL_BACKENDS, POLICIES, SEARCHERS, SYSTEMS
+    from .api import DATASETS, POLICIES, SEARCHERS, SYSTEMS
 
     sections = {
         "policies": POLICIES,
         "datasets": DATASETS,
         "systems": SYSTEMS,
         "searchers": SEARCHERS,
-        "kernels": KERNEL_BACKENDS,
     }
     wanted = [args.what] if args.what else [*sections, "figures"]
     blocks: list[str] = []
@@ -421,7 +402,7 @@ def _configure_list(sub) -> None:
     lister = sub.add_parser("list", help="list registered policies/datasets/systems/figures")
     lister.add_argument(
         "what", nargs="?", default=None,
-        choices=("policies", "datasets", "systems", "searchers", "kernels", "figures"),
+        choices=("policies", "datasets", "systems", "searchers", "figures"),
         help="one section (default: everything)",
     )
     lister.set_defaults(func=_cmd_list)

@@ -1,6 +1,6 @@
 """Incremental figure rendering: manifest, fingerprints, skip logic.
 
-``python -m repro.experiments --artifacts DIR`` writes each figure's
+``python -m repro experiments --artifacts DIR`` writes each figure's
 rendered text to ``DIR/<figure>.txt`` plus a ``DIR/manifest.json``
 recording, per figure,
 

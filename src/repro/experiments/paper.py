@@ -422,7 +422,3 @@ def main(argv: list[str] | None = None) -> None:  # pragma: no cover - CLI entry
         )
     print(run.render())
 
-
-# No `if __name__ == "__main__"` guard here on purpose: the supported
-# CLI is `python -m repro.experiments` (see __main__.py) — running this
-# pre-imported submodule with -m trips runpy's double-import warning.

@@ -8,8 +8,7 @@ machine model, reporting the paper's metrics: median epoch time
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from ..api.presets import make_policy
@@ -33,39 +32,21 @@ class PolicySpec:
     """One framework line in a scaling plot.
 
     ``policy`` is a registry spec (``"pytorch:2"``, ``"nopfs"``, or a
-    spec mapping) resolved through :data:`repro.api.POLICIES`; passing
-    a zero-argument factory callable instead — positionally or via the
-    legacy ``policy_factory`` keyword — is still accepted but
-    deprecated. ``system_tweak`` lets a framework adjust the
-    environment it runs on (e.g. DALI's faster preprocessing pipeline).
+    spec mapping) resolved through :data:`repro.api.POLICIES`.
+    ``system_tweak`` lets a framework adjust the environment it runs on
+    (e.g. DALI's faster preprocessing pipeline).
     """
 
     label: str
-    policy: str | Mapping[str, Any] | Callable[[], Policy] | None = None
+    policy: str | Mapping[str, Any] | None = None
     system_tweak: Callable[[SystemModel], SystemModel] | None = None
-    #: Legacy spelling of a callable ``policy``; mutually exclusive.
-    policy_factory: Callable[[], Policy] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.policy_factory is not None:
-            if self.policy is not None:
-                raise ConfigurationError(
-                    "pass either policy or the legacy policy_factory, not both"
-                )
-            object.__setattr__(self, "policy", self.policy_factory)
         if self.policy is None:
             raise ConfigurationError(f"PolicySpec {self.label!r} needs a policy spec")
 
     def build(self) -> Policy:
         """Materialize this line's policy instance."""
-        if callable(self.policy):
-            warnings.warn(
-                "PolicySpec with a policy factory callable is deprecated; "
-                "pass a registry spec string such as 'pytorch:2' instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return self.policy()
         return make_policy(self.policy)
 
 

@@ -6,7 +6,6 @@ pure array kernels in :mod:`repro.sim.kernels`; see
 """
 
 from . import kernels
-from .backends import KERNEL_BACKENDS, KernelBackend, resolve_kernel_backend
 from .bounds import policy_lower_bound
 from .config import SimulationConfig
 from .context import ScenarioContext
@@ -28,8 +27,6 @@ from .policies import (
     PreparedPolicy,
     StagingBufferPolicy,
     WorkerLookup,
-    fig8_policies,
-    table1_policies,
 )
 from .result import BatchTimeStats, EpochResult, SimulationResult
 
@@ -38,9 +35,6 @@ __all__ = [
     "ScenarioContext",
     "Simulator",
     "SeedShareStats",
-    "KERNEL_BACKENDS",
-    "KernelBackend",
-    "resolve_kernel_backend",
     "EpochPlan",
     "EpochTile",
     "PhasePlan",
@@ -70,6 +64,4 @@ __all__ = [
     "LBANNPolicy",
     "LocalityAwarePolicy",
     "NoPFSPolicy",
-    "fig8_policies",
-    "table1_policies",
 ]

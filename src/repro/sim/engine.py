@@ -60,7 +60,6 @@ import numpy as np
 from ..errors import ConfigurationError, PolicyError
 from ..perfmodel import Source, resolve_fetch, write_times
 from . import kernels
-from .backends import KernelBackend, resolve_kernel_backend
 from .config import SimulationConfig
 from .context import ScenarioContext
 from .lockstep import lockstep_epoch
@@ -172,12 +171,6 @@ class EpochPlan:
     #: True when ``ids`` is the context's canonical (clairvoyant) epoch
     #: matrix, making the size gather shareable across policies.
     shared_ids: bool = field(repr=False, default=False)
-    #: The kernel bundle :meth:`tile` materializes warm-up availability
-    #: with (every bundle is bitwise-equivalent; see
-    #: :mod:`repro.sim.backends`).
-    kernels: KernelBackend = field(
-        repr=False, default_factory=lambda: resolve_kernel_backend("numpy")
-    )
 
     def tile(self, rows: slice) -> EpochTile:
         """Materialize the size/class matrices for one row band.
@@ -212,7 +205,7 @@ class EpochPlan:
                 local_cls = self.cache.cold_classes(ids.shape[0])
                 remote_cls = local_cls
                 if prep.plan is not None and prep.best_map is not None:
-                    remote_cls = self.kernels.warmup_remote_classes(ids, prep.best_map)
+                    remote_cls = kernels.warmup_remote_classes(ids, prep.best_map)
 
         return EpochTile(
             rows=rows,
@@ -276,13 +269,6 @@ class Simulator:
         Reuse an existing :class:`ScenarioContext` built from the same
         ``config`` (e.g. to share cached permutations between
         simulators) instead of constructing a fresh one.
-    kernel_backend:
-        Which :mod:`repro.sim.backends` kernel bundle the execute phase
-        runs on: a registered name (``"numpy"`` / ``"numba"``), a
-        :class:`~repro.sim.backends.KernelBackend` instance, or ``None``
-        for the numpy default. Every backend is bitwise-equivalent, so
-        — like ``tile_rows`` — this is an execution knob, not scenario
-        configuration.
     """
 
     def __init__(
@@ -290,7 +276,6 @@ class Simulator:
         config: SimulationConfig,
         tile_rows: int | None = None,
         ctx: ScenarioContext | None = None,
-        kernel_backend: "str | KernelBackend | None" = None,
     ) -> None:
         if tile_rows is not None and int(tile_rows) < 1:
             raise ConfigurationError(
@@ -298,7 +283,6 @@ class Simulator:
             )
         self.config = config
         self.tile_rows = None if tile_rows is None else int(tile_rows)
-        self.kernels = resolve_kernel_backend(kernel_backend)
         self.ctx = ctx if ctx is not None else ScenarioContext(config)
         self.plan_cache = PlanCache(self.ctx)
         #: Counters for the :meth:`run_seeds` sharing (see the class doc).
@@ -429,7 +413,7 @@ class Simulator:
         :class:`~repro.datasets.DatasetModel` instance (so the
         materialized sample-size table is built once — the dataset's
         sizes derive from its *own* seed, not the simulation seed), the
-        kernel backend and tile height, and — via
+        tile height, and — via
         :meth:`~repro.sim.plancache.PlanCache.adopt_invariants` — the
         plan cache's cold-class template and every already-computed
         :class:`~repro.sim.plancache.PlanScalars`. Only the genuinely
@@ -443,9 +427,7 @@ class Simulator:
         sim = self._seed_variants.get(seed)
         if sim is None:
             config = dataclasses.replace(self.config, seed=seed)
-            sim = Simulator(
-                config, tile_rows=self.tile_rows, kernel_backend=self.kernels
-            )
+            sim = Simulator(config, tile_rows=self.tile_rows)
             self._seed_variants[seed] = sim
             self.seed_share.variants += 1
         # Re-adopt on every access: scalars computed since the variant
@@ -468,21 +450,8 @@ class Simulator:
         ``Simulator(replace(config, seed=seed)).run(policy)``.
         """
         sim = self.seed_variant(seed)
-        if not policy.seed_invariant_prepare:
-            self.seed_share.prep_misses += 1
-            return sim._run_prepared(policy, policy.prepare(sim.ctx))
-        cached = self._shared_preps.get(id(policy))
-        if cached is None:
-            self.seed_share.prep_misses += 1
-            prep = policy.prepare(self.ctx)
-            # Materialize the scalars on the base cache now, so every
-            # variant adopts them instead of recomputing per seed.
-            self.plan_cache.scalars(prep)
-            self._shared_preps[id(policy)] = (policy, prep)
-        else:
-            self.seed_share.prep_hits += 1
-            prep = cached[1]
-        if sim is not self:
+        prep, shared = self._seed_prep(policy, sim)
+        if shared and sim is not self:
             sim.plan_cache.adopt_invariants(self.plan_cache)
         return sim._run_prepared(policy, prep)
 
@@ -524,20 +493,8 @@ class Simulator:
         try:
             for policy in policies:
                 try:
-                    if not policy.seed_invariant_prepare:
-                        self.seed_share.prep_misses += 1
-                        slots.append((policy, policy.prepare(sim.ctx)))
-                        continue
-                    cached = self._shared_preps.get(id(policy))
-                    if cached is None:
-                        self.seed_share.prep_misses += 1
-                        prep = policy.prepare(self.ctx)
-                        self.plan_cache.scalars(prep)
-                        self._shared_preps[id(policy)] = (policy, prep)
-                    else:
-                        self.seed_share.prep_hits += 1
-                        prep = cached[1]
-                    adopt = True
+                    prep, shared = self._seed_prep(policy, sim)
+                    adopt = adopt or shared
                     slots.append((policy, prep))
                 except PolicyError as exc:
                     slots.append(exc)
@@ -547,6 +504,34 @@ class Simulator:
         if adopt and sim is not self:
             sim.plan_cache.adopt_invariants(self.plan_cache)
         return sim._run_epoch_major(slots)
+
+    def _seed_prep(
+        self, policy: Policy, sim: "Simulator"
+    ) -> tuple[PreparedPolicy, bool]:
+        """Prepare ``policy`` for the seed variant ``sim``, counting reuse.
+
+        The one prepare-or-reuse step behind :meth:`run_seed` and
+        :meth:`run_many_seed`. Seed-dependent policies prepare on the
+        variant's own context; seed-invariant ones are prepared once on
+        the base context and served from :attr:`_shared_preps` after
+        that. Returns ``(prep, shared)``, where ``shared`` says the prep
+        lives on the base context, so the caller must let the variant
+        adopt the base plan scalars.
+        """
+        if not policy.seed_invariant_prepare:
+            self.seed_share.prep_misses += 1
+            return policy.prepare(sim.ctx), False
+        cached = self._shared_preps.get(id(policy))
+        if cached is not None:
+            self.seed_share.prep_hits += 1
+            return cached[1], True
+        self.seed_share.prep_misses += 1
+        prep = policy.prepare(self.ctx)
+        # Materialize the scalars on the base cache now, so every
+        # variant adopts them instead of recomputing per seed.
+        self.plan_cache.scalars(prep)
+        self._shared_preps[id(policy)] = (policy, prep)
+        return prep, True
 
     # -- plan phase ----------------------------------------------------------
 
@@ -592,7 +577,6 @@ class Simulator:
             prep=prep,
             cache=self.plan_cache,
             shared_ids=shared,
-            kernels=self.kernels,
         )
 
     # -- execute phase -------------------------------------------------------
@@ -623,7 +607,6 @@ class Simulator:
         """
         cfg = self.config
         system = cfg.system
-        kb = self.kernels
         n = self.ctx.num_workers
         t_iters = cfg.iterations_per_epoch
         batch = cfg.batch_size
@@ -639,7 +622,7 @@ class Simulator:
         for tile in plan.tiles(self.tile_rows):
             rows = tile.rows
             comps = tile.sizes_mb / system.compute_mbps
-            tile_comps = kb.batch_totals(comps, t_iters, batch)
+            tile_comps = kernels.batch_totals(comps, t_iters, batch)
             if prep.ideal:
                 batch_comps[rows] = tile_comps
                 continue
@@ -658,7 +641,7 @@ class Simulator:
                     f"policy {policy.name!r} scheduled a sample with no "
                     f"available source (epoch {plan.epoch}, worker {worker})"
                 )
-            fetch = kb.add_pfs_latency(
+            fetch = kernels.add_pfs_latency(
                 res.fetch_times, res.sources, plan.pfs_latency_s
             )
             if cfg.noise.enabled:
@@ -671,23 +654,23 @@ class Simulator:
                 fetch = apply_noise_matrix(fetch, res.sources, cfg.noise, rngs)
             reads = fetch + write_times(tile.sizes_mb, system)
 
-            tile_bytes = kb.source_totals(res.sources, tile.sizes_mb)
+            tile_bytes = kernels.source_totals(res.sources, tile.sizes_mb)
             seconds_by_source[rows] = (
-                kb.source_totals(res.sources, fetch) / divisor
+                kernels.source_totals(res.sources, fetch) / divisor
             )
             bytes_by_source[rows] = tile_bytes
-            counts_by_source[rows] = kb.source_totals(res.sources)
+            counts_by_source[rows] = kernels.source_totals(res.sources)
 
             # I/O noise on the allreduce path (Sec 7.1): non-local
             # traffic (PFS + remote) shares the network/cores with
             # communication and slows the compute step down.
             if cfg.network_interference > 0:
-                factors = kb.interference_factors(
+                factors = kernels.interference_factors(
                     tile_bytes, cfg.network_interference
                 )
                 tile_comps *= factors[:, np.newaxis]
 
-            per_batch_read = kb.batch_totals(reads, t_iters, batch)
+            per_batch_read = kernels.batch_totals(reads, t_iters, batch)
             if prep.overlap:
                 batch_reads[rows] = per_batch_read / p0
             else:
@@ -695,8 +678,8 @@ class Simulator:
                 tile_comps += per_batch_read
             batch_comps[rows] = tile_comps
 
-        fetch_seconds = kb.accumulate_rows(seconds_by_source)
-        fetch_bytes = kb.accumulate_rows(bytes_by_source)
+        fetch_seconds = kernels.accumulate_rows(seconds_by_source)
+        fetch_bytes = kernels.accumulate_rows(bytes_by_source)
         fetch_counts = counts_by_source.sum(axis=0)
 
         lookahead = self.plan_cache.scalars(prep).lookahead_batches

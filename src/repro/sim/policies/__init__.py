@@ -1,13 +1,9 @@
 """All simulated I/O policies (Sec 6's lineup plus the PyTorch variant).
 
-The figure lineups (`fig8_policies` / `table1_policies`) are
-deprecated here in favour of the registry-named lineups in
-:mod:`repro.api.presets` (``FIG8_POLICIES`` / ``TABLE1_POLICIES`` and
-their ``*_lineup()`` builders), which express the same policies as
-plain data.
+The figure lineups live in :mod:`repro.api.presets`
+(``FIG8_POLICIES`` / ``TABLE1_POLICIES`` and their ``*_lineup()``
+builders), which express them as plain registry data.
 """
-
-import warnings
 
 from .base import Policy, PolicyCapabilities, PreparedPolicy, WorkerLookup
 from .deepio import DeepIOPolicy
@@ -33,52 +29,5 @@ __all__ = [
     "LBANNPolicy",
     "LocalityAwarePolicy",
     "NoPFSPolicy",
-    "fig8_policies",
-    "table1_policies",
 ]
 
-
-def fig8_policies() -> list[Policy]:
-    """Deprecated: use :func:`repro.api.presets.fig8_lineup` instead.
-
-    The Fig 8 bar lineup, in the paper's plot order (sans lower bound).
-    """
-    warnings.warn(
-        "repro.sim.fig8_policies is deprecated; use repro.api.fig8_lineup() "
-        "(or the FIG8_POLICIES registry names) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return [
-        NaivePolicy(),
-        StagingBufferPolicy(),
-        DeepIOPolicy("ordered"),
-        DeepIOPolicy("opportunistic"),
-        ParallelStagingPolicy(),
-        LBANNPolicy("dynamic"),
-        LBANNPolicy("preloading"),
-        LocalityAwarePolicy(),
-        NoPFSPolicy(),
-    ]
-
-
-def table1_policies() -> list[Policy]:
-    """Deprecated: use :func:`repro.api.presets.table1_lineup` instead.
-
-    Frameworks with a Table 1 row, in the paper's row order.
-    """
-    warnings.warn(
-        "repro.sim.table1_policies is deprecated; use repro.api.table1_lineup() "
-        "(or the TABLE1_POLICIES registry names) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return [
-        DoubleBufferPolicy(),
-        StagingBufferPolicy(),
-        ParallelStagingPolicy(),
-        DeepIOPolicy("ordered"),
-        LBANNPolicy("dynamic"),
-        LocalityAwarePolicy(),
-        NoPFSPolicy(),
-    ]

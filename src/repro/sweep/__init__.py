@@ -40,8 +40,9 @@ Sweeps scale past one machine and one disk:
   on-disk hit index, LRU eviction under ``max_bytes``/``max_age``
   policies, corruption detection with quarantine, and shard-cache
   merging.
-* ``python -m repro.sweep`` (:mod:`repro.sweep.cli`) exposes all of it
-  as ``run`` / ``merge`` / ``gc`` / ``stats`` / ``verify``.
+* :mod:`repro.sweep.cli` exposes all of it on the command line as
+  ``python -m repro sweep run|merge`` and ``python -m repro cache
+  gc|stats|verify``.
 
 The experiment harness (:mod:`repro.experiments`) composes on top of
 this: figure modules declare their grids via

@@ -36,7 +36,7 @@ Corrupt entries — truncated writes from a killed process, foreign
 files — are *quarantined* on read (set aside by the backend, e.g.
 moved to ``<root>/_quarantine/``) and treated as misses, so a damaged
 cache degrades into re-simulation, never a mid-sweep crash; ``python
--m repro.sweep verify`` reports and sweeps them in bulk. Lifecycle
+-m repro cache verify`` reports and sweeps them in bulk. Lifecycle
 management (stats, LRU GC, shard-cache merging) lives in
 :mod:`repro.sweep.gc`; each hit bumps the entry's LRU clock so that
 module's eviction order reflects real use.

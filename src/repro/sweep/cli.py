@@ -1,11 +1,13 @@
-"""``python -m repro.sweep`` — sharded sweeps and cache lifecycle.
+"""Sweep and cache subcommands of the ``python -m repro`` CLI.
 
-Subcommands:
+:mod:`repro.cli` attaches ``run`` / ``merge`` under ``python -m repro
+sweep`` and ``gc`` / ``stats`` / ``verify`` under ``python -m repro
+cache``:
 
 ``run``
     Evaluate a grid (or one shard of it) through a
     :class:`~repro.sweep.runner.SweepRunner`:
-    ``python -m repro.sweep run --grid repro.sweep.cli:demo_grid
+    ``python -m repro sweep run --grid repro.sweep.cli:demo_grid
     --shard 0/3 --cache-dir shard0 --manifest shard0.json``.
     ``--grid`` names any importable ``module:attr`` that is a
     :class:`~repro.sweep.grid.ScenarioGrid`, a list of
@@ -65,7 +67,6 @@ __all__ = [
     "configure_stats",
     "configure_verify",
     "demo_grid",
-    "main",
     "parse_bytes",
     "parse_duration",
 ]
@@ -262,7 +263,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         executor=args.executor,
         cache=args.cache,
         tile_rows=args.tile_rows,
-        kernel_backend=args.kernels,
     )
     if args.progress:
         runner.bus.subscribe(ProgressPrinter())
@@ -333,11 +333,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def configure_run(sub) -> argparse.ArgumentParser:
-    """Attach the ``run`` subcommand (sweep a grid or one shard of it).
-
-    Shared by the legacy ``python -m repro.sweep`` parser and the
-    consolidated ``python -m repro sweep`` tree (:mod:`repro.cli`).
-    """
+    """Attach the ``run`` subcommand (sweep a grid or one shard of it)."""
     run = sub.add_parser("run", help="sweep a grid (or one shard of it)")
     run.add_argument(
         "--grid", default=None,
@@ -370,11 +366,6 @@ def configure_run(sub) -> argparse.ArgumentParser:
         help="engine streaming tile height (worker rows per band) to bound "
         "peak memory on paper-scale scenarios; results are bitwise-identical "
         "for every value (default: whole epochs)",
-    )
-    run.add_argument(
-        "--kernels", default=None, metavar="BACKEND",
-        help="kernel backend (see `python -m repro list kernels`; default "
-        "numpy; results are bitwise-identical across backends)",
     )
     run.add_argument(
         "--progress", action="store_true",
@@ -437,27 +428,3 @@ def configure_verify(sub) -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify)
     return verify
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.sweep",
-        description="Sharded scenario sweeps and result-cache lifecycle.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    configure_run(sub)
-    configure_merge(sub)
-    configure_gc(sub)
-    configure_stats(sub)
-    configure_verify(sub)
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2

@@ -88,18 +88,15 @@ class CellTask:
     may receive None and use ``cell.config`` directly.
 
     ``tile_rows`` (the engine's streaming tile height; ``None`` = whole
-    epochs) and ``kernel_backend`` (a :data:`repro.sim.KERNEL_BACKENDS`
-    name; ``None`` = numpy) are execution knobs, not part of the
-    scenario: results are bitwise identical for every value, so both
-    deliberately stay out of the config dict and therefore out of the
-    cache key.
+    epochs) is an execution knob, not part of the scenario: results are
+    bitwise identical for every value, so it deliberately stays out of
+    the config dict and therefore out of the cache key.
     """
 
     index: int
     cell: SweepCell
     config_dict: dict[str, Any] | None = None
     tile_rows: int | None = None
-    kernel_backend: str | None = None
 
 
 @dataclass(frozen=True)
@@ -152,7 +149,7 @@ def _task_config_dict(task: CellTask) -> dict[str, Any]:
 
 
 def _simulate_cell(
-    payload: tuple[dict[str, Any], Policy, int | None, str | None],
+    payload: tuple[dict[str, Any], Policy, int | None],
 ) -> tuple[dict[str, Any] | None, str | None, float]:
     """Run one cell from its serialized form (top-level: picklable).
 
@@ -162,13 +159,11 @@ def _simulate_cell(
     the runner yields results reconstructed by the same (lossless)
     deserializer.
     """
-    config_dict, policy, tile_rows, kernel_backend = payload
+    config_dict, policy, tile_rows = payload
     config = SimulationConfig.from_dict(config_dict)
     start = time.perf_counter()
     try:
-        result = Simulator(
-            config, tile_rows=tile_rows, kernel_backend=kernel_backend
-        ).run(policy)
+        result = Simulator(config, tile_rows=tile_rows).run(policy)
     except PolicyError as exc:
         return None, str(exc), time.perf_counter() - start
     return result.to_dict(), None, time.perf_counter() - start
@@ -190,9 +185,7 @@ def _consecutive_groups(items: Sequence, key: Callable) -> Iterator[list]:
 
 
 def _simulate_batch(
-    payload: tuple[
-        dict[str, Any], list[tuple[int, Policy, int]], int | None, str | None
-    ],
+    payload: tuple[dict[str, Any], list[tuple[int, Policy, int]], int | None],
 ) -> tuple[list[tuple[int, dict[str, Any] | None, str | None, float]], BaseException | None]:
     """Run one scenario batch: one Simulator, many (policy, seed) cells.
 
@@ -213,12 +206,8 @@ def _simulate_batch(
     crashes re-runs its cells one at a time — determinism makes the
     re-run bitwise free — to keep that per-cell guarantee.)
     """
-    config_dict, items, tile_rows, kernel_backend = payload
-    sim = Simulator(
-        SimulationConfig.from_dict(config_dict),
-        tile_rows=tile_rows,
-        kernel_backend=kernel_backend,
-    )
+    config_dict, items, tile_rows = payload
+    sim = Simulator(SimulationConfig.from_dict(config_dict), tile_rows=tile_rows)
     done: list[tuple[int, dict[str, Any] | None, str | None, float]] = []
 
     def run_one(
@@ -319,14 +308,9 @@ class SerialExecutor:
         # config-major; retaining every scenario's streams would
         # balloon peak memory on many-config sweeps).
         for group in _consecutive_groups(
-            tasks,
-            key=lambda t: (id(t.cell.config), t.tile_rows, t.kernel_backend),
+            tasks, key=lambda t: (id(t.cell.config), t.tile_rows)
         ):
-            sim = Simulator(
-                group[0].cell.config,
-                tile_rows=group[0].tile_rows,
-                kernel_backend=group[0].kernel_backend,
-            )
+            sim = Simulator(group[0].cell.config, tile_rows=group[0].tile_rows)
             for task in group:
                 emit(CellStarted(tag=task.cell.tag, index=task.index))
             if len(group) == 1:
@@ -429,12 +413,7 @@ class ProcessExecutor(_PoolExecutorBase):
             for task in tasks:
                 future = pool.submit(
                     _simulate_cell,
-                    (
-                        _task_config_dict(task),
-                        task.cell.policy,
-                        task.tile_rows,
-                        task.kernel_backend,
-                    ),
+                    (_task_config_dict(task), task.cell.policy, task.tile_rows),
                 )
                 futures[future] = task
                 emit(CellStarted(tag=task.cell.tag, index=task.index))
@@ -478,7 +457,7 @@ class BatchedExecutor(_PoolExecutorBase):
         # of the same scenario (the worker re-seeds per cell through
         # Simulator.run_seed).
         group_keys: dict[int, str] = {}  # id(cell.config) -> seedless JSON
-        batches: dict[tuple[str, int | None, str | None], list[CellTask]] = {}
+        batches: dict[tuple[str, int | None], list[CellTask]] = {}
         for task in tasks:
             config_id = id(task.cell.config)
             group_key = group_keys.get(config_id)
@@ -489,12 +468,10 @@ class BatchedExecutor(_PoolExecutorBase):
                     sort_keys=True,
                     separators=(",", ":"),
                 )
-            # tile_rows / kernel_backend ride along in the key (not the
-            # scenario JSON): a batch shares one Simulator, so it must
-            # be uniform in its execution knobs.
-            batches.setdefault(
-                (group_key, task.tile_rows, task.kernel_backend), []
-            ).append(task)
+            # tile_rows rides along in the key (not the scenario JSON):
+            # a batch shares one Simulator, so it must be uniform in its
+            # tile height.
+            batches.setdefault((group_key, task.tile_rows), []).append(task)
         return list(batches.values())
 
     def execute(self, tasks: Sequence[CellTask], emit: Emit) -> Iterator[CellResult]:
@@ -513,7 +490,6 @@ class BatchedExecutor(_PoolExecutorBase):
                     _task_config_dict(batch[0]),
                     [(t.index, t.cell.policy, t.cell.config.seed) for t in batch],
                     batch[0].tile_rows,
-                    batch[0].kernel_backend,
                 )
                 future = pool.submit(_simulate_batch, payload)
                 futures[future] = batch

@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Any, Hashable, Iterable
 
 from ..errors import ConfigurationError
-from ..sim import KERNEL_BACKENDS, SimulationResult
+from ..sim import SimulationResult
 from .backends import CacheBackend
 from .cache import CachedOutcome, ResultCache, cell_key_from_dict
 from .events import CellCached, ProgressBus, SweepFinished, SweepStarted
@@ -178,13 +178,6 @@ class SweepRunner:
         therefore cache keys and cached bytes — are bitwise identical
         for every value, so it is an execution knob, not part of any
         scenario fingerprint.
-    kernel_backend:
-        Kernel backend name from :data:`repro.sim.KERNEL_BACKENDS`
-        (``None`` = ``"numpy"``). Like ``tile_rows``, an execution knob
-        with a bitwise-identity guarantee: results, cache keys and
-        cached bytes do not depend on it, so switching backends never
-        invalidates a warm cache. Unknown names fail here, at
-        construction; the backend itself is built lazily worker-side.
     """
 
     def __init__(
@@ -196,7 +189,6 @@ class SweepRunner:
         cache: "str | Path | CacheBackend | ResultCache | None" = None,
         bus: ProgressBus | None = None,
         tile_rows: int | None = None,
-        kernel_backend: str | None = None,
     ) -> None:
         if n_jobs is None:
             n_jobs = os.cpu_count() or 1
@@ -204,10 +196,8 @@ class SweepRunner:
             raise ConfigurationError("n_jobs must be >= 1 (or None for all cores)")
         if tile_rows is not None and int(tile_rows) < 1:
             raise ConfigurationError("tile_rows must be >= 1 (or None for untiled)")
-        KERNEL_BACKENDS.validate(kernel_backend)
         self.n_jobs = int(n_jobs)
         self.tile_rows = None if tile_rows is None else int(tile_rows)
-        self.kernel_backend = kernel_backend
         self.cache = _resolve_cache(cache, cache_dir)
         self.executor = resolve_executor(executor, self.n_jobs)
         #: The progress bus every sweep on this runner publishes to.
@@ -274,7 +264,6 @@ class SweepRunner:
                             cell=cell,
                             config_dict=config_dict,
                             tile_rows=self.tile_rows,
-                            kernel_backend=self.kernel_backend,
                         )
                     )
             stats.misses = len(tasks)

@@ -4,7 +4,7 @@ A :class:`ShardPlanner` partitions any :class:`~repro.sweep.grid.ScenarioGrid`
 (or explicit cell list) into ``K`` disjoint shards such that the union
 of the shards is exactly the original grid and the partition is a pure
 function of the cells and ``K`` — every host that plans the same grid
-computes the same shards, so ``python -m repro.sweep run --shard i/K``
+computes the same shards, so ``python -m repro sweep run --shard i/K``
 needs no coordination service.
 
 Two strategies:

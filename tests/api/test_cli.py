@@ -1,6 +1,10 @@
 """The consolidated ``python -m repro`` CLI, driven through repro.cli.main."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,8 @@ RUN_FLAGS = [
     "--batch-size", "16", "--epochs", "2", "--scale", "0.2",
 ]
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
 
 class TestList:
     def test_list_policies(self, capsys):
@@ -34,15 +40,9 @@ class TestList:
     def test_list_everything(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for section in ("policies:", "datasets:", "systems:", "kernels:", "figures:"):
+        for section in ("policies:", "datasets:", "systems:", "figures:"):
             assert section in out
         assert "fig12" in out
-
-    def test_list_kernels(self, capsys):
-        assert main(["list", "kernels"]) == 0
-        out = capsys.readouterr().out
-        assert "numpy" in out and "numba" in out
-        assert "default" in out
 
 
 class TestRun:
@@ -90,18 +90,6 @@ class TestRun:
         rc = main(["run", "--scenario", json.dumps(tiny_dict()), "--epochs", "5"])
         assert rc == 2
         assert "--epochs" in capsys.readouterr().err
-
-    def test_run_kernels_flag_identical_output(self, capsys):
-        assert main([*RUN_FLAGS, "--json", "-"]) == 0
-        default = capsys.readouterr().out
-        assert main([*RUN_FLAGS, "--json", "-", "--kernels", "numpy"]) == 0
-        explicit = capsys.readouterr().out
-        assert default[default.index("{"):] == explicit[explicit.index("{"):]
-
-    def test_run_unknown_kernels_suggests(self, capsys):
-        assert main([*RUN_FLAGS, "--kernels", "numpyy"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown kernel backend" in err and "did you mean" in err
 
 
 class TestSweepAndCache:
@@ -207,3 +195,24 @@ class TestExperimentsDispatch:
     def test_experiments_unknown_figure(self, capsys):
         assert main(["experiments", "--figures", "fig99"]) == 2
         assert "unknown figures" in capsys.readouterr().err
+
+
+class TestEntryPoint:
+    def test_new_cli_does_not_warn(self, tmp_path):
+        """``python -m repro`` runs as a real process without warnings."""
+        env = dict(os.environ)
+        src = str(REPO_ROOT / "src")
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "cache", "stats",
+             "--cache-dir", str(tmp_path / "c")],
+            cwd=REPO_ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "DeprecationWarning" not in proc.stderr

@@ -53,15 +53,6 @@ class TestLazyExports:
         with pytest.raises(AttributeError):
             repro.not_a_symbol
 
-    def test_kernel_backends_lazy_export(self):
-        import repro.api
-        from repro.sim.backends import KERNEL_BACKENDS
-
-        assert repro.api.KERNEL_BACKENDS is KERNEL_BACKENDS
-        assert "KERNEL_BACKENDS" in repro.api.__all__
-        assert "KERNEL_BACKENDS" in dir(repro.api)
-        assert "numpy" in repro.api.KERNEL_BACKENDS.names()
-
     def test_version_unchanged(self):
         assert repro.__version__ == "1.0.0"
 

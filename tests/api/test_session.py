@@ -139,42 +139,6 @@ class TestExecutors:
             Session(cache_dir=tmp_path, cache="mem:")
 
 
-class TestKernelBackend:
-    def test_session_backend_configurable(self):
-        assert Session().runner.kernel_backend is None
-        assert Session(kernel_backend="numpy").runner.kernel_backend == "numpy"
-
-    def test_unknown_backend_rejected_at_construction(self):
-        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
-            Session(kernel_backend="nunba")
-
-    def test_backend_run_bitwise_identical(self):
-        s = tiny()
-        assert (
-            Session(kernel_backend="numpy").run(s).to_json()
-            == Session().run(s).to_json()
-        )
-
-    def test_sweep_backend_override_bitwise_identical(self):
-        default = Session().sweep(SCENARIOS)
-        override = Session().sweep(SCENARIOS, kernel_backend="numpy")
-        for tag, result in default.results.items():
-            assert override[tag].to_json() == result.to_json()
-
-    def test_backend_switch_keeps_session_cache_warm(self):
-        """The backend stays out of cache keys (like tile_rows)."""
-        backend = InMemoryBackend()
-        session = Session(cache=backend)
-        session.sweep(SCENARIOS)
-        warm = session.sweep(SCENARIOS, kernel_backend="numpy")
-        assert warm.stats.misses == 0
-
-    def test_override_runner_inherits_session_backend(self):
-        session = Session(kernel_backend="numpy")
-        outcome = session.sweep(SCENARIOS, jobs=2)  # one-off runner
-        assert len(outcome) == len(SCENARIOS)
-
-
 class TestEvents:
     def test_on_event_sees_the_whole_sweep(self):
         events = []

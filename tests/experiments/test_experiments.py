@@ -3,6 +3,7 @@ paper's qualitative shape at laptop scale."""
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments import (
     fig3,
     fig8,
@@ -140,6 +141,13 @@ class TestScalingFigures:
     def test_piz_daint_shape(self):
         r = fig10.run("piz_daint", gpu_counts=(32, 256), scale=0.25, num_epochs=3)
         assert r.sweep.speedup(256, "PyTorch") > 1.5
+
+    def test_policy_spec_needs_a_policy(self):
+        from repro.experiments.scaling import PolicySpec
+
+        assert PolicySpec("NoPFS", "nopfs").build().name == "nopfs"
+        with pytest.raises(ConfigurationError, match="needs a policy spec"):
+            PolicySpec("NoPFS")
 
 
 class TestFig11:

@@ -1,19 +1,15 @@
-"""Execution-knob equivalence matrix: backends x tiling x seed sharing.
+"""Execution-knob equivalence matrix: tiling x seed sharing.
 
-``tile_rows``, ``kernel_backend`` and the seed-sharing ``run_seed``
-path are execution knobs with a bitwise-identity contract: no
-combination may change a single simulated number. This suite pins
-every registered policy spec (canonical names plus the lineup
-variants) against the frozen seed engine
-(``tests/sim/reference_engine.py``) across the full knob cross
-product. Without numba installed the ``numba`` backend resolves to the
-numpy fallback — the matrix then pins the fallback path; the CI
-compiled leg reruns it with numba present.
+``tile_rows`` and the seed-sharing ``run_seed`` path are execution
+knobs with a bitwise-identity contract: no combination may change a
+single simulated number. This suite pins every registered policy spec
+(canonical names plus the lineup variants) against the frozen seed
+engine (``tests/sim/reference_engine.py``) across the full knob cross
+product.
 """
 
 import dataclasses
 import json
-import warnings
 
 import pytest
 
@@ -26,16 +22,6 @@ from repro.sim import SimulationConfig, Simulator
 from .reference_engine import ReferenceSimulator
 
 ALL_POLICY_SPECS = sorted({*POLICIES.names(), *FIG8_POLICIES, *TABLE1_POLICIES})
-
-BACKENDS = ("numpy", "numba")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _quiet_numba_fallback():
-    """The numba-missing fallback warning is expected, not a failure."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        yield
 
 
 def _config() -> SimulationConfig:
@@ -70,25 +56,20 @@ def reference():
 
 @pytest.mark.parametrize("shared", [False, True], ids=["direct", "seed-shared"])
 @pytest.mark.parametrize("tile_rows", [None, 3], ids=["untiled", "tiled"])
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("spec", ALL_POLICY_SPECS)
-def test_knob_matrix_bitwise_identical(reference, spec, backend, tile_rows, shared):
+def test_knob_matrix_bitwise_identical(reference, spec, tile_rows, shared):
     config = _config()
     policy = make_policy(spec)
     if shared:
         # Reach the target seed through another scenario's simulator,
         # exercising the shared-prep/adopted-scalars path.
-        base = Simulator(
-            dataclasses.replace(config, seed=3),
-            tile_rows=tile_rows,
-            kernel_backend=backend,
-        )
+        base = Simulator(dataclasses.replace(config, seed=3), tile_rows=tile_rows)
         try:
             base.run(policy)  # prime the base seed's caches first
         except PolicyError:
             pass
         run = lambda: base.run_seed(policy, config.seed)
     else:
-        sim = Simulator(config, tile_rows=tile_rows, kernel_backend=backend)
+        sim = Simulator(config, tile_rows=tile_rows)
         run = lambda: sim.run(policy)
     assert _outcome(run) == reference[spec]

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.api import fig8_lineup
 from repro.datasets import DatasetModel
 from repro.perfmodel import sec6_cluster
 from repro.sim import (
@@ -20,7 +21,6 @@ from repro.sim import (
     SimulationConfig,
     Simulator,
     StagingBufferPolicy,
-    fig8_policies,
 )
 
 SEEDS = [3, 7, 11, 19, 23]
@@ -77,7 +77,7 @@ class TestBitwiseEquality:
         """Alternating policies between seeds must not cross-pollute."""
         config = _config()
         sim = Simulator(config)
-        lineup = fig8_policies()[:3]
+        lineup = fig8_lineup()[:3]
         for seed in SEEDS[:3]:
             for policy in lineup:
                 assert sim.run_seed(policy, seed).to_json() == _fresh(

@@ -184,7 +184,7 @@ class TestBatching:
         assert [len(b) for b in BatchedExecutor.group(tasks)] == [1, 1]
 
     def test_execution_knobs_split_batches(self, config):
-        """tile_rows / kernel_backend must be uniform within a batch."""
+        """tile_rows must be uniform within a batch."""
         cells = policy_cells(config, POLICIES)
         tasks = [
             CellTask(
@@ -192,11 +192,10 @@ class TestBatching:
                 cell=cell,
                 config_dict=cell.config.to_dict(),
                 tile_rows=None if i == 0 else 8,
-                kernel_backend=None if i < 2 else "numpy",
             )
             for i, cell in enumerate(cells)
         ]
-        assert [len(b) for b in BatchedExecutor.group(tasks)] == [1, 1, 1]
+        assert [len(b) for b in BatchedExecutor.group(tasks)] == [1, 2]
 
     def test_crash_keeps_finished_cells_of_same_batch(self, config):
         """A mid-batch crash memoizes the batch's earlier cells."""

@@ -167,25 +167,6 @@ class TestUnsupported:
             require_supported(outcome, "fig-test")
 
 
-class TestKernelBackend:
-    def test_unknown_backend_fails_at_construction(self):
-        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
-            SweepRunner(n_jobs=1, kernel_backend="nunba")
-
-    def test_backend_results_bitwise_identical(self, cells):
-        default = SweepRunner(n_jobs=1).run(cells)
-        explicit = SweepRunner(n_jobs=1, kernel_backend="numpy").run(cells)
-        for tag in default.results:
-            assert default[tag].to_json() == explicit[tag].to_json(), tag
-
-    def test_backend_switch_keeps_cache_warm(self, cells):
-        """The backend stays out of cache keys: warm across backends."""
-        backend = InMemoryBackend()
-        SweepRunner(n_jobs=1, cache=backend).run(cells)
-        warm = SweepRunner(n_jobs=1, cache=backend, kernel_backend="numpy").run(cells)
-        assert warm.stats.misses == 0
-
-
 class TestHitStatsFlush:
     def test_hit_counters_survive_mid_sweep_crash(self, cells, config):
         """ISSUE 9 regression: the flush lives in a finally block.

@@ -180,7 +180,7 @@ class TestCLI:
 
     def _run(self, *args: str, cwd: Path) -> str:
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.sweep", *args],
+            [sys.executable, "-m", "repro", *args],
             capture_output=True, text=True, cwd=cwd,
             env={"PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src"),
                  "PATH": "/usr/bin:/bin"},
@@ -192,13 +192,13 @@ class TestCLI:
         grid_arg = ["--grid", "repro.sweep.cli:demo_grid", "--grid-kwargs", '{"scale": 0.2}']
         for i in range(3):
             out = self._run(
-                "run", *grid_arg, "--shard", f"{i}/3",
+                "sweep", "run", *grid_arg, "--shard", f"{i}/3",
                 "--cache-dir", f"s{i}", "--manifest", f"m{i}.json",
                 cwd=tmp_path,
             )
             assert f"shard {i}/3" in out
         out = self._run(
-            "merge", "s0", "s1", "s2", "--into", "merged",
+            "sweep", "merge", "s0", "s1", "s2", "--into", "merged",
             "--manifests", "m0.json", "m1.json", "m2.json",
             "--manifest-out", "merged.json",
             cwd=tmp_path,
@@ -207,10 +207,12 @@ class TestCLI:
         merged = json.loads((tmp_path / "merged.json").read_text())
         assert len(merged["cells"]) == 6 and merged["shard"] is None
 
-        warm = self._run("run", *grid_arg, "--cache-dir", "merged", cwd=tmp_path)
+        warm = self._run("sweep", "run", *grid_arg, "--cache-dir", "merged", cwd=tmp_path)
         assert "/ 0 miss" in warm
 
-        stats = self._run("stats", "--cache-dir", "merged", cwd=tmp_path)
+        stats = self._run("cache", "stats", "--cache-dir", "merged", cwd=tmp_path)
         assert "entries: 6" in stats
-        verify = self._run("verify", "--cache-dir", "merged", "--strict", cwd=tmp_path)
+        verify = self._run(
+            "cache", "verify", "--cache-dir", "merged", "--strict", cwd=tmp_path
+        )
         assert "0 corrupt" in verify

@@ -15,22 +15,19 @@ Cells: the standard demo grid plus the full Fig 8 nine-policy lineup on
 a scaled-down MNIST scenario, so every registered policy — including
 the unsupported/PolicyError path — flows through both engines.
 
-``--kernels`` runs the production engine under a named kernel backend
-(``repro list kernels``), ``--share-seeds`` routes every cell through
-the seed-sharing path (``Simulator.run_seed`` from a base simulator on
-a *different* seed), and ``--run-many`` evaluates each scenario's cells
-together through the epoch-major multi-policy path
-(``Simulator.run_many_outcomes`` / ``run_many_seed``) — all execution
-knobs with a bitwise-identity contract, so the byte-diff must stay
-empty for every combination. Pairing ``--run-many`` with a
+``--share-seeds`` routes every cell through the seed-sharing path
+(``Simulator.run_seed`` from a base simulator on a *different* seed),
+and ``--run-many`` evaluates each scenario's cells together through
+the epoch-major multi-policy path (``Simulator.run_many_outcomes`` /
+``run_many_seed``) — both execution knobs with a bitwise-identity
+contract, so the byte-diff must stay empty for every combination. Pairing ``--run-many`` with a
 ``REPRO_PERM_CACHE_MAX_ELEMENTS=0`` environment exercises the
 cache-disabled rolling-slot sharing on these small scenarios.
 
 Usage::
 
     python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR
-    python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR \
-        --kernels numba --share-seeds
+    python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR --share-seeds
     python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR --run-many
     diff -r REFERENCE_DIR ENGINE_DIR
 """
@@ -84,11 +81,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("reference_dir", help="cache filled by the frozen seed engine")
     parser.add_argument("engine_dir", help="cache filled by the production engine")
     parser.add_argument(
-        "--kernels", default=None, metavar="BACKEND",
-        help="run the production engine under this kernel backend "
-        "(default numpy; numba falls back with a warning when missing)",
-    )
-    parser.add_argument(
         "--share-seeds", action="store_true",
         help="route every cell through Simulator.run_seed from a base "
         "simulator on a different seed (the seed-sharing path)",
@@ -120,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
                 engine_config = dataclasses.replace(config, seed=config.seed + 1)
             simulators[scenario] = (
                 ReferenceSimulator(config),
-                Simulator(engine_config, kernel_backend=args.kernels),
+                Simulator(engine_config),
             )
         reference_sim, engine_sim = simulators[scenario]
 

@@ -19,13 +19,17 @@ by phase:
     :func:`~repro.sim.noise.apply_noise_matrix` — the draws and the
     multiplier scatter (generator construction excluded; see ``rng``).
 ``accumulate``
-    The kernel-bundle reductions (batch totals, source totals, row
-    accumulation, latency add, interference) plus the lockstep scan.
+    The :mod:`repro.sim.kernels` functions (batch totals, source
+    totals, row accumulation, latency add, interference, warm-up
+    availability) plus the lockstep scan.
 
 Everything not covered lands in ``other`` (result assembly, write
-times, Python glue). The tool only *observes* — every wrapper calls
-straight through — so the simulated results are the production
-engine's, bitwise.
+times, Python glue). A timed call made inside another timed call (the
+noise model's source histogram, the warm-up hash) is billed to the
+outer one only. The tool only *observes* — every wrapper calls
+straight through and the patched module attributes are restored
+afterwards — so the simulated results are the production engine's,
+bitwise.
 
 Usage::
 
@@ -36,7 +40,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -54,30 +57,30 @@ from repro.perfmodel import sec6_cluster  # noqa: E402
 from repro.rng import generator  # noqa: E402
 from repro.sim import SimulationConfig, Simulator  # noqa: E402
 from repro.sim import engine as engine_mod  # noqa: E402
+from repro.sim import kernels as kernels_mod  # noqa: E402
 
 PHASES = ("plan", "resolve_fetch", "rng", "noise", "accumulate")
 
-#: The kernel-bundle fields folded into the ``accumulate`` phase.
-_KERNEL_FIELDS = (
-    "hash01",
-    "warmup_remote_classes",
-    "batch_totals",
-    "source_totals",
-    "accumulate_rows",
-    "add_pfs_latency",
-    "interference_factors",
-)
 
+def _timed(
+    fn: Callable, phases: dict[str, float], bucket: str, active: list[str]
+) -> Callable:
+    """A pass-through wrapper accumulating ``fn``'s wall time.
 
-def _timed(fn: Callable, phases: dict[str, float], bucket: str) -> Callable:
-    """A pass-through wrapper accumulating ``fn``'s wall time."""
+    ``active`` is shared by every wrapper of one profile: a call made
+    while another timed call is running is not timed again.
+    """
 
     def wrapper(*args, **kwargs):
+        if active:
+            return fn(*args, **kwargs)
+        active.append(bucket)
         start = time.perf_counter()
         try:
             return fn(*args, **kwargs)
         finally:
             phases[bucket] += time.perf_counter() - start
+            active.pop()
 
     return wrapper
 
@@ -97,17 +100,14 @@ def _scenario(args: argparse.Namespace) -> SimulationConfig:
 def profile_cell(args: argparse.Namespace) -> dict:
     """Run the cell ``--repeats`` times and return the phase breakdown."""
     phases = {name: 0.0 for name in PHASES}
+    active: list[str] = []
+
+    def timed(fn: Callable, bucket: str) -> Callable:
+        return _timed(fn, phases, bucket, active)
+
     config = _scenario(args)
-    base_backend = engine_mod.resolve_kernel_backend(None)
-    timed_backend = dataclasses.replace(
-        base_backend,
-        **{
-            field: _timed(getattr(base_backend, field), phases, "accumulate")
-            for field in _KERNEL_FIELDS
-        },
-    )
-    sim = Simulator(config, kernel_backend=timed_backend)
-    sim.plan_epoch = _timed(sim.plan_epoch, phases, "plan")
+    sim = Simulator(config)
+    sim.plan_epoch = timed(sim.plan_epoch, "plan")
     if args.fresh_rng:
         seed = config.seed
 
@@ -117,32 +117,35 @@ def profile_cell(args: argparse.Namespace) -> dict:
                 for worker in range(rows.start, rows.stop)
             ]
 
-        sim.plan_cache.noise_generators = _timed(
-            fresh_noise_generators, phases, "rng"
-        )
+        sim.plan_cache.noise_generators = timed(fresh_noise_generators, "rng")
     else:
-        sim.plan_cache.noise_generators = _timed(
-            sim.plan_cache.noise_generators, phases, "rng"
-        )
+        sim.plan_cache.noise_generators = timed(sim.plan_cache.noise_generators, "rng")
 
     policy = make_policy(args.policy)
-    saved = {
-        "resolve_fetch": engine_mod.resolve_fetch,
-        "apply_noise_matrix": engine_mod.apply_noise_matrix,
-        "lockstep_epoch": engine_mod.lockstep_epoch,
-    }
-    engine_mod.resolve_fetch = _timed(saved["resolve_fetch"], phases, "resolve_fetch")
-    engine_mod.apply_noise_matrix = _timed(saved["apply_noise_matrix"], phases, "noise")
-    engine_mod.lockstep_epoch = _timed(saved["lockstep_epoch"], phases, "accumulate")
+    # (module, attribute, phase) for every module-level callable the
+    # engine reaches by attribute lookup at call time.
+    patches = [
+        (engine_mod, "resolve_fetch", "resolve_fetch"),
+        (engine_mod, "apply_noise_matrix", "noise"),
+        (engine_mod, "lockstep_epoch", "accumulate"),
+        *(
+            (kernels_mod, name, "accumulate")
+            for name in kernels_mod.__all__
+            if callable(getattr(kernels_mod, name))
+        ),
+    ]
+    saved = [(module, name, getattr(module, name)) for module, name, _ in patches]
     total = 0.0
     try:
+        for module, name, bucket in patches:
+            setattr(module, name, timed(getattr(module, name), bucket))
         for _ in range(args.repeats):
             start = time.perf_counter()
             sim.run(policy)
             total += time.perf_counter() - start
     finally:
-        for name, fn in saved.items():
-            setattr(engine_mod, name, fn)
+        for module, name, fn in saved:
+            setattr(module, name, fn)
 
     covered = sum(phases.values())
     phases["other"] = max(0.0, total - covered)
