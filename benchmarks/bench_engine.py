@@ -50,10 +50,11 @@ PAPER_SCALE_WORKERS = 1024
 #: materializes ~25 MB per temporary.
 PAPER_SCALE_TILE_ROWS = 64
 #: Documented peak-allocation bound (tracemalloc, MB) for the tiled
-#: N=1024 run. Measured ~134 MB (dominated by the policy's placement
-#: lookups and the cached id permutations, not per-sample floats); the
-#: untiled run peaks ~504 MB. The bound carries slack for allocator
-#: variance across numpy versions, not for regressions.
+#: N=1024 run. Measured ~182 MB (dominated by the policy's placement
+#: lookups and building the one resident epoch permutation, not
+#: per-sample floats); the untiled run peaks ~410 MB. The bound carries
+#: slack for allocator variance across numpy versions, not for
+#: regressions.
 PAPER_SCALE_TILED_PEAK_MB = 256.0
 
 
@@ -91,8 +92,9 @@ def test_engine_speedup(report):
     reference = ReferenceSimulator(config, ctx=sim.ctx)
 
     # Identical results come first; this also warms the shared context
-    # (stream permutations, frequency counts) so the timed runs compare
-    # engine arithmetic, not one-off scenario setup.
+    # (sample sizes, NoPFS's frequency counts) so the timed runs compare
+    # engine arithmetic, not one-off scenario setup. Both engines build
+    # each epoch's permutation once per run.
     for policy_new, policy_ref in zip(_lineup(), _lineup()):
         new = json.dumps(sim.run(policy_new).to_dict(), sort_keys=True)
         ref = json.dumps(reference.run(policy_ref).to_dict(), sort_keys=True)
@@ -155,13 +157,13 @@ def test_engine_paper_scale(report):
 
     Peak memory is measured with ``tracemalloc`` (it traces every numpy
     buffer and, unlike RSS, is deterministic across allocator reuse),
-    after warming the shared scenario context so both runs are charged
-    only for their own working set.
+    after warming the shared scenario context's frequency counts so
+    both runs are charged only for their own working set (one resident
+    epoch permutation at a time included).
     """
     config = _paper_scenario()
     ctx = ScenarioContext(config)
-    for epoch in range(config.num_epochs):
-        ctx.epoch_matrix(epoch)
+    ctx.worker_frequencies_sparse()
 
     untiled, untiled_s, untiled_mb = _traced_run(
         Simulator(config, ctx=ctx), NoPFSPolicy()
@@ -472,37 +474,35 @@ def test_engine_noise_fast_path_throughput(benchmark):
     benchmark.pedantic(sim.run, args=(NaivePolicy(),), rounds=3, iterations=1)
 
 
-# -- cache-disabled epoch-major run_many (ISSUE 10) ------------------------
+# -- epoch-major run_many at paper scale ------------------------------------
 
-#: Peak-allocation bound (tracemalloc, MB) for the cache-disabled
-#: N=1024 ``run_many``: ~one epoch's matrices (a 24 MB id permutation
-#: plus the rolling size gather and band floats), NOT per-policy
-#: copies. Measured ~77 MB; the bound carries allocator slack only.
+#: Peak-allocation bound (tracemalloc, MB) for the N=1024 ``run_many``:
+#: ~one epoch's matrices (a 24 MB id permutation plus the rolling size
+#: gather and band floats) and the N x E noise RNG states (~2 KB each,
+#: ~4 MB here), NOT per-policy copies. Measured ~77 MB; the bound
+#: carries allocator slack only.
 RUN_MANY_UNCACHED_PEAK_MB = 160.0
 
-#: Clairvoyant-stream lineup for the uncached tier: policies whose
+#: Clairvoyant-stream lineup for the run_many tier: policies whose
 #: prepare reads at most epoch 0 (no frequency scans), so the
 #: permutation-build counter isolates the epoch-major loop.
 RUN_MANY_POLICIES = ("naive", "staging_buffer", "pytorch")
 
 
-def test_engine_run_many_uncached(report, monkeypatch):
-    """N=1024 with the permutation cache off: E builds, one-epoch memory.
+def test_engine_run_many_uncached(report):
+    """N=1024 epoch-major ``run_many``: E builds, one-epoch memory.
 
-    ``REPRO_PERM_CACHE_MAX_ELEMENTS=0`` forces the paper-scale regime
-    (no cached permutations) onto the tier. The epoch-major
-    ``run_many`` must then materialize each epoch's permutation once
-    for the whole policy lineup — ``perm_builds == E``, not
-    ``E x policies`` (the pre-PR 10 cost) — derive each noise state
+    The context keeps one epoch permutation resident, so the
+    epoch-major ``run_many`` must materialize each epoch's permutation
+    once for the whole policy lineup — ``perm_builds == E``, not
+    ``E x policies`` (the policy-major cost) — derive each noise state
     once per (epoch, worker), and keep the traced peak near one
     epoch's matrices.
     """
     from repro.api import make_policy
 
-    monkeypatch.setenv("REPRO_PERM_CACHE_MAX_ELEMENTS", "0")
     config = _paper_scenario()
     sim = Simulator(config, tile_rows=PAPER_SCALE_TILE_ROWS)
-    assert not sim.ctx.cache_enabled
     policies = [make_policy(spec) for spec in RUN_MANY_POLICIES]
 
     tracemalloc.start()
@@ -525,7 +525,7 @@ def test_engine_run_many_uncached(report, monkeypatch):
         f"N x E = {expected_states}"
     )
     assert peak_mb < RUN_MANY_UNCACHED_PEAK_MB, (
-        f"uncached N={PAPER_SCALE_WORKERS} run_many peaked at "
+        f"N={PAPER_SCALE_WORKERS} run_many peaked at "
         f"{peak_mb:.1f} MB; documented bound is "
         f"{RUN_MANY_UNCACHED_PEAK_MB:.0f} MB"
     )
@@ -537,7 +537,7 @@ def test_engine_run_many_uncached(report, monkeypatch):
                 f"scenario: N={PAPER_SCALE_WORKERS} workers, "
                 f"F={config.dataset.num_samples:,} samples, "
                 f"E={config.num_epochs} epochs, B={config.batch_size}, "
-                f"permutation cache disabled",
+                f"one resident epoch permutation",
                 f"lineup: {', '.join(RUN_MANY_POLICIES)} "
                 f"({len(policies)} policies, tile_rows="
                 f"{PAPER_SCALE_TILE_ROWS})",
@@ -553,12 +553,11 @@ def test_engine_run_many_uncached(report, monkeypatch):
     )
 
 
-def test_engine_run_many_uncached_throughput(benchmark, monkeypatch):
-    """Timing series for BENCH_engine.json: the cache-disabled N=1024
-    lineup through one epoch-major ``run_many`` call."""
+def test_engine_run_many_uncached_throughput(benchmark):
+    """Timing series for BENCH_engine.json: the N=1024 lineup through
+    one epoch-major ``run_many`` call (permutations rebuilt per call)."""
     from repro.api import make_policy
 
-    monkeypatch.setenv("REPRO_PERM_CACHE_MAX_ELEMENTS", "0")
     config = _paper_scenario()
     sim = Simulator(config, tile_rows=PAPER_SCALE_TILE_ROWS)
     policies = [make_policy(spec) for spec in RUN_MANY_POLICIES]

@@ -92,8 +92,7 @@ class GeneratorStateCache:
     generators are drained inside the tile that requested them).
 
     ``derived`` / ``cloned`` count the two paths, proving how much
-    sharing actually happened; :meth:`evict` drops a key prefix (e.g.
-    one epoch's worker streams) so rolling callers stay bounded.
+    sharing actually happened.
     """
 
     def __init__(self) -> None:
@@ -122,25 +121,6 @@ class GeneratorStateCache:
         gen, state = entry
         gen.bit_generator.state = state
         return gen
-
-    def evict(self, seed: int, *key_prefix: object) -> int:
-        """Drop every cached stream under ``(seed, *key_prefix)``.
-
-        Returns the number of entries removed. Used by rolling callers
-        (one-epoch noise windows at paper scale) to keep the cache at
-        O(one epoch's workers) instead of O(all epochs).
-        """
-        entropy = int(seed)
-        prefix = _normalize_key(key_prefix)
-        width = len(prefix)
-        stale = [
-            k
-            for k in self._entries
-            if k[0] == entropy and k[1][:width] == prefix
-        ]
-        for k in stale:
-            del self._entries[k]
-        return len(stale)
 
     def clear(self) -> None:
         """Drop every cached stream (counters are preserved)."""

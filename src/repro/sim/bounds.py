@@ -92,8 +92,9 @@ def policy_lower_bound(
     unsupported candidate can never beat a feasible incumbent.
 
     Pass ``ctx`` to reuse an existing :class:`ScenarioContext` built
-    from the same ``config`` (bounds across a policy lineup then share
-    one set of access streams, like :meth:`Simulator.run_many`).
+    from the same ``config``: bounds across a policy lineup then share
+    its memoized per-worker byte totals (:meth:`ScenarioContext.worker_mb`)
+    instead of rebuilding every epoch permutation once per policy.
     """
     if ctx is None:
         ctx = ScenarioContext(config)
@@ -110,7 +111,7 @@ def policy_lower_bound(
 
     total = float(prep.prestage_time_s)
     for epoch in range(config.num_epochs):
-        per_worker_mb = ctx.sizes_matrix(epoch).sum(axis=1)
+        per_worker_mb = ctx.worker_mb(epoch)
         if per_worker_mb.size == 0:
             continue
         if prep.stream_fn is None and config.barrier:

@@ -2,20 +2,22 @@
 
 A :class:`ScenarioContext` wraps one :class:`SimulationConfig` with the
 derived objects every policy needs — the clairvoyant access stream, the
-materialized sample sizes, per-worker frequency counts — plus caching so
-that a nine-policy comparison does not regenerate multi-million-entry
-permutations nine times over.
+materialized sample sizes, per-worker frequency counts.
 
-The canonical cached form of an epoch is its *worker-major matrix*
+The canonical form of an epoch is its *worker-major matrix*
 (:meth:`ScenarioContext.epoch_matrix`): an ``(N, L)`` array whose row
 ``w`` is worker ``w``'s in-order stream for the epoch. The engine's
-kernels operate on this matrix directly; the historical ``(T, N, B)``
-batch view and per-worker rows are zero-copy views of it.
+kernels operate on this matrix directly; per-worker rows are zero-copy
+views of it.
+
+Because the seed fixes every epoch's permutation, any epoch can be
+rebuilt from ``(seed, epoch)`` on demand, so the context keeps **at most
+one** epoch matrix resident: the one requested last. The engine's
+epoch-major loop requests each epoch once and serves every policy from
+that one materialization; requesting another epoch replaces it.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -25,29 +27,6 @@ from ..rng import generator
 from .config import SimulationConfig
 
 __all__ = ["ScenarioContext"]
-
-#: Cache epoch permutations only below this total element count
-#: (E * F); beyond it they are regenerated on demand to bound memory.
-#: Overridable per process via ``REPRO_PERM_CACHE_MAX_ELEMENTS`` (read
-#: at :class:`ScenarioContext` construction), so tests and CI can force
-#: the cache-disabled streaming path on small scenarios instead of
-#: needing N=1024 fixtures.
-_PERM_CACHE_MAX_ELEMENTS = 80_000_000
-
-_PERM_CACHE_ENV = "REPRO_PERM_CACHE_MAX_ELEMENTS"
-
-
-def _perm_cache_max_elements() -> int:
-    """The active permutation-cache cap (env override or the default)."""
-    raw = os.environ.get(_PERM_CACHE_ENV)
-    if raw is None:
-        return _PERM_CACHE_MAX_ELEMENTS
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{_PERM_CACHE_ENV} must be an integer element count, got {raw!r}"
-        ) from None
 
 
 class ScenarioContext:
@@ -64,22 +43,17 @@ class ScenarioContext:
         self.stream = AccessStream(config.stream_config)
         self.sizes_mb = config.dataset.sizes_mb()
         self.system = config.system
-        #: epoch -> ((T, N, B) batch view, (N, L) worker-major matrix);
-        #: both share one buffer, so caching costs one copy per epoch.
-        self._epoch_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._cache_enabled = (
-            config.num_epochs * config.dataset.num_samples
-            <= _perm_cache_max_elements()
-        )
-        #: Rolling one-epoch slot (:meth:`hold_epoch`) for cache-disabled
-        #: scenarios: ``(epoch, views)`` or ``None``.
-        self._held: tuple[int, tuple[np.ndarray, np.ndarray]] | None = None
-        #: Epoch permutations actually generated (cache hits and the
-        #: held slot don't count) — the sharing proof for epoch-major
-        #: ``run_many`` at paper scale, where this must stay at E, not
+        #: The resident epoch: ``(epoch, (N, L) matrix)`` of the epoch
+        #: requested last, or ``None``.
+        self._held: tuple[int, np.ndarray] | None = None
+        #: Epoch permutations actually generated (requests served by the
+        #: resident slot don't count) — the sharing proof for the
+        #: epoch-major engine loop, where this stays at E per run, not
         #: E x policies.
         self.perm_builds = 0
         self._freq_cache: list[tuple[np.ndarray, np.ndarray]] | None = None
+        #: epoch -> read-only (N,) per-worker MB totals (:meth:`worker_mb`).
+        self._worker_mb: dict[int, np.ndarray] = {}
 
     # -- stream access -----------------------------------------------------
 
@@ -89,103 +63,76 @@ class ScenarioContext:
         return self.system.num_workers
 
     @property
-    def cache_enabled(self) -> bool:
-        """Whether full-epoch permutations may be cached (E*F capped).
-
-        Scenario-level caches (here and in the engine's
-        :class:`~repro.sim.plancache.PlanCache`) consult this flag so
-        paper-scale scenarios above ``_PERM_CACHE_MAX_ELEMENTS`` never
-        pin multi-hundred-MB matrices across epochs.
-        """
-        return self._cache_enabled
-
-    @property
     def samples_per_worker_per_epoch(self) -> int:
         """``L = T * B`` — per-worker stream length each epoch."""
         return self.config.stream_config.samples_per_worker_per_epoch
 
-    def _epoch_views(self, epoch: int) -> tuple[np.ndarray, np.ndarray]:
-        """``((T, N, B) batches, (N, L) matrix)`` for ``epoch`` (cached)."""
-        cached = self._epoch_cache.get(epoch)
-        if cached is not None:
-            return cached
-        if self._held is not None and self._held[0] == epoch:
-            return self._held[1]
-        self.perm_builds += 1
-        batches = self.stream.epoch_batches(epoch)
-        t, n, b = batches.shape
-        # Materialize the worker-major matrix once (the engine's layout);
-        # re-derive the batch view from its buffer so the cache holds a
-        # single copy of the permutation. Read-only: rows/views of the
-        # shared cached permutation are handed to policies, and an
-        # in-place mutation must raise rather than corrupt every later
-        # run on this context.
-        owner = np.ascontiguousarray(batches.transpose(1, 0, 2))
-        owner.setflags(write=False)
-        matrix = owner.reshape(n, t * b)
-        views = (matrix.reshape(n, t, b).transpose(1, 0, 2), matrix)
-        if self._cache_enabled:
-            self._epoch_cache[epoch] = views
-        return views
-
     def hold_epoch(self, epoch: int) -> None:
-        """Pin ``epoch``'s permutation in a rolling single-epoch slot.
+        """Announce that ``epoch`` is next: drop any other resident epoch.
 
-        The epoch-major :meth:`~repro.sim.engine.Simulator.run_many`
-        loop calls this at the top of each epoch so every policy's
-        :meth:`epoch_matrix` request is served from one materialization
-        even when :attr:`cache_enabled` is off — permutations are built
-        once per epoch, not once per (policy, epoch). Holding a new
-        epoch releases the previous one first, so peak memory stays at
-        ~one epoch's matrices at paper scale. A no-op (beyond priming
-        the persistent cache) when :attr:`cache_enabled` is on.
+        The engine's epoch-major loop calls this at the top of each
+        epoch so the previous epoch's matrix is freed *before* the next
+        one is built — two epochs never overlap in memory. It builds
+        nothing: an epoch no policy reads (e.g. one every policy
+        rewrites through ``stream_fn``) is never materialized.
         """
-        if self._cache_enabled:
-            self._epoch_views(epoch)
-            return
-        if self._held is not None and self._held[0] == epoch:
-            return
-        self._held = None
-        self._held = (epoch, self._epoch_views(epoch))
+        if self._held is not None and self._held[0] != epoch:
+            self._held = None
 
     def release_held_epoch(self) -> None:
-        """Drop the rolling slot (the epoch-major loop's cleanup)."""
+        """Drop the resident epoch matrix (the epoch-major loop's cleanup)."""
         self._held = None
 
     @property
     def held_epoch(self) -> int | None:
-        """The epoch currently pinned by :meth:`hold_epoch`, if any."""
+        """The epoch whose matrix is currently resident, if any."""
         return None if self._held is None else self._held[0]
 
-    def epoch_batches(self, epoch: int) -> np.ndarray:
-        """``(T, N, B)`` batch view of ``epoch`` (cached when small)."""
-        return self._epoch_views(epoch)[0]
-
     def epoch_matrix(self, epoch: int) -> np.ndarray:
-        """``(N, L)`` worker-major ids for ``epoch`` (cached when small).
+        """``(N, L)`` worker-major ids for ``epoch`` (read-only).
 
         Row ``w`` is worker ``w``'s in-order sample ids — the layout the
-        engine's array kernels (:mod:`repro.sim.kernels`) consume. One
-        materialization replaces the ``N`` per-worker reshape copies the
-        scalar engine made per epoch.
+        engine's array kernels (:mod:`repro.sim.kernels`) consume. Served
+        from the resident slot when it holds ``epoch``; otherwise built
+        (counted in :attr:`perm_builds`) and made the resident epoch,
+        replacing the previous one.
         """
-        return self._epoch_views(epoch)[1]
+        held = self._held
+        if held is not None and held[0] == epoch:
+            return held[1]
+        self._held = None  # free the old epoch before building the new one
+        self.perm_builds += 1
+        batches = self.stream.epoch_batches(epoch)
+        t, n, b = batches.shape
+        # Read-only: rows of the shared matrix are handed to policies,
+        # and an in-place mutation must raise rather than corrupt every
+        # later request served from the slot.
+        owner = np.ascontiguousarray(batches.transpose(1, 0, 2))
+        owner.setflags(write=False)
+        matrix = owner.reshape(n, t * b)
+        self._held = (epoch, matrix)
+        return matrix
 
-    def sizes_matrix(self, epoch: int) -> np.ndarray:
-        """``(N, L)`` per-sample sizes (MB) aligned with ``epoch_matrix``.
+    def worker_mb(self, epoch: int) -> np.ndarray:
+        """``(N,)`` MB each worker reads in ``epoch`` (memoized, read-only).
 
-        Gathered on demand (one fancy-index over the id matrix) rather
-        than cached: the float matrix is as large as the id matrix and
-        each engine epoch consumes it exactly once.
+        The per-worker byte totals the lower bounds price. Computed
+        once per epoch per context, so a bound over a whole policy
+        lineup rebuilds no epoch permutation for it.
         """
-        return self.sizes_mb[self.epoch_matrix(epoch)]
+        totals = self._worker_mb.get(epoch)
+        if totals is None:
+            totals = self.sizes_mb[self.epoch_matrix(epoch)].sum(axis=1)
+            totals.setflags(write=False)
+            self._worker_mb[epoch] = totals
+        return totals
 
     def worker_epoch_ids(self, worker: int, epoch: int) -> np.ndarray:
         """Worker ``worker``'s in-order sample ids for ``epoch``.
 
-        A read-only view of the epoch matrix (historically this was a
-        fresh copy); callers that want to reorder ids in place should
-        copy first — writing to the view raises.
+        A read-only view of the epoch matrix; callers that want to
+        reorder ids in place should copy first — writing to the view
+        raises.
         """
         return self.epoch_matrix(epoch)[worker]
 

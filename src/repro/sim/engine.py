@@ -42,6 +42,12 @@ equivalence to the seed scalar engine, by
 ``tests/sim/test_engine_equivalence.py`` and ``tests/sim/test_tiling.py``
 against the reference copy kept in ``tests/sim/reference_engine.py``.
 
+Every entry point — :meth:`Simulator.run`, :meth:`Simulator.run_seed`,
+:meth:`Simulator.run_many_outcomes` and :meth:`Simulator.run_many_seed`
+— prepares its policies and then drives them through one epoch-major
+loop: epochs outermost, each epoch's permutation materialized once and
+shared by every policy of the call.
+
 Caches follow the paper's observed dynamics: during epoch 0 every
 policy reads from the PFS while caches fill ("without caching, it is
 always 'the first epoch' for a data loader"); placements activate from
@@ -53,7 +59,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -92,7 +98,7 @@ def analytic_lower_bound(
     """
     if ctx is None:
         ctx = ScenarioContext(config)
-    per_worker_mb = ctx.sizes_matrix(0).sum(axis=1)
+    per_worker_mb = ctx.worker_mb(0)
     worst = float(per_worker_mb.max()) if per_worker_mb.size else 0.0
     return config.num_epochs * worst / config.system.compute_mbps
 
@@ -267,8 +273,8 @@ class Simulator:
         the memory/speed trade-off.
     ctx:
         Reuse an existing :class:`ScenarioContext` built from the same
-        ``config`` (e.g. to share cached permutations between
-        simulators) instead of constructing a fresh one.
+        ``config`` (e.g. to share its sample sizes and frequency counts
+        between simulators) instead of constructing a fresh one.
     """
 
     def __init__(
@@ -295,9 +301,13 @@ class Simulator:
     # -- public API --------------------------------------------------------
 
     def run(self, policy: Policy) -> SimulationResult:
-        """Simulate ``policy`` and return its full result."""
-        prep = policy.prepare(self.ctx)
-        return self._run_prepared(policy, prep)
+        """Simulate ``policy`` and return its full result.
+
+        Raises the policy's :class:`~repro.errors.PolicyError` when it
+        does not support the scenario.
+        """
+        slots = self._prepare_slots([policy], lambda p: p.prepare(self.ctx))
+        return _unwrap(self._run_epoch_major(slots)[0])
 
     def run_many(self, policies: list[Policy]) -> dict[str, SimulationResult]:
         """Simulate several policies, skipping unsupported ones.
@@ -325,15 +335,12 @@ class Simulator:
         Unlike :meth:`run_many`'s policy-major predecessor (every
         policy walking all ``E`` epochs before the next policy starts),
         this prepares every policy up front and then iterates **epochs
-        outermost**: each epoch's ``(N, L)`` permutation is pinned in
-        the context's rolling slot (:meth:`ScenarioContext.hold_epoch`),
-        its size gather and noise RNG states land in the plan cache,
-        and every surviving policy's plan/execute for that epoch runs
-        against them. At paper scale — where
-        :attr:`ScenarioContext.cache_enabled` is off and the old order
-        regenerated every multi-hundred-MB permutation once per policy
-        — the shared work is now materialized once per epoch (``E``
-        builds, not ``E x P``; :attr:`ScenarioContext.perm_builds`
+        outermost**: each epoch's ``(N, L)`` permutation is the
+        context's resident epoch (:meth:`ScenarioContext.epoch_matrix`),
+        its size gather lands in the plan cache's one-epoch slot, and
+        every surviving policy's plan/execute for that epoch runs
+        against them. The shared work is materialized once per epoch
+        (``E`` builds, not ``E x P``; :attr:`ScenarioContext.perm_builds`
         proves it) while memory stays bounded to ~one epoch's matrices.
 
         Per-policy results are bitwise identical to :meth:`run`: every
@@ -345,21 +352,35 @@ class Simulator:
         mid-epoch — yields that error in its slot (the same error the
         per-policy run would raise) without disturbing its siblings.
         """
+        slots = self._prepare_slots(policies, lambda p: p.prepare(self.ctx))
+        return self._run_epoch_major(slots)
+
+    def _prepare_slots(
+        self,
+        policies: list[Policy],
+        prepare: Callable[[Policy], PreparedPolicy],
+    ) -> "list[tuple[Policy, PreparedPolicy] | PolicyError]":
+        """Prepare ``policies`` for :meth:`_run_epoch_major`, in order.
+
+        Each slot is ``(policy, prepare(policy))`` or the
+        :class:`~repro.errors.PolicyError` the prepare raised. Epoch 0
+        is held through the prepares: placement-building prepares
+        (DeepIO, LBANN) gather it, and the loop's first epoch then
+        reuses that build. Any other error drops the resident epoch
+        and propagates.
+        """
         slots: list[tuple[Policy, PreparedPolicy] | PolicyError] = []
-        # Placement-building prepares (DeepIO, LBANN) gather epoch 0;
-        # holding it through the prepare phase keeps the cache-disabled
-        # build count at one per epoch even counting preparation.
         self.ctx.hold_epoch(0)
         try:
             for policy in policies:
                 try:
-                    slots.append((policy, policy.prepare(self.ctx)))
+                    slots.append((policy, prepare(policy)))
                 except PolicyError as exc:
                     slots.append(exc)
         except BaseException:
             self.ctx.release_held_epoch()
             raise
-        return self._run_epoch_major(slots)
+        return slots
 
     def _run_epoch_major(
         self, slots: "list[tuple[Policy, PreparedPolicy] | PolicyError]"
@@ -447,13 +468,13 @@ class Simulator:
         seed-dependent policies (stream rewriters, frequency-driven
         placements) re-prepare on the variant's own context. Either
         way the result is bitwise identical to
-        ``Simulator(replace(config, seed=seed)).run(policy)``.
+        ``Simulator(replace(config, seed=seed)).run(policy)``, and a
+        policy that does not support the scenario raises its
+        :class:`~repro.errors.PolicyError`.
         """
         sim = self.seed_variant(seed)
-        prep, shared = self._seed_prep(policy, sim)
-        if shared and sim is not self:
-            sim.plan_cache.adopt_invariants(self.plan_cache)
-        return sim._run_prepared(policy, prep)
+        slots = sim._prepare_slots([policy], lambda p: self._seed_prep(p, sim))
+        return _unwrap(sim._run_epoch_major(slots)[0])
 
     def run_seeds(
         self, policy: Policy, seeds: Iterable[int]
@@ -485,53 +506,36 @@ class Simulator:
         ``run_seed(policy, seed)``.
         """
         sim = self.seed_variant(seed)
-        slots: list[tuple[Policy, PreparedPolicy] | PolicyError] = []
-        adopt = False
-        # Seed-dependent prepares run on the variant context; hold its
-        # epoch 0 through them (see :meth:`run_many_outcomes`).
-        sim.ctx.hold_epoch(0)
-        try:
-            for policy in policies:
-                try:
-                    prep, shared = self._seed_prep(policy, sim)
-                    adopt = adopt or shared
-                    slots.append((policy, prep))
-                except PolicyError as exc:
-                    slots.append(exc)
-        except BaseException:
-            sim.ctx.release_held_epoch()
-            raise
-        if adopt and sim is not self:
-            sim.plan_cache.adopt_invariants(self.plan_cache)
+        slots = sim._prepare_slots(policies, lambda p: self._seed_prep(p, sim))
         return sim._run_epoch_major(slots)
 
-    def _seed_prep(
-        self, policy: Policy, sim: "Simulator"
-    ) -> tuple[PreparedPolicy, bool]:
+    def _seed_prep(self, policy: Policy, sim: "Simulator") -> PreparedPolicy:
         """Prepare ``policy`` for the seed variant ``sim``, counting reuse.
 
         The one prepare-or-reuse step behind :meth:`run_seed` and
         :meth:`run_many_seed`. Seed-dependent policies prepare on the
         variant's own context; seed-invariant ones are prepared once on
         the base context and served from :attr:`_shared_preps` after
-        that. Returns ``(prep, shared)``, where ``shared`` says the prep
-        lives on the base context, so the caller must let the variant
-        adopt the base plan scalars.
+        that.
         """
         if not policy.seed_invariant_prepare:
             self.seed_share.prep_misses += 1
-            return policy.prepare(sim.ctx), False
+            return policy.prepare(sim.ctx)
         cached = self._shared_preps.get(id(policy))
         if cached is not None:
+            # Its scalars were on the base cache before ``sim`` was
+            # fetched, and :meth:`seed_variant` adopts on every access.
             self.seed_share.prep_hits += 1
-            return cached[1], True
+            return cached[1]
         self.seed_share.prep_misses += 1
         prep = policy.prepare(self.ctx)
         # Materialize the scalars on the base cache now, so every
         # variant adopts them instead of recomputing per seed.
         self.plan_cache.scalars(prep)
         self._shared_preps[id(policy)] = (policy, prep)
-        return prep, True
+        if sim is not self:
+            sim.plan_cache.adopt_invariants(self.plan_cache)
+        return prep
 
     # -- plan phase ----------------------------------------------------------
 
@@ -540,7 +544,7 @@ class Simulator:
     ) -> tuple[np.ndarray, bool]:
         """The epoch's ``(N, L)`` id matrix, honouring stream rewrites.
 
-        Clairvoyant policies get the context's cached epoch matrix
+        Clairvoyant policies get the context's resident epoch matrix
         (zero copies; flagged shared so the size gather can be reused
         across policies); order-changing policies (sharding, DeepIO
         opportunistic) have their per-worker ``stream_fn`` rows stacked
@@ -703,15 +707,9 @@ class Simulator:
             batch_durations=durations if cfg.record_batch_times else None,
         )
 
-    def _run_prepared(self, policy: Policy, prep: PreparedPolicy) -> SimulationResult:
-        epoch_results = [
-            self.execute_epoch(policy, prep, self.plan_epoch(prep, epoch))
-            for epoch in range(self.config.num_epochs)
-        ]
-        return SimulationResult(
-            policy=policy.name,
-            scenario=self.config.scenario,
-            prestage_time_s=prep.prestage_time_s,
-            accesses_full_dataset=prep.accesses_full_dataset,
-            epochs=tuple(epoch_results),
-        )
+
+def _unwrap(outcome: "SimulationResult | PolicyError") -> SimulationResult:
+    """A single-policy entry point's result, re-raising its PolicyError."""
+    if isinstance(outcome, PolicyError):
+        raise outcome
+    return outcome

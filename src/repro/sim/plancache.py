@@ -17,11 +17,13 @@ epoch-dependent:
 
 A :class:`PlanCache` hoists all of it: scalars are computed once per
 :class:`~repro.sim.policies.base.PreparedPolicy` (keyed on the prepared
-instance), size matrices once per epoch (shared across the policies of
-a :meth:`~repro.sim.engine.Simulator.run_many` comparison), and the
-cold class template once per scenario. Only the genuinely per-epoch
-work — the id permutation, warm cache-tier lookups, warm-up
-availability and noise — is recomputed each epoch.
+instance), the size matrix once per epoch (held in a one-epoch slot
+that the engine's epoch-major loop shares across every policy it
+runs), noise RNG initial states once per ``(epoch, worker)`` for the
+simulator's lifetime, and the cold class template once per scenario.
+Only the genuinely per-epoch work — the id permutation, warm cache-tier
+lookups, warm-up availability and noise draws — is recomputed each
+epoch.
 
 Everything cached here is a value the per-epoch code used to recompute
 from the same inputs, so reuse is bitwise-neutral by construction; the
@@ -105,21 +107,15 @@ class PlanCache:
         #: id(prep) -> (prep, scalars); the prep reference keeps the id
         #: stable for the cache's lifetime.
         self._scalars: dict[int, tuple[PreparedPolicy, PlanScalars]] = {}
-        #: epoch -> read-only (N, L) sizes gather, shared across policies.
-        self._sizes: dict[int, np.ndarray] = {}
-        #: Rolling ``(epoch, sizes)`` slot standing in for ``_sizes``
-        #: when the context's cache is size-capped: the epoch-major
-        #: ``run_many`` loop still shares each epoch's gather across
-        #: policies, but only one epoch's float matrix is ever alive.
+        #: Rolling ``(epoch, read-only sizes)`` slot: the epoch-major loop
+        #: shares each epoch's gather across policies, but only one
+        #: epoch's float matrix is ever alive.
         self._held_sizes: tuple[int, np.ndarray] | None = None
         self._cold_template: np.ndarray | None = None
         #: Initial PCG64 states for the per-worker noise streams,
         #: derived once per ``(epoch, worker)`` and rewound thereafter
-        #: (see :meth:`noise_generators`).
+        #: for this cache's lifetime (see :meth:`noise_generators`).
         self.noise_states = GeneratorStateCache()
-        #: Epoch whose noise states are resident when rolling (cache
-        #: off); older epochs are evicted as the engine advances.
-        self._noise_epoch: int | None = None
         self.hits = 0
         self.misses = 0
         self.scalar_hits = 0
@@ -144,8 +140,8 @@ class PlanCache:
           prep identity, so they only ever serve the exact prepared
           instance they were computed for.)
 
-        The per-epoch sizes gathers (``_sizes``) are **not** adopted:
-        they index the seed-dependent epoch permutation.
+        The per-epoch sizes gather (``_held_sizes``) is **not** adopted:
+        it indexes the seed-dependent epoch permutation.
         """
         if self._cold_template is None and other._cold_template is not None:
             self._cold_template = other._cold_template
@@ -224,8 +220,6 @@ class PlanCache:
 
     def _lookup_sizes(self, epoch: int) -> np.ndarray | None:
         """An already-materialized full sizes gather for ``epoch``, if any."""
-        if self.ctx.cache_enabled:
-            return self._sizes.get(epoch)
         held = self._held_sizes
         if held is not None and held[0] == epoch:
             return held[1]
@@ -234,14 +228,12 @@ class PlanCache:
     def sizes_matrix(self, epoch: int, ids: np.ndarray) -> np.ndarray:
         """The full ``(N, L)`` sizes gather for a clairvoyant epoch.
 
-        Cached per epoch and shared (read-only) across every policy
-        whose epoch ids are the context's canonical matrix — the
-        ``run_many`` case. When the context's cache is size-capped the
-        gather lives in a *rolling* one-epoch slot instead, so the
-        epoch-major ``run_many`` loop still shares it across policies
-        while paper-scale memory stays bounded to one epoch. Callers
-        in tiled mode gather per band (:meth:`sizes_band`) and only
-        reuse a full gather that already exists.
+        Held in a rolling one-epoch slot and shared (read-only) across
+        every policy whose epoch ids are the context's canonical matrix,
+        so the epoch-major loop gathers each epoch once while memory
+        stays bounded to one epoch. Callers in tiled mode gather per
+        band (:meth:`sizes_band`) and only reuse a full gather that
+        already exists.
         """
         cached = self._lookup_sizes(epoch)
         if cached is not None:
@@ -250,10 +242,7 @@ class PlanCache:
         self.misses += 1
         sizes = self.ctx.sizes_mb[ids]
         sizes.setflags(write=False)
-        if self.ctx.cache_enabled:
-            self._sizes[epoch] = sizes
-        else:
-            self._held_sizes = (epoch, sizes)
+        self._held_sizes = (epoch, sizes)
         return sizes
 
     def sizes_band(self, epoch: int, ids: np.ndarray, rows: slice) -> np.ndarray:
@@ -286,18 +275,11 @@ class PlanCache:
         initial state is derived once per ``(epoch, worker)`` and every
         later request (the next policy of a ``run_many`` comparison, a
         repeat run on this simulator) rewinds the retained generator
-        instead of re-paying the SeedSequence expansion.
-
-        When the context's permutation cache is size-capped the state
-        cache rolls with the engine's epoch-major loop: entering a new
-        epoch evicts the previous epoch's states, bounding residency to
-        one epoch's workers at paper scale.
+        instead of re-paying the SeedSequence expansion. States stay
+        resident for the cache's lifetime: ``N * E`` of them, about
+        2 KB each.
         """
         seed = self.ctx.config.seed
-        if not self.ctx.cache_enabled and self._noise_epoch != epoch:
-            if self._noise_epoch is not None:
-                self.noise_states.evict(seed, "noise", self._noise_epoch)
-            self._noise_epoch = epoch
         states = self.noise_states
         return [
             states.generator(seed, "noise", epoch, worker)

@@ -23,10 +23,6 @@ class TestStreams:
         expected = c.stream.worker_epoch_stream(2, 1)
         np.testing.assert_array_equal(c.worker_epoch_ids(2, 1), expected)
 
-    def test_epoch_batches_cached(self):
-        c = ctx()
-        assert c.epoch_batches(0) is c.epoch_batches(0)
-
     def test_lengths(self):
         c = ctx()
         assert c.worker_epoch_ids(0, 0).size == c.samples_per_worker_per_epoch
@@ -44,33 +40,39 @@ class TestEpochMatrix:
 
     def test_matches_batch_view(self):
         c = ctx()
-        batches = c.epoch_batches(0)  # (T, N, B)
+        batches = c.stream.epoch_batches(0)  # (T, N, B)
         mat = c.epoch_matrix(0)
         for worker in range(c.num_workers):
             np.testing.assert_array_equal(
                 mat[worker], batches[:, worker, :].reshape(-1)
             )
 
-    def test_cached_and_shares_buffer_with_batch_view(self):
+    def test_worker_rows_are_views(self):
         c = ctx()
-        assert c.epoch_matrix(0) is c.epoch_matrix(0)
-        # One permutation copy per epoch: both views alias one buffer.
-        assert np.shares_memory(c.epoch_batches(0), c.epoch_matrix(0))
+        assert np.shares_memory(c.worker_epoch_ids(1, 0), c.epoch_matrix(0))
 
-    def test_sizes_matrix_aligned(self):
+    def test_worker_mb_aligned(self):
         c = ctx()
-        mat = c.epoch_matrix(2)
-        np.testing.assert_array_equal(c.sizes_matrix(2), c.sizes_mb[mat])
+        sizes = c.sizes_mb[c.epoch_matrix(2)]
+        np.testing.assert_array_equal(c.worker_mb(2), sizes.sum(axis=1))
+
+    def test_worker_mb_memoized(self):
+        c = ctx()
+        totals = c.worker_mb(1)
+        builds = c.perm_builds
+        c.epoch_matrix(0)  # replaces epoch 1 in the resident slot
+        assert c.worker_mb(1) is totals
+        assert c.perm_builds == builds + 1
+        with pytest.raises(ValueError):
+            totals[0] = -1
 
     def test_cached_permutation_is_read_only(self):
-        """Mutating the shared views must raise, not corrupt the cache."""
+        """Mutating the shared views must raise, not corrupt the resident slot."""
         c = ctx()
         with pytest.raises(ValueError):
             c.epoch_matrix(0)[0, 0] = -1
         with pytest.raises(ValueError):
             c.worker_epoch_ids(1, 0)[0] = -1
-        with pytest.raises(ValueError):
-            c.epoch_batches(0)[0, 0, 0] = -1
 
 
 class TestFrequencies:
@@ -131,101 +133,73 @@ class TestTiledStream:
             c.tiled_epoch_stream(np.empty(0, dtype=np.int64), 0, 0, "t")
 
 
-class TestPermCacheEnvOverride:
-    """``REPRO_PERM_CACHE_MAX_ELEMENTS`` resizes the cache cap per process."""
-
-    ENV = "REPRO_PERM_CACHE_MAX_ELEMENTS"
-
-    def test_default_cap_caches_small_scenarios(self):
-        assert ctx().cache_enabled
-
-    def test_zero_disables_caching(self, monkeypatch):
-        monkeypatch.setenv(self.ENV, "0")
-        c = ctx()
-        assert not c.cache_enabled
-        assert c.epoch_matrix(0) is not c.epoch_matrix(0)
-
-    def test_cap_compares_total_elements(self, monkeypatch):
-        c = ctx()
-        elements = c.config.num_epochs * c.config.dataset.num_samples
-        monkeypatch.setenv(self.ENV, str(elements))
-        assert ctx().cache_enabled
-        monkeypatch.setenv(self.ENV, str(elements - 1))
-        assert not ctx().cache_enabled
-
-    def test_non_integer_rejected(self, monkeypatch):
-        monkeypatch.setenv(self.ENV, "lots")
-        with pytest.raises(ConfigurationError):
-            ctx()
-
-    def test_read_at_construction_only(self, monkeypatch):
-        c = ctx()
-        monkeypatch.setenv(self.ENV, "0")
-        # An existing context keeps the cap it was built with.
-        assert c.cache_enabled
-
-
 class TestHoldEpoch:
-    """The epoch-major loop's rolling one-epoch permutation slot."""
+    """The single resident epoch: the one requested last."""
 
-    def _uncached(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PERM_CACHE_MAX_ELEMENTS", "0")
-        return ctx()
+    def test_hold_builds_nothing(self):
+        c = ctx()
+        c.hold_epoch(0)
+        assert c.perm_builds == 0
+        assert c.held_epoch is None
 
-    def test_held_epoch_served_without_rebuilding(self, monkeypatch):
-        c = self._uncached(monkeypatch)
+    def test_held_epoch_served_without_rebuilding(self):
+        c = ctx()
         c.hold_epoch(1)
+        first = c.epoch_matrix(1)
+        assert c.perm_builds == 1
         assert c.held_epoch == 1
-        builds = c.perm_builds
-        assert c.epoch_matrix(1) is c.epoch_matrix(1)
-        assert c.perm_builds == builds
+        assert c.epoch_matrix(1) is first
+        assert c.perm_builds == 1
 
-    def test_held_matrix_bitwise_matches_unheld(self, monkeypatch):
-        c = self._uncached(monkeypatch)
+    def test_held_matrix_bitwise_matches_unheld(self):
+        c = ctx()
         expected = c.epoch_matrix(1).copy()
+        c.release_held_epoch()
         c.hold_epoch(1)
         np.testing.assert_array_equal(c.epoch_matrix(1), expected)
 
-    def test_rolls_one_epoch_at_a_time(self, monkeypatch):
-        c = self._uncached(monkeypatch)
-        c.hold_epoch(0)
-        c.hold_epoch(1)
-        assert c.held_epoch == 1
-        # The released epoch rebuilds; the held one doesn't.
-        builds = c.perm_builds
-        c.epoch_matrix(1)
-        assert c.perm_builds == builds
+    def test_rolls_one_epoch_at_a_time(self):
+        c = ctx()
         c.epoch_matrix(0)
-        assert c.perm_builds == builds + 1
+        c.epoch_matrix(1)
+        assert c.held_epoch == 1
+        # The replaced epoch rebuilds; the resident one doesn't.
+        c.epoch_matrix(1)
+        assert c.perm_builds == 2
+        c.epoch_matrix(0)
+        assert c.perm_builds == 3
+        assert c.held_epoch == 0
 
-    def test_re_hold_is_a_no_op(self, monkeypatch):
-        c = self._uncached(monkeypatch)
+    def test_hold_drops_other_epoch(self):
+        c = ctx()
+        c.epoch_matrix(0)
+        c.hold_epoch(1)
+        assert c.held_epoch is None
+        c.epoch_matrix(0)
+        assert c.perm_builds == 2
+
+    def test_re_hold_is_a_no_op(self):
+        c = ctx()
         c.hold_epoch(2)
         held = c.epoch_matrix(2)
         c.hold_epoch(2)
         assert c.epoch_matrix(2) is held
 
-    def test_release(self, monkeypatch):
-        c = self._uncached(monkeypatch)
-        c.hold_epoch(0)
+    def test_release(self):
+        c = ctx()
+        c.epoch_matrix(0)
         c.release_held_epoch()
         assert c.held_epoch is None
-        assert c.epoch_matrix(0) is not c.epoch_matrix(0)
+        assert c.perm_builds == 1
+        c.epoch_matrix(0)
+        assert c.perm_builds == 2
 
-    def test_perm_builds_counts_materializations(self, monkeypatch):
-        c = self._uncached(monkeypatch)
+    def test_perm_builds_counts_materializations(self):
+        c = ctx()
         assert c.perm_builds == 0
         c.epoch_matrix(0)
         c.epoch_matrix(0)
-        assert c.perm_builds == 2
-        c.hold_epoch(1)
-        c.epoch_matrix(1)
-        assert c.perm_builds == 3
-
-    def test_cache_enabled_hold_primes_persistent_cache(self):
-        c = ctx()
-        c.hold_epoch(0)
-        assert c.held_epoch is None  # nothing to roll when caching
-        builds = c.perm_builds
-        assert c.epoch_matrix(0) is c.epoch_matrix(0)
-        assert c.perm_builds == builds == 1
+        assert c.perm_builds == 1
+        # Reads every epoch once; epoch 0 is still resident.
+        c.worker_frequencies_sparse()
+        assert c.perm_builds == c.config.num_epochs

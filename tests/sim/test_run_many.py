@@ -1,32 +1,38 @@
 """Epoch-major ``run_many`` is bitwise-identical to per-policy ``run``.
 
-PR 10's sharing contract: :meth:`Simulator.run_many_outcomes` iterates
+The sharing contract: :meth:`Simulator.run_many_outcomes` iterates
 epochs outermost so each epoch's permutation, size gather and noise RNG
-states are materialized once and shared by every policy — **even when
-the permutation cache is disabled** (the paper-scale regime). This
-suite forces the cache off via ``REPRO_PERM_CACHE_MAX_ELEMENTS=0`` and
-pins, for every registered policy spec:
+states are materialized once and shared by every policy, while the
+context keeps only one epoch permutation resident. This suite pins, for
+every registered policy spec:
 
 * byte-identical results (or identical ``PolicyError`` messages)
   against a fresh per-policy ``Simulator.run``;
 * the sharing counters — permutations built once per epoch
   (``perm_builds == E``, not ``E x P``), noise states derived once per
-  ``(epoch, worker)`` and rolled epoch to epoch;
-* the rolling slots drain afterwards (``held_epoch is None``, one
-  epoch of noise states resident).
+  ``(epoch, worker)``;
+* the resident permutation slot drains afterwards (``held_epoch is
+  None``) while the noise states stay for the simulator's lifetime.
+
+A second part pins how many permutations ``run`` (policy by policy), the
+reference engine and the lineup's lower bounds build on the search-bb
+scenario.
 """
 
 import json
 
 import pytest
 
-from repro.api import FIG8_POLICIES, POLICIES, TABLE1_POLICIES, make_policy
+from repro.api import FIG8_POLICIES, POLICIES, TABLE1_POLICIES, Scenario, make_policy
 from repro.datasets import DatasetModel
 from repro.errors import PolicyError
 from repro.perfmodel import sec6_cluster
-from repro.sim import SimulationConfig, Simulator
+from repro.sim import ScenarioContext, SimulationConfig, Simulator
+from repro.sim.bounds import policy_lower_bound
 from repro.sim.result import SimulationResult
 from repro.units import TB
+
+from .reference_engine import ReferenceSimulator
 
 #: Every registered policy spec (canonical names plus lineup variants),
 #: mirroring the engine-equivalence matrix.
@@ -83,40 +89,28 @@ def _expected(config: SimulationConfig, spec: str):
 
 @pytest.fixture(scope="module")
 def shared():
-    """One cache-disabled epoch-major batch per scenario, plus oracles.
-
-    The env override is module-scoped (ScenarioContext reads it at
-    construction), so the expected per-policy runs execute under the
-    same cache-off regime — isolating the epoch-major sharing as the
-    only difference under test.
-    """
-    mp = pytest.MonkeyPatch()
-    mp.setenv("REPRO_PERM_CACHE_MAX_ELEMENTS", "0")
+    """One epoch-major batch per scenario, plus per-policy oracles."""
     data = {}
-    try:
-        for key, config in SCENARIOS.items():
-            sim = Simulator(config)
-            assert not sim.ctx.cache_enabled
-            # Frequency-driven policies materialize every epoch matrix
-            # at *prepare* time (cached sparsely on the context); do it
-            # up front so the build delta below counts only the
-            # epoch-major loop's materializations.
-            sim.ctx.worker_frequencies_sparse()
-            builds_before = sim.ctx.perm_builds
-            policies = [make_policy(spec) for spec in ALL_POLICY_SPECS]
-            outcomes = sim.run_many_outcomes(policies)
-            assert len(outcomes) == len(policies)
-            data[key] = {
-                "sim": sim,
-                "policies": policies,
-                "outcomes": dict(zip(ALL_POLICY_SPECS, outcomes)),
-                "expected": {
-                    spec: _expected(config, spec) for spec in ALL_POLICY_SPECS
-                },
-                "loop_builds": sim.ctx.perm_builds - builds_before,
-            }
-    finally:
-        mp.undo()
+    for key, config in SCENARIOS.items():
+        sim = Simulator(config)
+        # Frequency-driven policies materialize every epoch matrix at
+        # *prepare* time (cached sparsely on the context); do it up
+        # front so the build delta below counts only the epoch-major
+        # loop's materializations.
+        sim.ctx.worker_frequencies_sparse()
+        builds_before = sim.ctx.perm_builds
+        policies = [make_policy(spec) for spec in ALL_POLICY_SPECS]
+        outcomes = sim.run_many_outcomes(policies)
+        assert len(outcomes) == len(policies)
+        data[key] = {
+            "sim": sim,
+            "policies": policies,
+            "outcomes": dict(zip(ALL_POLICY_SPECS, outcomes)),
+            "expected": {
+                spec: _expected(config, spec) for spec in ALL_POLICY_SPECS
+            },
+            "loop_builds": sim.ctx.perm_builds - builds_before,
+        }
     return data
 
 
@@ -136,7 +130,7 @@ def test_oversized_exercises_error_slots(shared):
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_permutations_built_once_per_epoch(shared, scenario):
-    """E builds for the whole batch — not E x P (the old cache-off cost)."""
+    """E builds for the whole batch — not E x P (the policy-major cost)."""
     entry = shared[scenario]
     assert entry["loop_builds"] == SCENARIOS[scenario].num_epochs
 
@@ -155,8 +149,8 @@ def test_noise_states_derived_once_per_epoch_worker(shared):
     assert states.derived == n * config.num_epochs
     # Several noisy policies per epoch -> the clone path dominates.
     assert states.cloned >= states.derived
-    # Rolling eviction: only the final epoch's states stay resident.
-    assert len(states) == n
+    # States stay resident for the simulator's lifetime.
+    assert len(states) == n * config.num_epochs
 
 
 def test_size_gathers_shared_across_policies(shared):
@@ -182,3 +176,54 @@ def test_run_many_dict_omits_unsupported():
     assert set(results) == set(supported)
     for name, result in results.items():
         assert _canonical(result) == _canonical(supported[name])
+
+
+# -- permutation builds per entry point --------------------------------------
+
+#: The search-bb benchmark scenario (imagenet1k at scale 0.1 on 256
+#: Piz Daint GPUs, B=32, E=3).
+SEARCH_BB = Scenario(
+    dataset="imagenet1k", system="piz_daint:256", policy="naive",
+    batch_size=32, num_epochs=3, scale=0.1, seed=0,
+).build_config()
+
+E = SEARCH_BB.num_epochs
+
+#: Permutations a fresh ``Simulator.run`` builds. Stream rewriters read
+#: only epoch 0 (their placement) or nothing at all; NoPFS's frequency
+#: scan reads every epoch before the loop reads them again — the one 2E
+#: exception.
+RUN_BUILDS = {
+    "naive": E,
+    "staging_buffer": E,
+    "deepio:ordered": E,
+    "lbann:dynamic": E,
+    "lbann:preloading": E,
+    "deepio:opportunistic": 1,
+    "locality_aware": 1,
+    "parallel_staging": 0,
+    "nopfs": 2 * E,
+}
+
+
+@pytest.mark.parametrize("spec", FIG8_POLICIES)
+def test_run_permutation_builds(spec):
+    sim = Simulator(SEARCH_BB)
+    sim.run(make_policy(spec))
+    assert sim.ctx.perm_builds == RUN_BUILDS[spec]
+    assert sim.ctx.held_epoch is None
+
+
+def test_reference_engine_builds_once_per_epoch():
+    """The frozen reference reads worker rows; the resident slot serves them."""
+    reference = ReferenceSimulator(SEARCH_BB)
+    reference.run(make_policy("naive"))
+    assert reference.ctx.perm_builds == E
+
+
+def test_lineup_bounds_share_worker_totals():
+    """Bounds over the Fig 8 lineup on one context build at most 2E."""
+    ctx = ScenarioContext(SEARCH_BB)
+    for spec in FIG8_POLICIES:
+        policy_lower_bound(SEARCH_BB, make_policy(spec), ctx)
+    assert ctx.perm_builds <= 2 * E

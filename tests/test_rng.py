@@ -125,31 +125,6 @@ class TestGeneratorStateCache:
         b = cache.generator(9, "noise", 0, 1).random(50)
         assert not np.array_equal(a, b)
 
-    def test_evict_prefix_drops_one_epoch(self):
-        cache = rng.GeneratorStateCache()
-        for epoch in (0, 1):
-            for worker in range(4):
-                cache.generator(9, "noise", epoch, worker)
-        assert len(cache) == 8
-        assert cache.evict(9, "noise", 0) == 4
-        assert len(cache) == 4
-        # Epoch 1 survives (served as a clone); epoch 0 re-derives,
-        # still bitwise equal to the fresh stream.
-        cloned_before = cache.cloned
-        cache.generator(9, "noise", 1, 0)
-        assert cache.cloned == cloned_before + 1
-        np.testing.assert_array_equal(
-            cache.generator(9, "noise", 0, 0).random(16),
-            rng.generator(9, "noise", 0, 0).random(16),
-        )
-
-    def test_evict_is_seed_scoped(self):
-        cache = rng.GeneratorStateCache()
-        cache.generator(9, "noise", 0, 0)
-        cache.generator(10, "noise", 0, 0)
-        assert cache.evict(9, "noise") == 1
-        assert len(cache) == 1
-
     def test_clear_preserves_counters(self):
         cache = rng.GeneratorStateCache()
         cache.generator(9, "n")

@@ -20,15 +20,15 @@ the unsupported/PolicyError path — flows through both engines.
 and ``--run-many`` evaluates each scenario's cells together through
 the epoch-major multi-policy path (``Simulator.run_many_outcomes`` /
 ``run_many_seed``) — both execution knobs with a bitwise-identity
-contract, so the byte-diff must stay empty for every combination. Pairing ``--run-many`` with a
-``REPRO_PERM_CACHE_MAX_ELEMENTS=0`` environment exercises the
-cache-disabled rolling-slot sharing on these small scenarios.
+contract, so the byte-diff must stay empty for every combination,
+including ``--run-many --share-seeds``.
 
 Usage::
 
     python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR
     python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR --share-seeds
     python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR --run-many
+    python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR --run-many --share-seeds
     diff -r REFERENCE_DIR ENGINE_DIR
 """
 
