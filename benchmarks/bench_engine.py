@@ -215,9 +215,9 @@ FIG8_SEEDS = [3, 7, 11, 19, 23]
 def _run_lineup_fresh(config):
     """{(seed, policy): result} via per-cell execution.
 
-    The baseline mirrors what the executors' per-cell path
-    (``_simulate_cell``) does for every one of the grid's 15 cells:
-    deserialize the cell's config and build a fresh
+    The baseline mirrors what the ``process`` executor's one-cell pool
+    tasks do for every one of the grid's 15 cells: deserialize the
+    cell's config and build a fresh
     :class:`Simulator` — scenario context, permutations and all — for
     that single run. This is exactly the work the batched seed-sharing
     path replaces.

@@ -5,8 +5,10 @@ Benchmarks the :mod:`repro.sweep` layer itself on Fig 8-shaped grids
 throughput in grid cells per second, the executor comparison on a
 multi-scenario grid (where ``batched`` amortizes worker spawn/pickle
 overhead and shares one access-stream build per scenario instead of
-one per cell), and the warm-cache hit rate (which should be 100%: a
-repeated sweep performs zero re-simulations).
+one per cell) and on a one-scenario seed-replica grid (where
+``batched`` must cut the lone scenario batch across its workers), and
+the warm-cache hit rate (which should be 100%: a repeated sweep
+performs zero re-simulations).
 """
 
 import tempfile
@@ -16,7 +18,8 @@ from repro.datasets import imagenet1k
 from repro.experiments.common import policy_cells, scaled_scenario
 from repro.perfmodel import sec6_cluster
 from repro.api import fig8_lineup
-from repro.sweep import SweepRunner
+from repro.sweep import BatchedExecutor, SweepRunner
+from repro.sweep.executors import CellTask
 
 
 def _grid(seed: int = 1):
@@ -55,21 +58,61 @@ def _multi_scenario_grid(n_scenarios: int = 6):
     return cells
 
 
-def test_executor_comparison(report):
-    """serial vs process vs batched on a multi-policy scenario grid.
+def _seed_replica_grid(n_seeds: int = 4):
+    """Sec 7's multi-seed replication: one scenario, many noise seeds.
 
-    The ISSUE 4 acceptance criterion: ``batched`` must beat ``process``
-    here — the process executor rebuilds the scenario's access streams
-    once per *cell* (9x per scenario for the Fig 8 lineup), batched
-    once per *scenario batch*.
+    The cells differ only in ``SimulationConfig.seed``, so they form a
+    single scenario batch: ``batched`` keeps a second worker busy only
+    by cutting that batch into one chunk per worker.
     """
-    cells = _multi_scenario_grid()
-    timings: dict[str, float] = {}
-    outcomes = {}
-    for executor, jobs in (("serial", 1), ("process", 2), ("batched", 2)):
+    cells = []
+    for seed in range(1, n_seeds + 1):
+        config = scaled_scenario(
+            imagenet1k(1),
+            sec6_cluster(),
+            batch_size=32,
+            num_epochs=2,
+            scale=0.02,
+            seed=seed,
+        )
+        cells.extend(
+            policy_cells(config, fig8_lineup(), tag_fn=lambda p, s=seed: (s, p.name))
+        )
+    return cells
+
+
+def _time_executors(cells, lineup):
+    """({executor: seconds}, {executor: outcome}) for each (executor, jobs)."""
+    timings, outcomes = {}, {}
+    for executor, jobs in lineup:
         start = time.perf_counter()
         outcomes[executor] = SweepRunner(n_jobs=jobs, executor=executor).run(cells)
         timings[executor] = time.perf_counter() - start
+    return timings, outcomes
+
+
+def test_executor_comparison(report):
+    """serial vs process vs batched on two grid shapes.
+
+    On the multi-scenario grid ``batched`` must beat ``process``: the
+    process executor rebuilds the scenario's access streams once per
+    *cell* (9x per scenario for the Fig 8 lineup), batched once per
+    *scenario batch*. On the seed-replica grid ``batched`` at two jobs
+    must beat ``serial``: its one scenario batch is cut into one chunk
+    per worker, so both workers simulate.
+    """
+    timings, outcomes = _time_executors(
+        _multi_scenario_grid(), (("serial", 1), ("process", 2), ("batched", 2))
+    )
+    replicas = _seed_replica_grid()
+    replica_timings, replica_outcomes = _time_executors(
+        replicas, (("serial", 1), ("batched", 2))
+    )
+    chunks = len(
+        BatchedExecutor.group(
+            [CellTask(index=i, cell=cell) for i, cell in enumerate(replicas)], 2
+        )
+    )
 
     lines = [
         f"{name:8s} {timings[name]:7.2f}s  {outcomes[name].stats.render()}"
@@ -78,6 +121,15 @@ def test_executor_comparison(report):
     lines.append(
         f"batched vs process speedup: {timings['process'] / timings['batched']:.2f}x"
     )
+    lines.append(f"seed replicas ({len(replicas)} cells, {chunks} batched pool tasks):")
+    lines += [
+        f"{name:8s} {replica_timings[name]:7.2f}s  {replica_outcomes[name].stats.render()}"
+        for name in ("serial", "batched")
+    ]
+    lines.append(
+        "batched (2 jobs) vs serial speedup: "
+        f"{replica_timings['serial'] / replica_timings['batched']:.2f}x"
+    )
     report("sweep_executors", "\n".join(lines))
 
     # Identical results are a hard invariant; the speedup is the point.
@@ -85,9 +137,14 @@ def test_executor_comparison(report):
     for tag in serial.results:
         assert outcomes["process"][tag] == serial[tag], tag
         assert outcomes["batched"][tag] == serial[tag], tag
+    assert replica_outcomes["batched"].results == replica_outcomes["serial"].results
     assert timings["batched"] < timings["process"], (
         f"batched ({timings['batched']:.2f}s) should beat process "
         f"({timings['process']:.2f}s) on multi-policy scenario grids"
+    )
+    assert replica_timings["batched"] < replica_timings["serial"], (
+        f"batched at 2 jobs ({replica_timings['batched']:.2f}s) should beat "
+        f"serial ({replica_timings['serial']:.2f}s) on a seed-replica grid"
     )
 
 

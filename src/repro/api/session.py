@@ -48,7 +48,7 @@ class Session:
     ----------
     jobs:
         Sweep worker processes (``1`` = serial in-process, ``None`` =
-        all cores). Results are identical either way.
+        every CPU this process may run on). Results are identical.
     cache_dir:
         Root of the on-disk result cache; ``None`` disables caching.
     executor:

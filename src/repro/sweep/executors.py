@@ -19,16 +19,23 @@ and records whatever comes back. Three implementations ship:
 ``batched`` (:class:`BatchedExecutor`) — **the default when
 ``n_jobs > 1``**
     Groups cells by their *seed-invariant* scenario fingerprint (the
-    canonical serialized config minus ``seed``) and dispatches whole
-    *scenario batches* to workers: each worker rebuilds one
-    ``Simulator`` and runs all of that scenario's policies — across
-    every noise seed in the batch — through the engine's seed-sharing
-    path (:meth:`~repro.sim.engine.Simulator.run_seed`). This
-    amortizes spawn/pickle overhead and restores the serial path's
-    stream reuse under parallelism, and cells that differ only in
+    canonical serialized config minus ``seed``) into *scenario
+    batches*, then cuts any batch longer than an even share of the
+    sweep (``ceil(cells / max_workers)``) into contiguous chunks, so a
+    one-scenario multi-seed sweep still fills every worker. Each chunk
+    is one pool task: the worker rebuilds one ``Simulator`` and runs
+    the chunk's policies — across every noise seed in it — through the
+    engine's seed-sharing path
+    (:meth:`~repro.sim.engine.Simulator.run_seed`). This amortizes
+    spawn/pickle overhead and restores the serial path's stream reuse
+    under parallelism, and cells that differ only in
     ``SimulationConfig.seed`` (the paper's Sec 7 multi-seed
     replications) additionally share the dataset size tables, prepared
     policies and plan scalars instead of rebuilding them per cell.
+
+Both pool executors run one dispatch loop and one worker function
+(:func:`_simulate_batch`; the ``process`` executor with one-cell
+batches).
 
 All three produce **bitwise-identical** results: every path simulates
 from the same serialized config, and the simulator is deterministic in
@@ -43,7 +50,7 @@ Failure contract: a :class:`~repro.errors.PolicyError` is data (an
 "unsupported" cell result); any other exception aborts the sweep.
 Executors cancel undispatched work, keep draining/yielding the results
 that did complete, then raise the first error — so a restart only
-re-simulates what truly never ran. The batched worker returns its
+re-simulates what truly never ran. The pool worker returns its
 partial batch alongside the failure for the same reason.
 """
 
@@ -148,27 +155,6 @@ def _task_config_dict(task: CellTask) -> dict[str, Any]:
     return task.cell.config.to_dict()
 
 
-def _simulate_cell(
-    payload: tuple[dict[str, Any], Policy, int | None],
-) -> tuple[dict[str, Any] | None, str | None, float]:
-    """Run one cell from its serialized form (top-level: picklable).
-
-    Returns ``(result_dict, None, elapsed)`` or ``(None, policy_error,
-    elapsed)``. The result crosses the process boundary in dict form —
-    the same representation the cache stores — so every path through
-    the runner yields results reconstructed by the same (lossless)
-    deserializer.
-    """
-    config_dict, policy, tile_rows = payload
-    config = SimulationConfig.from_dict(config_dict)
-    start = time.perf_counter()
-    try:
-        result = Simulator(config, tile_rows=tile_rows).run(policy)
-    except PolicyError as exc:
-        return None, str(exc), time.perf_counter() - start
-    return result.to_dict(), None, time.perf_counter() - start
-
-
 def _consecutive_groups(items: Sequence, key: Callable) -> Iterator[list]:
     """Split ``items`` into maximal runs sharing ``key(item)``."""
     group: list = []
@@ -187,13 +173,17 @@ def _consecutive_groups(items: Sequence, key: Callable) -> Iterator[list]:
 def _simulate_batch(
     payload: tuple[dict[str, Any], list[tuple[int, Policy, int]], int | None],
 ) -> tuple[list[tuple[int, dict[str, Any] | None, str | None, float]], BaseException | None]:
-    """Run one scenario batch: one Simulator, many (policy, seed) cells.
+    """Run one pool task: one Simulator, many (policy, seed) cells.
 
-    Top-level so it pickles. ``config_dict`` is the batch's first
-    cell's config; the other cells may differ only in ``seed``.
-    Consecutive cells sharing a seed run together through the engine's
-    epoch-major multi-policy path
-    (:meth:`~repro.sim.engine.Simulator.run_many_seed`), which layers
+    The worker function of both pool executors; top-level so it
+    pickles. A batch is a scenario batch, a contiguous chunk of one
+    (the cut may fall inside a seed run — determinism makes that
+    bitwise free), or the ``process`` executor's single cell, which
+    :meth:`~repro.sim.engine.Simulator.run_seed` maps to the base
+    simulator. ``config_dict`` is the batch's first cell's config; the
+    other cells may differ only in ``seed``. Consecutive cells sharing
+    a seed run together through the engine's epoch-major multi-policy
+    path (:meth:`~repro.sim.engine.Simulator.run_many_seed`), which layers
     the cross-policy permutation/size/noise-state sharing on top of the
     seed sharing (dataset size tables, shareable prepared policies,
     plan scalars) — bitwise identical to fresh per-cell runs either
@@ -358,39 +348,59 @@ class _PoolExecutorBase:
             raise ConfigurationError("executor max_workers must be >= 1")
         self.max_workers = int(max_workers)
 
-    def _drain(self, futures: dict, handle) -> Iterator[CellResult]:
-        """Yield results as futures land; cancel the rest on first failure.
+    def _dispatch(
+        self, batches: list[list[CellTask]], emit: Emit
+    ) -> Iterator[CellResult]:
+        """Submit one :func:`_simulate_batch` pool task per batch; drain.
 
-        ``handle(futures[future], future.result())`` turns one future's
-        payload into CellResults (or raises what the worker shipped).
-        Memoization happens caller-side per yielded result, so cells
-        completed before an unexpected failure survive a restart.
+        Each future's finished cells are yielded (completion emitted) as
+        it lands, before its shipped failure, if any, is recorded; the
+        first failure cancels the undispatched rest and is re-raised
+        once the drain ends. Memoization happens caller-side per
+        yielded result, so cells completed before an unexpected failure
+        survive a restart.
         """
-        first_error: BaseException | None = None
-        for future in as_completed(futures):
-            try:
-                payload = future.result()
-            except BaseException as exc:  # noqa: BLE001 - deferred re-raise below
-                if first_error is None:
-                    first_error = exc
+        by_index = {task.index: task for batch in batches for task in batch}
+        workers = max(1, min(self.max_workers, len(batches)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = []
+            for batch in batches:
+                payload = (
+                    _task_config_dict(batch[0]),
+                    [(t.index, t.cell.policy, t.cell.config.seed) for t in batch],
+                    batch[0].tile_rows,
+                )
+                futures.append(pool.submit(_simulate_batch, payload))
+                for task in batch:
+                    emit(CellStarted(tag=task.cell.tag, index=task.index))
+            first_error: BaseException | None = None
+            for future in as_completed(futures):
+                try:
+                    done, failure = future.result()
+                    for index, result_dict, error, elapsed in done:
+                        result = CellResult(
+                            index=index,
+                            result_dict=result_dict,
+                            error=error,
+                            elapsed_s=elapsed,
+                        )
+                        _emit_completion(emit, by_index[index], result)
+                        yield result
+                    if failure is not None:
+                        raise failure
+                except GeneratorExit:
+                    # The consumer closed us mid-drain (it raised between
+                    # results); cancel what we can and let close() proceed.
                     for other in futures:
                         other.cancel()
-                continue
-            try:
-                yield from handle(futures[future], payload)
-            except GeneratorExit:
-                # The consumer closed us mid-drain (it raised between
-                # results); cancel what we can and let close() proceed.
-                for other in futures:
-                    other.cancel()
-                raise
-            except BaseException as exc:  # noqa: BLE001 - worker-shipped failure
-                if first_error is None:
-                    first_error = exc
-                    for other in futures:
-                        other.cancel()
-        if first_error is not None:
-            raise first_error
+                    raise
+                except BaseException as exc:  # noqa: BLE001 - deferred re-raise below
+                    if first_error is None:
+                        first_error = exc
+                        for other in futures:
+                            other.cancel()
+            if first_error is not None:
+                raise first_error
 
 
 class ProcessExecutor(_PoolExecutorBase):
@@ -407,49 +417,36 @@ class ProcessExecutor(_PoolExecutorBase):
             # the pre-protocol runner did. Results are identical.
             yield from SerialExecutor().execute(tasks, emit)
             return
-        workers = max(1, min(self.max_workers, len(tasks)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures: dict = {}
-            for task in tasks:
-                future = pool.submit(
-                    _simulate_cell,
-                    (_task_config_dict(task), task.cell.policy, task.tile_rows),
-                )
-                futures[future] = task
-                emit(CellStarted(tag=task.cell.tag, index=task.index))
-
-            def handle(task: CellTask, payload) -> Iterator[CellResult]:
-                result_dict, error, elapsed = payload
-                result = CellResult(
-                    index=task.index,
-                    result_dict=result_dict,
-                    error=error,
-                    elapsed_s=elapsed,
-                )
-                _emit_completion(emit, task, result)
-                yield result
-
-            yield from self._drain(futures, handle)
+        yield from self._dispatch([[task] for task in tasks], emit)
 
 
 class BatchedExecutor(_PoolExecutorBase):
-    """Scenario-batched dispatch: one Simulator per scenario per worker.
+    """Scenario-batched dispatch: one Simulator per pool task.
 
     Cells are grouped by their *seed-invariant* scenario fingerprint —
     the canonical serialized config minus ``seed`` — in first-seen
     order, so two equal-but-distinct config objects still share one
-    batch, and so do cells that differ only in their noise seed. Each
-    batch is one pool task: the worker rebuilds the scenario's
-    ``Simulator`` once and runs every (policy, seed) cell in the batch
-    through the engine's seed-sharing path.
+    batch, and so do cells that differ only in their noise seed. A
+    batch longer than ``ceil(len(tasks) / max_workers)`` cells is cut
+    into contiguous chunks of at most that many, so a sweep with fewer
+    scenarios than workers (Sec 7's one-scenario seed replications)
+    still keeps every worker busy; batches that already fit stay whole.
+    Each batch or chunk is one pool task: the worker rebuilds the
+    scenario's ``Simulator`` once and runs every (policy, seed) cell in
+    it through the engine's seed-sharing path.
     """
 
     name = "batched"
     in_process = False
 
     @staticmethod
-    def group(tasks: Sequence[CellTask]) -> list[list[CellTask]]:
-        """Batches of tasks sharing one scenario, in first-seen order."""
+    def group(tasks: Sequence[CellTask], parts: int = 1) -> list[list[CellTask]]:
+        """Pool tasks: scenario batches, cut to at most an even share.
+
+        Batches come in first-seen order; one longer than
+        ``ceil(len(tasks) / parts)`` cells is cut into contiguous chunks
+        of at most that many (``parts=1`` keeps every batch whole).
+        """
         # The serialization memo keys on the config *object* (kept
         # alive by its cell, so ids cannot be recycled mid-loop), while
         # batches key on the canonical seed-stripped JSON — equal-but-
@@ -472,47 +469,21 @@ class BatchedExecutor(_PoolExecutorBase):
             # a batch shares one Simulator, so it must be uniform in its
             # tile height.
             batches.setdefault((group_key, task.tile_rows), []).append(task)
-        return list(batches.values())
+        size = -(-len(tasks) // parts)
+        return [
+            batch[start : start + size]
+            for batch in batches.values()
+            for start in range(0, len(batch), size)
+        ]
 
     def execute(self, tasks: Sequence[CellTask], emit: Emit) -> Iterator[CellResult]:
-        """Fan one pool task out per scenario batch; yield per cell."""
+        """Fan one pool task out per scenario batch or chunk; yield per cell."""
         if len(tasks) == 1:
             # A lone cell is not worth a worker process (see
             # ProcessExecutor); the serial path shares its semantics.
             yield from SerialExecutor().execute(tasks, emit)
             return
-        batches = self.group(tasks)
-        workers = max(1, min(self.max_workers, len(batches)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures: dict = {}
-            for batch in batches:
-                payload = (
-                    _task_config_dict(batch[0]),
-                    [(t.index, t.cell.policy, t.cell.config.seed) for t in batch],
-                    batch[0].tile_rows,
-                )
-                future = pool.submit(_simulate_batch, payload)
-                futures[future] = batch
-                for task in batch:
-                    emit(CellStarted(tag=task.cell.tag, index=task.index))
-            by_index = {task.index: task for task in tasks}
-
-            def handle(batch: list[CellTask], payload) -> Iterator[CellResult]:
-                done, failure = payload
-                for index, result_dict, error, elapsed in done:
-                    task = by_index[index]
-                    result = CellResult(
-                        index=index,
-                        result_dict=result_dict,
-                        error=error,
-                        elapsed_s=elapsed,
-                    )
-                    _emit_completion(emit, task, result)
-                    yield result
-                if failure is not None:
-                    raise failure
-
-            yield from self._drain(futures, handle)
+        yield from self._dispatch(self.group(tasks, self.max_workers), emit)
 
 
 def resolve_executor(spec: "str | Executor | None", n_jobs: int) -> Executor:

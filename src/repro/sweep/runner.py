@@ -49,6 +49,13 @@ from .shard import ShardPlanner, ShardSpec
 __all__ = ["SweepOutcome", "SweepRunner", "SweepStats"]
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, not the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass
 class SweepStats:
     """Bookkeeping for one :meth:`SweepRunner.run` call."""
@@ -152,8 +159,9 @@ class SweepRunner:
     ----------
     n_jobs:
         Worker processes. ``1`` (the default) runs serially in-process;
-        ``None`` uses every available core. Results are identical
-        either way.
+        ``None`` uses every core this process may run on (its CPU
+        affinity, which cgroup- or ``taskset``-limited hosts narrow).
+        Results are identical either way.
     cache_dir:
         Root of the on-disk result cache. ``None`` disables caching
         (every cell simulates).
@@ -191,7 +199,7 @@ class SweepRunner:
         tile_rows: int | None = None,
     ) -> None:
         if n_jobs is None:
-            n_jobs = os.cpu_count() or 1
+            n_jobs = _available_cpus()
         if n_jobs < 1:
             raise ConfigurationError("n_jobs must be >= 1 (or None for all cores)")
         if tile_rows is not None and int(tile_rows) < 1:

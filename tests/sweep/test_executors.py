@@ -1,6 +1,7 @@
 """Executor protocol: serial/process/batched equivalence, events, failures."""
 
 import dataclasses
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -51,6 +52,23 @@ def multi_scenario_cells(config):
     return policy_cells(config, POLICIES) + policy_cells(
         other, POLICIES, tag_fn=lambda p: f"b32/{p.name}"
     )
+
+
+@pytest.fixture(scope="module")
+def seed_replica_cells(config):
+    """Three seeds x three policies of one scenario, seed-major."""
+    cells = []
+    for seed in (1, 2, 3):
+        seeded = dataclasses.replace(config, seed=seed)
+        cells += policy_cells(seeded, POLICIES, tag_fn=lambda p, s=seed: f"s{s}/{p.name}")
+    return cells
+
+
+def _tasks(cells):
+    return [
+        CellTask(index=i, cell=cell, config_dict=cell.config.to_dict())
+        for i, cell in enumerate(cells)
+    ]
 
 
 class TestResolution:
@@ -123,11 +141,7 @@ class TestEquivalence:
 
 class TestBatching:
     def test_groups_by_scenario(self, multi_scenario_cells):
-        tasks = [
-            CellTask(index=i, cell=cell, config_dict=cell.config.to_dict())
-            for i, cell in enumerate(multi_scenario_cells)
-        ]
-        batches = BatchedExecutor.group(tasks)
+        batches = BatchedExecutor.group(_tasks(multi_scenario_cells))
         assert [len(b) for b in batches] == [3, 3]  # one batch per scenario
         for batch in batches:
             configs = {id(t.cell.config) for t in batch}
@@ -144,32 +158,59 @@ class TestBatching:
         ]
         assert [len(b) for b in BatchedExecutor.group(tasks)] == [2]
 
-    def test_seed_replicas_fold_into_one_batch(self, config):
+    def test_seed_replicas_fold_into_one_batch(self, seed_replica_cells):
         """Cells differing only in SimulationConfig.seed share a batch."""
-        cells = []
-        for seed in (1, 2, 3):
-            seeded = dataclasses.replace(config, seed=seed)
-            cells += policy_cells(
-                seeded, POLICIES, tag_fn=lambda p, s=seed: f"s{s}/{p.name}"
-            )
-        tasks = [
-            CellTask(index=i, cell=cell, config_dict=cell.config.to_dict())
-            for i, cell in enumerate(cells)
-        ]
+        tasks = _tasks(seed_replica_cells)
         assert [len(b) for b in BatchedExecutor.group(tasks)] == [9]
 
-    def test_seed_folded_batch_bitwise_identical_to_serial(self, config):
-        cells = []
-        for seed in (1, 2, 3):
-            seeded = dataclasses.replace(config, seed=seed)
-            cells += policy_cells(
-                seeded, POLICIES, tag_fn=lambda p, s=seed: f"s{s}/{p.name}"
-            )
-        serial = SweepRunner(n_jobs=1, executor="serial").run(cells)
-        batched = SweepRunner(n_jobs=2, executor="batched").run(cells)
+    def test_oversized_batch_cut_into_contiguous_chunks(self, seed_replica_cells):
+        """A batch longer than ceil(cells / parts) is cut in order."""
+        tasks = _tasks(seed_replica_cells)
+        chunks = BatchedExecutor.group(tasks, 2)
+        assert [len(c) for c in chunks] == [5, 4]
+        assert [t for c in chunks for t in c] == BatchedExecutor.group(tasks, 1)[0]
+        for parts in (9, 20):
+            assert [len(c) for c in BatchedExecutor.group(tasks, parts)] == [1] * 9
+
+    def test_chunks_never_mix_scenarios(self, multi_scenario_cells):
+        chunks = BatchedExecutor.group(_tasks(multi_scenario_cells), 4)
+        assert [len(c) for c in chunks] == [2, 1, 2, 1]
+        for chunk in chunks:
+            assert len({id(t.cell.config) for t in chunk}) == 1
+            assert len({t.tile_rows for t in chunk}) == 1
+
+    @pytest.mark.parametrize("n_jobs", [2, 3])
+    def test_seed_folded_batch_bitwise_identical_to_serial(
+        self, seed_replica_cells, n_jobs
+    ):
+        """At 2 jobs the 5+4 cut falls inside a seed run; at 3 on seed edges."""
+        serial = SweepRunner(n_jobs=1, executor="serial").run(seed_replica_cells)
+        batched = SweepRunner(n_jobs=n_jobs, executor="batched").run(seed_replica_cells)
         assert serial.results.keys() == batched.results.keys()
         for tag in serial.results:
             assert serial[tag].to_json() == batched[tag].to_json(), tag
+
+    def test_dispatch_submits_one_pool_task_per_chunk(self, seed_replica_cells, monkeypatch):
+        """The worker count sets the chunk count (spied like the e2e tracer)."""
+        group = vars(BatchedExecutor)["group"].__func__
+        batches, submitted = [], []
+
+        def counting_group(*args):
+            result = group(*args)
+            batches.append(len(result))
+            return result
+
+        submit = ProcessPoolExecutor.submit
+
+        def counting_submit(pool, fn, *args):
+            submitted.append(fn.__name__)
+            return submit(pool, fn, *args)
+
+        monkeypatch.setattr(BatchedExecutor, "group", staticmethod(counting_group))
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
+        SweepRunner(n_jobs=2, executor="batched").run(seed_replica_cells)
+        assert batches == [2]
+        assert submitted == ["_simulate_batch"] * 2
 
     def test_non_seed_differences_stay_separate(self, config):
         """Only the seed is stripped from the fingerprint."""

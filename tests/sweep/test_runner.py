@@ -1,7 +1,10 @@
 """SweepRunner: caching, parallelism, unsupported cells, stats."""
 
+import os
+
 import pytest
 
+from repro.api import Session
 from repro.datasets import imagenet22k, mnist
 from repro.errors import ConfigurationError
 from repro.experiments.common import policy_cells, scaled_scenario
@@ -118,6 +121,17 @@ class TestParallel:
         with pytest.raises(ConfigurationError):
             SweepRunner(n_jobs=0)
         assert SweepRunner(n_jobs=None).n_jobs >= 1
+
+    def test_all_cores_counts_cpus_this_process_may_run_on(self, monkeypatch):
+        """``None`` follows the affinity mask (cgroup/taskset), not the host."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert SweepRunner(n_jobs=None).n_jobs == 3
+        assert Session(jobs=None).runner.n_jobs == 3
+        monkeypatch.delattr(os, "sched_getaffinity")  # no affinity API
+        assert SweepRunner(n_jobs=None).n_jobs == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert SweepRunner(n_jobs=None).n_jobs == 1
 
     def test_worker_crash_raises_but_keeps_finished_cells(self, cells, config):
         """Unexpected failures propagate; completed cells stay memoized."""
