@@ -74,18 +74,17 @@ def _lineup():
     return [NaivePolicy(), StagingBufferPolicy(), NoPFSPolicy()]
 
 
-def _time_engine(run_cell, policies, repeats=3):
-    """Best-of-``repeats`` wall time to simulate the whole lineup."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
+def _lineup_runner(run_cell, policies):
+    """A callable simulating the whole lineup once."""
+
+    def run():
         for policy in policies:
             run_cell(policy)
-        best = min(best, time.perf_counter() - start)
-    return best
+
+    return run
 
 
-def test_engine_speedup(report):
+def test_engine_speedup(report, ab_timer):
     """Epoch-matrix engine > scalar engine on an N=64 scenario, bitwise-equal."""
     config = _scenario()
     sim = Simulator(config)
@@ -100,8 +99,11 @@ def test_engine_speedup(report):
         ref = json.dumps(reference.run(policy_ref).to_dict(), sort_keys=True)
         assert new == ref, f"engine results diverge for {policy_new.name}"
 
-    new_s = _time_engine(sim.run, _lineup())
-    old_s = _time_engine(reference.run, _lineup())
+    old_s, new_s = ab_timer(
+        _lineup_runner(reference.run, _lineup()),
+        _lineup_runner(sim.run, _lineup()),
+        rounds=3,
+    )
     speedup = old_s / new_s
     cells = len(_lineup())
 
@@ -257,17 +259,7 @@ def _run_lineup_shared(config):
     return out, base
 
 
-def _best_of(fn, repeats=3):
-    """Best-of-``repeats`` wall seconds for one call of ``fn``."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def test_engine_seed_sharing(report):
+def test_engine_seed_sharing(report, ab_timer):
     """A Fig 8-style 5-seed grid: sharing beats per-cell runs, bitwise-equal.
 
     The paper's headline figures replicate every scenario across noise
@@ -287,8 +279,11 @@ def test_engine_seed_sharing(report):
         b_json = None if b is None else json.dumps(b.to_dict(), sort_keys=True)
         assert a_json == b_json, f"seed-shared run diverges for {key}"
 
-    fresh_s = _best_of(lambda: _run_lineup_fresh(config), repeats=5)
-    shared_s = _best_of(lambda: _run_lineup_shared(config), repeats=5)
+    fresh_s, shared_s = ab_timer(
+        lambda: _run_lineup_fresh(config),
+        lambda: _run_lineup_shared(config),
+        rounds=5,
+    )
     speedup = fresh_s / shared_s
     cells = len(FIG8_SEEDS) * len(_lineup())
 
@@ -401,17 +396,13 @@ def _pr9_noise_sim(config, ctx):
     return sim
 
 
-def _time_noise_cell(sim, policy, repeats=7):
-    """Best-of-``repeats`` wall seconds for one noisy cell run."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        sim.run(policy)
-        best = min(best, time.perf_counter() - start)
-    return best
+def _frozen_noise_kernel(fetch_times, sources, noise, rngs, counts=None):
+    """The frozen kernel above behind the engine's call signature (the
+    engine also passes the tile's per-source counts, which it ignores)."""
+    return _pr9_apply_noise_matrix(fetch_times, sources, noise, rngs)
 
 
-def test_engine_noise_fast_path(report):
+def test_engine_noise_fast_path(report, ab_timer):
     """The noisy N=64 cell beats the PR 9 noise path >= 1.15x, bitwise-equal.
 
     The all-PFS :class:`NaivePolicy` cell is the noisiest the engine
@@ -430,16 +421,18 @@ def test_engine_noise_fast_path(report):
     fast = Simulator(config)
     legacy = _pr9_noise_sim(config, fast.ctx)
 
+    def run_legacy():
+        saved = engine_mod.apply_noise_matrix
+        engine_mod.apply_noise_matrix = _frozen_noise_kernel
+        try:
+            return legacy.run(policy)
+        finally:
+            engine_mod.apply_noise_matrix = saved
+
     fast_json = json.dumps(fast.run(policy).to_dict(), sort_keys=True)
-    saved = engine_mod.apply_noise_matrix
-    engine_mod.apply_noise_matrix = _pr9_apply_noise_matrix
-    try:
-        legacy_json = json.dumps(legacy.run(policy).to_dict(), sort_keys=True)
-        assert fast_json == legacy_json, "fast noise path diverges from PR 9"
-        legacy_s = _time_noise_cell(legacy, policy)
-    finally:
-        engine_mod.apply_noise_matrix = saved
-    fast_s = _time_noise_cell(fast, policy)
+    legacy_json = json.dumps(run_legacy().to_dict(), sort_keys=True)
+    assert fast_json == legacy_json, "fast noise path diverges from the frozen kernel"
+    legacy_s, fast_s = ab_timer(run_legacy, lambda: fast.run(policy), rounds=7)
     speedup = legacy_s / fast_s
 
     states = fast.plan_cache.noise_states

@@ -81,17 +81,20 @@ def _seed_replica_grid(n_seeds: int = 4):
     return cells
 
 
-def _time_executors(cells, lineup):
-    """({executor: seconds}, {executor: outcome}) for each (executor, jobs)."""
-    timings, outcomes = {}, {}
-    for executor, jobs in lineup:
-        start = time.perf_counter()
+#: Alternating rounds per side behind each executor speedup assert.
+EXECUTOR_ROUNDS = 3
+
+
+def _sweep(cells, executor, jobs, outcomes):
+    """A callable running ``cells`` on ``executor``, keeping its outcome."""
+
+    def run():
         outcomes[executor] = SweepRunner(n_jobs=jobs, executor=executor).run(cells)
-        timings[executor] = time.perf_counter() - start
-    return timings, outcomes
+
+    return run
 
 
-def test_executor_comparison(report):
+def test_executor_comparison(report, ab_timer):
     """serial vs process vs batched on two grid shapes.
 
     On the multi-scenario grid ``batched`` must beat ``process``: the
@@ -99,14 +102,25 @@ def test_executor_comparison(report):
     *cell* (9x per scenario for the Fig 8 lineup), batched once per
     *scenario batch*. On the seed-replica grid ``batched`` at two jobs
     must beat ``serial``: its one scenario batch is cut into one chunk
-    per worker, so both workers simulate.
+    per worker, so both workers simulate. Each compared pair is timed in
+    alternating rounds, best round per side.
     """
-    timings, outcomes = _time_executors(
-        _multi_scenario_grid(), (("serial", 1), ("process", 2), ("batched", 2))
+    cells = _multi_scenario_grid()
+    timings, outcomes = {}, {}
+    start = time.perf_counter()
+    _sweep(cells, "serial", 1, outcomes)()
+    timings["serial"] = time.perf_counter() - start
+    timings["process"], timings["batched"] = ab_timer(
+        _sweep(cells, "process", 2, outcomes),
+        _sweep(cells, "batched", 2, outcomes),
+        rounds=EXECUTOR_ROUNDS,
     )
     replicas = _seed_replica_grid()
-    replica_timings, replica_outcomes = _time_executors(
-        replicas, (("serial", 1), ("batched", 2))
+    replica_timings, replica_outcomes = {}, {}
+    replica_timings["serial"], replica_timings["batched"] = ab_timer(
+        _sweep(replicas, "serial", 1, replica_outcomes),
+        _sweep(replicas, "batched", 2, replica_outcomes),
+        rounds=EXECUTOR_ROUNDS,
     )
     chunks = len(
         BatchedExecutor.group(

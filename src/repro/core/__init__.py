@@ -7,7 +7,7 @@ and to turn that knowledge into cache placement decisions.
 
 from .frequency import (
     FrequencyHistogram,
-    access_frequency_distribution,
+    access_frequency_pmf,
     expected_histogram,
     expected_samples_above,
     lemma1_lower_bound,
@@ -39,7 +39,7 @@ __all__ = [
     "AccessStream",
     "StreamConfig",
     "FrequencyHistogram",
-    "access_frequency_distribution",
+    "access_frequency_pmf",
     "tail_probability",
     "expected_samples_above",
     "expected_histogram",

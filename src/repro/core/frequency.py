@@ -10,7 +10,10 @@ thousands of "hot" samples worth caching locally (Fig 3).
 
 This module provides the closed forms, Monte-Carlo verification against
 the *exact* shuffle-derived streams, and the paper's Lemma 1 (frequency
-imbalance across workers) as a checkable predicate.
+imbalance across workers) as a checkable predicate. The binomial is
+evaluated from exact integers, ``P(X=k) = C(E,k) (N-1)^(E-k) / N^E``,
+with one correctly rounded division per value: the float form
+``C(E,k) p^k (1-p)^(E-k)`` loses all accuracy by ``E >= 300``.
 """
 
 from __future__ import annotations
@@ -19,14 +22,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..config import ConfigMixin
 from ..errors import ConfigurationError
 from .stream import AccessStream, StreamConfig
 
 __all__ = [
-    "access_frequency_distribution",
+    "access_frequency_pmf",
     "tail_probability",
     "expected_samples_above",
     "expected_histogram",
@@ -38,11 +40,26 @@ __all__ = [
 ]
 
 
-def access_frequency_distribution(num_epochs: int, num_workers: int):
-    """The frozen ``Binomial(E, 1/N)`` access-frequency distribution."""
+def _binomial_numerators(num_epochs: int, num_workers: int) -> list[int]:
+    """``C(E,k) (N-1)^(E-k)`` for ``k = 0..E``: ``P(X=k)`` times ``N^E``."""
     if num_epochs <= 0 or num_workers <= 0:
         raise ConfigurationError("num_epochs and num_workers must be positive")
-    return stats.binom(num_epochs, 1.0 / num_workers)
+    rest = num_workers - 1
+    return [
+        math.comb(num_epochs, k) * rest ** (num_epochs - k)
+        for k in range(num_epochs + 1)
+    ]
+
+
+def access_frequency_pmf(num_epochs: int, num_workers: int) -> np.ndarray:
+    """``P(X = k)`` for ``k = 0..E``, ``X ~ Binomial(E, 1/N)``.
+
+    Each value is one exact integer ratio, correctly rounded to float.
+    """
+    total = num_workers**num_epochs
+    return np.array(
+        [n / total for n in _binomial_numerators(num_epochs, num_workers)]
+    )
 
 
 def tail_probability(num_epochs: int, num_workers: int, delta: float) -> float:
@@ -50,15 +67,15 @@ def tail_probability(num_epochs: int, num_workers: int, delta: float) -> float:
 
     This is the paper's hot-sample probability: the chance a given sample
     is accessed by a given worker more than ``(1+delta)`` times the mean.
-    The sum starts at ``k = ceil((1+delta) * mu)`` exactly as in Sec 3.1.
+    The sum starts at ``k = ceil((1+delta) * mu)`` exactly as in Sec 3.1,
+    and is one exact integer sum divided once.
     """
     if delta < 0:
         raise ConfigurationError("delta must be non-negative")
-    dist = access_frequency_distribution(num_epochs, num_workers)
+    numerators = _binomial_numerators(num_epochs, num_workers)
     mu = num_epochs / num_workers
-    threshold = math.ceil((1.0 + delta) * mu)
-    # P(X >= threshold) == sf(threshold - 1).
-    return float(dist.sf(threshold - 1))
+    threshold = max(math.ceil((1.0 + delta) * mu), 0)
+    return sum(numerators[threshold:]) / num_workers**num_epochs
 
 
 def expected_samples_above(
@@ -82,9 +99,7 @@ def expected_histogram(
 
     ``out[k] = F * P(X = k)`` — the analytic curve underlying Fig 3.
     """
-    dist = access_frequency_distribution(num_epochs, num_workers)
-    ks = np.arange(num_epochs + 1)
-    return num_samples * dist.pmf(ks)
+    return num_samples * access_frequency_pmf(num_epochs, num_workers)
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,10 @@ workers by ``L = T * B`` samples — in two phases:
 2. **Execute** (:meth:`Simulator.execute_epoch`): the plan is
    materialized tile by tile (:meth:`EpochPlan.tiles`) — contiguous
    worker-row bands of configurable height ``tile_rows`` — and pure
-   array kernels (:mod:`repro.sim.kernels`) resolve fetch sources
-   vectorially for each band (local tier / fastest remote tier / PFS —
-   Sec 4's three cases), apply seeded per-worker noise, and aggregate
-   per-batch read/compute times. The assembled ``(N, T)`` totals feed
+   array kernels (:mod:`repro.sim.kernels`) gather each band's fetch
+   sources from the epoch's :class:`FetchTable` (local tier / fastest
+   remote tier / PFS — Sec 4's three cases), apply seeded per-worker
+   noise, and aggregate per-batch read/compute times. The assembled ``(N, T)`` totals feed
    the bulk-synchronous lockstep scan (:mod:`repro.sim.lockstep`),
    which turns them into global batch completion times under the
    allreduce barrier and the staging-buffer lookahead window.
@@ -64,7 +64,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from ..errors import ConfigurationError, PolicyError
-from ..perfmodel import Source, resolve_fetch, write_times
+from ..perfmodel import Source, SystemModel, resolve_fetch, write_times
 from . import kernels
 from .config import SimulationConfig
 from .context import ScenarioContext
@@ -78,6 +78,7 @@ __all__ = [
     "Simulator",
     "EpochPlan",
     "EpochTile",
+    "FetchTable",
     "SeedShareStats",
     "analytic_lower_bound",
 ]
@@ -101,6 +102,42 @@ def analytic_lower_bound(
     per_worker_mb = ctx.worker_mb(0)
     worst = float(per_worker_mb.max()) if per_worker_mb.size else 0.0
     return config.num_epochs * worst / config.system.compute_mbps
+
+
+@dataclass(frozen=True)
+class FetchTable:
+    """Sec 4's fetch decision for every ``(local tier, remote tier)`` pair.
+
+    :meth:`build` runs :func:`~repro.perfmodel.resolve_fetch` once on the
+    ``(C+1)**2`` class pairs (``-1`` = none) for one epoch's PFS share, so
+    its tie rules carry over; :meth:`resolve` gathers each sample's pair
+    — bitwise equal to resolving every sample and adding the PFS latency.
+    """
+
+    num_tiers: int
+    sources: np.ndarray
+    divisors: np.ndarray
+    latency: np.ndarray | None
+
+    @classmethod
+    def build(cls, system: SystemModel, pfs_share: float, pfs_latency: float) -> "FetchTable":
+        """The table for one epoch's PFS share and latency."""
+        tiers = len(system.storage_classes)
+        classes = np.arange(-1, tiers, dtype=np.int8)
+        local, remote = np.repeat(classes, tiers + 1), np.tile(classes, tiers + 1)
+        res = resolve_fetch(np.ones(local.shape), local, remote, system, pfs_share)
+        latency = pfs_latency * (res.sources == int(Source.PFS)) if pfs_latency > 0 else None
+        return cls(tiers, res.sources, np.maximum(res.bandwidths, 1e-300), latency)
+
+    def resolve(
+        self, sizes_mb: np.ndarray, local: np.ndarray, remote: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(fetch_times, sources)`` for aligned size/class matrices."""
+        pairs = kernels.pair_index(local, remote, self.num_tiers)
+        fetch = sizes_mb / self.divisors[pairs]
+        if self.latency is not None:
+            fetch += self.latency[pairs]
+        return fetch, self.sources[pairs]
 
 
 @dataclass(frozen=True)
@@ -131,11 +168,6 @@ class EpochTile:
     sizes_mb: np.ndarray
     local_classes: np.ndarray | None
     remote_classes: np.ndarray | None
-
-    @property
-    def num_rows(self) -> int:
-        """Worker rows in this tile."""
-        return self.ids.shape[0]
 
 
 @dataclass(frozen=True)
@@ -600,7 +632,7 @@ class Simulator:
         (``epoch`` / ``gamma`` / ``pfs_share_mbps`` / ``pfs_latency_s``
         and a ``tiles(tile_rows)`` iterator).
 
-        Per-sample float work (fetch resolution, latency, noise, write
+        Per-sample float work (:class:`FetchTable` gathers, noise, write
         times, per-batch totals) happens inside the tile loop on
         ``(rows, L)`` bands; only the small ``(N, T)`` batch totals and
         ``(N, 4)`` per-source aggregates persist across tiles. The
@@ -623,6 +655,8 @@ class Simulator:
         bytes_by_source = np.zeros((n, kernels.NUM_SOURCES))
         counts_by_source = np.zeros((n, kernels.NUM_SOURCES), dtype=np.int64)
 
+        if not prep.ideal:
+            table = FetchTable.build(system, plan.pfs_share_mbps, plan.pfs_latency_s)
         for tile in plan.tiles(self.tile_rows):
             rows = tile.rows
             comps = tile.sizes_mb / system.compute_mbps
@@ -631,23 +665,19 @@ class Simulator:
                 batch_comps[rows] = tile_comps
                 continue
 
-            res = resolve_fetch(
-                tile.sizes_mb,
-                tile.local_classes,
-                tile.remote_classes,
-                system,
-                plan.pfs_share_mbps,
+            fetch, sources = table.resolve(
+                tile.sizes_mb, tile.local_classes, tile.remote_classes
             )
-            unsourced = res.sources == int(Source.NONE)
-            if unsourced.any():
-                worker = rows.start + int(np.argmax(unsourced.any(axis=1)))
-                raise PolicyError(
-                    f"policy {policy.name!r} scheduled a sample with no "
-                    f"available source (epoch {plan.epoch}, worker {worker})"
-                )
-            fetch = kernels.add_pfs_latency(
-                res.fetch_times, res.sources, plan.pfs_latency_s
-            )
+            if int(Source.NONE) in table.sources:
+                unsourced = sources == int(Source.NONE)
+                if unsourced.any():
+                    worker = rows.start + int(np.argmax(unsourced.any(axis=1)))
+                    raise PolicyError(
+                        f"policy {policy.name!r} scheduled a sample with no "
+                        f"available source (epoch {plan.epoch}, worker {worker})"
+                    )
+            index = kernels.source_index(sources)
+            counts = kernels.source_totals(index)
             if cfg.noise.enabled:
                 # Per-worker streams served through the plan cache's
                 # generator-state cache: derived once per (epoch,
@@ -655,15 +685,13 @@ class Simulator:
                 # identical to fresh generator() calls. Disabled noise
                 # skips the call outright (it would only copy).
                 rngs = self.plan_cache.noise_generators(plan.epoch, rows)
-                fetch = apply_noise_matrix(fetch, res.sources, cfg.noise, rngs)
+                fetch = apply_noise_matrix(fetch, sources, cfg.noise, rngs, counts)
             reads = fetch + write_times(tile.sizes_mb, system)
 
-            tile_bytes = kernels.source_totals(res.sources, tile.sizes_mb)
-            seconds_by_source[rows] = (
-                kernels.source_totals(res.sources, fetch) / divisor
-            )
+            tile_bytes = kernels.source_totals(index, tile.sizes_mb)
+            seconds_by_source[rows] = kernels.source_totals(index, fetch) / divisor
             bytes_by_source[rows] = tile_bytes
-            counts_by_source[rows] = kernels.source_totals(res.sources)
+            counts_by_source[rows] = counts
 
             # I/O noise on the allreduce path (Sec 7.1): non-local
             # traffic (PFS + remote) shares the network/cores with

@@ -27,9 +27,10 @@ __all__ = [
     "hash01",
     "warmup_remote_classes",
     "batch_totals",
+    "pair_index",
+    "source_index",
     "source_totals",
     "accumulate_rows",
-    "add_pfs_latency",
     "interference_factors",
     "NUM_SOURCES",
 ]
@@ -88,26 +89,38 @@ def batch_totals(values: np.ndarray, iterations: int, batch_size: int) -> np.nda
     return mat.reshape(n, iterations, batch_size).sum(axis=2)
 
 
-def source_totals(
-    sources: np.ndarray, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Per-worker, per-source totals over an ``(N, L)`` source matrix.
+def pair_index(local: np.ndarray, remote: np.ndarray, num_tiers: int) -> np.ndarray:
+    """Each sample's row ``(local+1)*(C+1) + (remote+1)`` in a pair table
+    (``-1`` = no tier; ``C`` = ``num_tiers``)."""
+    index = local.astype(np.intp)
+    index *= num_tiers + 1
+    index += remote
+    index += num_tiers + 2
+    return index
 
-    One flat ``bincount`` with row offsets replaces ``N`` per-worker
-    bincounts: entry ``[w, s]`` sums ``weights[w]`` (or counts) over the
-    samples worker ``w`` fetched from source ``s``, accumulated in
-    stream order exactly as the per-worker bincount did.
+
+def source_index(sources: np.ndarray) -> np.ndarray:
+    """Row-offset codes ``sources + NUM_SOURCES * row``: one index, every
+    :func:`source_totals` of an ``(N, L)`` source matrix."""
+    index = np.array(sources, dtype=np.intp)
+    index += NUM_SOURCES * np.arange(index.shape[0], dtype=np.intp)[:, None]
+    return index
+
+
+def source_totals(index: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Per-worker, per-source totals over a :func:`source_index` matrix.
+
+    One flat ``bincount`` replaces ``N`` per-worker bincounts: entry
+    ``[w, s]`` sums ``weights[w]`` (or counts) over the samples worker
+    ``w`` fetched from source ``s``, accumulated in stream order exactly
+    as the per-worker bincount did.
 
     Returns ``(N, NUM_SOURCES)`` — float64 with ``weights``, int64
     counts without.
     """
-    n = sources.shape[0]
-    offsets = (
-        np.asarray(sources, dtype=np.intp)
-        + NUM_SOURCES * np.arange(n, dtype=np.intp)[:, None]
-    ).ravel()
+    n = index.shape[0]
     flat_weights = None if weights is None else np.ascontiguousarray(weights).ravel()
-    counts = np.bincount(offsets, weights=flat_weights, minlength=NUM_SOURCES * n)
+    counts = np.bincount(index.ravel(), weights=flat_weights, minlength=NUM_SOURCES * n)
     return counts.reshape(n, NUM_SOURCES)
 
 
@@ -124,19 +137,6 @@ def accumulate_rows(per_worker: np.ndarray) -> np.ndarray:
     for row in rows:
         total += row
     return total
-
-
-def add_pfs_latency(
-    fetch_times: np.ndarray, sources: np.ndarray, pfs_latency: float
-) -> np.ndarray:
-    """Add the per-request PFS latency to every PFS-sourced fetch.
-
-    Returns ``fetch_times`` unchanged (same object) when the latency is
-    zero, matching the seed engine's conditional.
-    """
-    if pfs_latency <= 0:
-        return fetch_times
-    return fetch_times + pfs_latency * (sources == int(Source.PFS))
 
 
 def interference_factors(

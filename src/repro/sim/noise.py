@@ -153,6 +153,7 @@ def apply_noise_matrix(
     sources: np.ndarray,
     noise: NoiseConfig,
     rngs: Sequence[np.random.Generator],
+    counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Noise for a whole epoch: ``(N, L)`` fetch/source matrices at once.
 
@@ -167,8 +168,8 @@ def apply_noise_matrix(
     bitwise identical to applying :func:`apply_noise` row by row.
 
     Three fast paths keep the per-worker loop lean without touching the
-    stream: per-worker per-source counts come from one offset-bincount
-    (:func:`~repro.sim.kernels.source_totals`) and a source's boolean
+    stream: per-worker per-source ``counts`` come from one offset-bincount
+    (:func:`~repro.sim.kernels.source_totals`, or the caller's) and a source's boolean
     mask is only built if some worker actually scatters draws for it
     (all-PFS cold epochs never scan for remote/local); ``sigma == 0``
     segments short-circuit — :func:`_lognormal_mean_one` consumes
@@ -190,7 +191,8 @@ def apply_noise_matrix(
             f"({n} workers, {len(rngs)} generators)"
         )
 
-    counts = kernels.source_totals(src)
+    if counts is None:
+        counts = kernels.source_totals(kernels.source_index(src))
     pfs_code = int(Source.PFS)
     remote_code = int(Source.REMOTE)
     local_code = int(Source.LOCAL)

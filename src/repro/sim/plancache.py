@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from ..rng import GeneratorStateCache
 from .context import ScenarioContext
 from .policies.base import PreparedPolicy
@@ -157,6 +158,11 @@ class PlanCache:
             self.scalar_hits += 1
             return cached[1]
         self.scalar_misses += 1
+        # A label >= C would silently read another fetch-table pair.
+        c = self.ctx.config.system.hierarchy.num_classes
+        placements = prep.plan.placements if prep.plan is not None else ()
+        if any(len(ids) for p in placements for ids in p.class_ids[c:]):
+            raise ConfigurationError(f"{prep.name!r} caches in class {c}+; system has {c} tiers")
         scalars = PlanScalars(
             lookahead_batches=self._lookahead_batches(prep),
             uncovered_fraction=self._uncovered_fraction(prep),

@@ -48,45 +48,38 @@ class PolicyCapabilities:
 
 
 class WorkerLookup:
-    """O(log C) membership/class lookup over one worker's cached ids.
+    """One worker's cached ``ids`` and their tier ``labels``, unsorted.
 
-    Avoids materializing an O(F) class map per worker, which matters at
-    Sec 7 scales (1024 workers): memory and build time stay proportional
-    to what the worker actually caches.
+    :meth:`PreparedPolicy.classes_matrix` scatters them into a scratch
+    map; :meth:`classes_of` binary-searches, sorting on first use.
     """
 
     def __init__(self, class_ids: tuple[np.ndarray, ...]) -> None:
-        ids_parts: list[np.ndarray] = []
-        label_parts: list[np.ndarray] = []
-        for class_idx, ids in enumerate(class_ids):
-            arr = np.asarray(ids, dtype=np.int64)
-            if arr.size:
-                ids_parts.append(arr)
-                label_parts.append(np.full(arr.size, class_idx, dtype=np.int8))
-        if ids_parts:
-            all_ids = np.concatenate(ids_parts)
-            all_labels = np.concatenate(label_parts)
-            order = np.argsort(all_ids, kind="stable")
-            self._ids = all_ids[order]
-            self._labels = all_labels[order]
-        else:
-            self._ids = np.empty(0, dtype=np.int64)
-            self._labels = np.empty(0, dtype=np.int8)
+        parts = [np.asarray(ids, dtype=np.int64) for ids in class_ids]
+        self.ids = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        self.labels = np.repeat(
+            np.arange(len(parts), dtype=np.int8), [part.size for part in parts]
+        )
+        self._sorted: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def num_cached(self) -> int:
         """How many samples this worker caches."""
-        return int(self._ids.size)
+        return int(self.ids.size)
 
     def classes_of(self, query_ids: np.ndarray) -> np.ndarray:
         """Cache tier of each queried id (``-1`` when not cached)."""
         query = np.asarray(query_ids)
-        if self._ids.size == 0:
+        if self.ids.size == 0:
             return np.full(query.shape, -1, dtype=np.int8)
-        pos = np.searchsorted(self._ids, query)
-        pos_clipped = np.minimum(pos, self._ids.size - 1)
-        hit = self._ids[pos_clipped] == query
-        out = np.where(hit, self._labels[pos_clipped], np.int8(-1))
+        if self._sorted is None:
+            order = np.argsort(self.ids, kind="stable")
+            self._sorted = (self.ids[order], self.labels[order])
+        ids, labels = self._sorted
+        pos = np.searchsorted(ids, query)
+        pos_clipped = np.minimum(pos, ids.size - 1)
+        hit = ids[pos_clipped] == query
+        out = np.where(hit, labels[pos_clipped], np.int8(-1))
         return out.astype(np.int8, copy=False)
 
 
@@ -160,14 +153,10 @@ class PreparedPolicy:
     ) -> np.ndarray:
         """Local cache tier for every sample of a worker-major id matrix.
 
-        Row ``i`` answers "which of worker ``worker_offset + i``'s tiers
-        holds each id" (``-1`` = not cached locally). This is the
-        batched form of ``lookups[w].classes_of(row)`` the engine
-        consumes; the default delegates to the per-worker lookups row by
-        row — each row lookup is itself a vectorized ``searchsorted`` —
-        so existing and custom policies (including ones that substitute
-        their own lookup objects) work unchanged. Placement-aware
-        subclasses may override it with a fully batched gather.
+        Row ``i`` equals ``lookups[worker_offset + i].classes_of(row)``
+        (``-1`` = not cached): the worker's labels are scattered into a
+        per-call int8 scratch map of length ``F`` (unique ids per worker),
+        the row gathered, the map reset — O(cached + L) per row.
 
         ``worker_offset`` lets the engine's streaming tiles (a
         contiguous row band of the full ``(N, L)`` matrix) resolve
@@ -177,8 +166,12 @@ class PreparedPolicy:
         if not self.lookups:
             return np.full(ids.shape, -1, dtype=np.int8)
         out = np.empty(ids.shape, dtype=np.int8)
-        for i in range(ids.shape[0]):
-            out[i] = self.lookups[worker_offset + i].classes_of(ids[i])
+        scratch = np.full(self.plan.num_samples, -1, dtype=np.int8)
+        lookups = self.lookups[worker_offset : worker_offset + ids.shape[0]]
+        for row, row_ids, lookup in zip(out, ids, lookups, strict=True):
+            scratch[lookup.ids] = lookup.labels
+            np.take(scratch, row_ids, out=row)
+            scratch[lookup.ids] = -1
         return out
 
     def remote_classes_matrix(self, ids_matrix: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core import (
     AccessStream,
     StreamConfig,
-    access_frequency_distribution,
+    access_frequency_pmf,
     expected_histogram,
     expected_samples_above,
     lemma1_lower_bound,
@@ -24,8 +24,9 @@ from repro.errors import ConfigurationError
 
 class TestClosedForms:
     def test_distribution_mean(self):
-        dist = access_frequency_distribution(90, 16)
-        assert dist.mean() == pytest.approx(90 / 16)
+        pmf = access_frequency_pmf(90, 16)
+        assert pmf.sum() == pytest.approx(1.0)
+        assert (np.arange(91) * pmf).sum() == pytest.approx(90 / 16)
 
     def test_tail_monotone_in_delta(self):
         probs = [tail_probability(90, 16, d) for d in (0.0, 0.4, 0.8, 1.2)]
@@ -33,9 +34,36 @@ class TestClosedForms:
 
     def test_tail_zero_delta(self):
         """delta=0 counts strictly-above-mean accesses."""
-        dist = access_frequency_distribution(90, 16)
-        expected = float(dist.sf(math.ceil(90 / 16) - 1))
+        pmf = access_frequency_pmf(90, 16)
+        expected = pmf[math.ceil(90 / 16) :].sum()
         assert tail_probability(90, 16, 0.0) == pytest.approx(expected)
+
+    # Exact integer ratios, correctly rounded. scipy.stats.binom reads
+    # 0.4957871518773938, 0.07595140364207048, 0.17374416441086188,
+    # 0.058424492732387534 and 0.046027514419034396 for the same values
+    # (within 1e-12 relative).
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            ((90, 16, 0.8), 0.024692086051828713),
+            ((90, 16, 0.0), 0.4957871518773935),
+            ((300, 4, 0.2), 0.028321320355936964),
+            ((1000, 1024, 2.0), 0.07595140364207041),
+        ],
+    )
+    def test_tail_pinned_values(self, args, expected):
+        assert tail_probability(*args) == expected
+
+    def test_pmf_pinned_values(self):
+        assert access_frequency_pmf(90, 16)[5] == 0.1737441644108617
+        assert access_frequency_pmf(1000, 1024)[3] == 0.05842449273238755
+        assert access_frequency_pmf(300, 2)[150] == 0.04602751441903444
+
+    def test_pmf_edge_cases(self):
+        np.testing.assert_array_equal(access_frequency_pmf(3, 1), [0, 0, 0, 1])
+        assert tail_probability(4, 2, 10.0) == 0.0
+        with pytest.raises(ConfigurationError):
+            access_frequency_pmf(5, 0)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -60,8 +60,9 @@ class TestSourceTotals:
         n, length = 5, 64
         sources = rng.integers(0, kernels.NUM_SOURCES, size=(n, length)).astype(np.int8)
         weights = rng.random((n, length))
-        got_counts = kernels.source_totals(sources)
-        got_weighted = kernels.source_totals(sources, weights)
+        index = kernels.source_index(sources)
+        got_counts = kernels.source_totals(index)
+        got_weighted = kernels.source_totals(index, weights)
         assert got_counts.dtype.kind in "iu" or got_counts.dtype == np.float64
         for w in range(n):
             np.testing.assert_array_equal(
@@ -75,7 +76,7 @@ class TestSourceTotals:
 
     def test_empty_source_bucket_is_zero(self):
         sources = np.full((2, 8), int(Source.LOCAL), dtype=np.int8)
-        totals = kernels.source_totals(sources)
+        totals = kernels.source_totals(kernels.source_index(sources))
         assert totals[:, int(Source.PFS)].sum() == 0
         assert (totals[:, int(Source.LOCAL)] == 8).all()
 
@@ -89,17 +90,17 @@ class TestAccumulateRows:
         np.testing.assert_array_equal(kernels.accumulate_rows(rows), expected)
 
 
-class TestAddPfsLatency:
-    def test_zero_latency_returns_same_object(self, rng):
-        fetch = rng.random((3, 8))
-        sources = np.zeros((3, 8), dtype=np.int8)
-        assert kernels.add_pfs_latency(fetch, sources, 0.0) is fetch
+class TestPairIndex:
+    def test_enumerates_pairs_in_row_order(self):
+        local = np.repeat(np.arange(-1, 2, dtype=np.int8), 3)
+        remote = np.tile(np.arange(-1, 2, dtype=np.int8), 3)
+        np.testing.assert_array_equal(kernels.pair_index(local, remote, 2), np.arange(9))
 
-    def test_latency_hits_pfs_only(self):
-        fetch = np.ones((1, 3))
-        sources = np.array([[int(Source.PFS), int(Source.LOCAL), int(Source.PFS)]], dtype=np.int8)
-        out = kernels.add_pfs_latency(fetch, sources, 0.25)
-        np.testing.assert_array_equal(out, [[1.25, 1.0, 1.25]])
+    def test_formula(self, rng):
+        local = rng.integers(-1, 3, size=(4, 16)).astype(np.int8)
+        remote = rng.integers(-1, 3, size=(4, 16)).astype(np.int8)
+        expected = (local.astype(int) + 1) * 4 + (remote.astype(int) + 1)
+        np.testing.assert_array_equal(kernels.pair_index(local, remote, 3), expected)
 
 
 class TestInterferenceFactors:

@@ -21,7 +21,10 @@ and ``--run-many`` evaluates each scenario's cells together through
 the epoch-major multi-policy path (``Simulator.run_many_outcomes`` /
 ``run_many_seed``) — both execution knobs with a bitwise-identity
 contract, so the byte-diff must stay empty for every combination,
-including ``--run-many --share-seeds``.
+including ``--run-many --share-seeds``. ``--tile-rows N`` runs the
+production engine in row bands of ``N`` workers, so every band's row
+offsets (local-tier lookups, noise streams, per-source totals) are
+exercised; the reference engine has no tiles.
 
 Usage::
 
@@ -29,6 +32,7 @@ Usage::
     python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR --share-seeds
     python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR --run-many
     python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR --run-many --share-seeds
+    python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR --tile-rows 1
     diff -r REFERENCE_DIR ENGINE_DIR
 """
 
@@ -91,6 +95,10 @@ def main(argv: list[str] | None = None) -> int:
         "epoch-major multi-policy path (run_many_outcomes, or "
         "run_many_seed with --share-seeds)",
     )
+    parser.add_argument(
+        "--tile-rows", type=int, default=None, metavar="N",
+        help="execute the production engine in row bands of N workers",
+    )
     args = parser.parse_args(argv)
     reference_cache = ResultCache(args.reference_dir)
     engine_cache = ResultCache(args.engine_dir)
@@ -112,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
                 engine_config = dataclasses.replace(config, seed=config.seed + 1)
             simulators[scenario] = (
                 ReferenceSimulator(config),
-                Simulator(engine_config),
+                Simulator(engine_config, tile_rows=args.tile_rows),
             )
         reference_sim, engine_sim = simulators[scenario]
 

@@ -8,7 +8,10 @@ by phase:
     :meth:`~repro.sim.engine.Simulator.plan_epoch` — policy scalars,
     epoch id resolution.
 ``resolve_fetch``
-    The fetch-source resolution (:func:`repro.perfmodel.resolve_fetch`).
+    The fetch-source resolution (:func:`repro.perfmodel.resolve_fetch`),
+    which runs once per epoch to build the engine's
+    :class:`~repro.sim.engine.FetchTable`. Per tile, the pair index is
+    billed to ``accumulate`` and the table gathers to ``other``.
 ``rng``
     Noise generator construction — the state-cached
     :meth:`~repro.sim.plancache.PlanCache.noise_generators` path, or
