@@ -128,19 +128,11 @@ class AccessStream:
         ``out[h, i]`` is worker ``i``'s block of global batch ``h``. The
         dropped tail (if any) is excluded; see :meth:`epoch_tail`.
         """
-        cfg = self._config
-        perm = self._shuffler.permutation(epoch)
-        used = cfg.iterations_per_epoch * cfg.global_batch
-        return perm[:used].reshape(
-            cfg.iterations_per_epoch, cfg.num_workers, cfg.batch_size
-        )
+        return self._epoch_split(epoch)[0]
 
     def epoch_tail(self, epoch: int) -> np.ndarray:
         """The ragged final samples of ``epoch`` (empty when none)."""
-        cfg = self._config
-        perm = self._shuffler.permutation(epoch)
-        used = cfg.iterations_per_epoch * cfg.global_batch
-        return perm[used:]
+        return self._epoch_split(epoch)[1]
 
     def worker_epoch_stream(self, worker: int, epoch: int) -> np.ndarray:
         """Worker ``worker``'s access sequence within ``epoch`` (1-D).
@@ -148,16 +140,15 @@ class AccessStream:
         With ``drop_last`` this has length ``T * B``; otherwise the
         worker's share of the tail batch is appended (workers split the
         tail in rank order, earlier ranks possibly receiving one extra
-        sample).
+        sample). The epoch's permutation is drawn once for both parts.
         """
         self._check_worker(worker)
         cfg = self._config
-        stream = self.epoch_batches(epoch)[:, worker, :].reshape(-1)
-        if not cfg.drop_last:
-            tail = self.epoch_tail(epoch)
-            if tail.size:
-                share = np.array_split(tail, cfg.num_workers)[worker]
-                stream = np.concatenate([stream, share])
+        batches, tail = self._epoch_split(epoch)
+        stream = batches[:, worker, :].reshape(-1)
+        if not cfg.drop_last and tail.size:
+            share = np.array_split(tail, cfg.num_workers)[worker]
+            stream = np.concatenate([stream, share])
         return stream
 
     def worker_stream(self, worker: int, num_epochs: int | None = None) -> np.ndarray:
@@ -211,28 +202,31 @@ class AccessStream:
         """Access counts for *all* workers, shape ``(N, F)``.
 
         Memory scales as ``N * F``; intended for analysis-scale configs.
-        Large-``N`` simulation code iterates epoch reshapes instead.
+        Large-``N`` simulation code iterates epoch reshapes instead. Each
+        epoch's permutation is drawn once for the batches and the tail.
         """
         cfg = self._config
         epochs = cfg.num_epochs if num_epochs is None else num_epochs
         counts = np.zeros((cfg.num_workers, cfg.num_samples), dtype=np.int64)
         for epoch in range(epochs):
-            batches = self.epoch_batches(epoch)  # (T, N, B)
+            batches, tail = self._epoch_split(epoch)  # (T, N, B), ragged
             for worker in range(cfg.num_workers):
                 ids = batches[:, worker, :].reshape(-1)
                 counts[worker] += np.bincount(ids, minlength=cfg.num_samples)
-            if not cfg.drop_last:
-                tail = self.epoch_tail(epoch)
-                if tail.size:
-                    for worker, share in enumerate(
-                        np.array_split(tail, cfg.num_workers)
-                    ):
-                        counts[worker] += np.bincount(
-                            share, minlength=cfg.num_samples
-                        )
+            if not cfg.drop_last and tail.size:
+                for worker, share in enumerate(np.array_split(tail, cfg.num_workers)):
+                    counts[worker] += np.bincount(share, minlength=cfg.num_samples)
         return counts
 
     # -- helpers ----------------------------------------------------------
+
+    def _epoch_split(self, epoch: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(batches, tail)`` of ``epoch``: views of one permutation."""
+        cfg = self._config
+        perm = self._shuffler.permutation(epoch)
+        used = cfg.iterations_per_epoch * cfg.global_batch
+        batches = perm[:used].reshape(cfg.iterations_per_epoch, cfg.num_workers, cfg.batch_size)
+        return batches, perm[used:]
 
     def _check_worker(self, worker: int) -> None:
         if not 0 <= worker < self._config.num_workers:

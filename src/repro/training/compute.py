@@ -5,6 +5,12 @@ The performance model wants compute as MB of raw input per second
 approximated by multiplying this by the average file size"). This
 module does that conversion and carries the calibrated per-GPU training
 rates used by the Sec 7 experiments.
+
+The rule is ``c = samples/s × μ``, with ``μ`` the nominal mean of
+Sec 6.1's Normal(μ, σ) sizes, so no size table is built. The realized
+mean is not used: it would cost all ``F`` sizes (14.2M for ImageNet-22k)
+to move ``c`` by ≤7e-5 relative, the residue of truncating at
+``min_size_mb`` after re-centring.
 """
 
 from __future__ import annotations
@@ -38,8 +44,12 @@ class ComputeModel(ConfigMixin):
             raise ConfigurationError("samples_per_second must be positive")
 
     def mbps(self, dataset: DatasetModel) -> float:
-        """``c`` — MB of raw input consumed per second on ``dataset``."""
-        return self.samples_per_second * dataset.mean_realized_size_mb
+        """``c`` — MB of raw input consumed per second on ``dataset``.
+
+        ``samples_per_second × μ``: Sec 4's "average file size" is the
+        nominal mean, so no size table is built (see the module notes).
+        """
+        return self.samples_per_second * dataset.mean_size_mb
 
     def epoch_compute_seconds(
         self, dataset: DatasetModel, num_workers: int

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AccessStream, StreamConfig
+from repro.core.shuffle import EpochShuffler
 from repro.errors import ConfigurationError
 
 
@@ -157,6 +158,73 @@ class TestFrequencies:
         all_f = stream.all_frequencies()
         for w in range(c.num_workers):
             np.testing.assert_array_equal(all_f[w], stream.worker_frequencies(w))
+
+
+class TestOnePermutationPerEpoch:
+    """Without ``drop_last``, an epoch's batches and ragged tail are cut
+    from one permutation draw; the outputs equal the composition of
+    :meth:`epoch_batches` and :meth:`epoch_tail`."""
+
+    # 1003 = 31 * 32 + 11: a tail the 4 workers split 3/3/3/2.
+    CONFIG = cfg(num_samples=1003, drop_last=False)
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        epochs = []
+        permutation = EpochShuffler.permutation
+        monkeypatch.setattr(
+            EpochShuffler,
+            "permutation",
+            lambda self, epoch: epochs.append(epoch) or permutation(self, epoch),
+        )
+        return epochs
+
+    @staticmethod
+    def composed(stream, worker, epoch):
+        share = np.array_split(stream.epoch_tail(epoch), stream.config.num_workers)
+        blocks = stream.epoch_batches(epoch)[:, worker, :].reshape(-1)
+        return np.concatenate([blocks, share[worker]])
+
+    def composed_counts(self, stream, worker):
+        c = stream.config
+        return sum(
+            np.bincount(self.composed(stream, worker, e), minlength=c.num_samples)
+            for e in range(c.num_epochs)
+        )
+
+    def test_epoch_batches_one_draw(self, draws):
+        AccessStream(self.CONFIG).epoch_batches(1)
+        assert draws == [1]
+
+    def test_worker_epoch_stream(self, draws):
+        c = self.CONFIG
+        stream = AccessStream(c)
+        for epoch in range(c.num_epochs):
+            for worker in range(c.num_workers):
+                expected = self.composed(stream, worker, epoch)
+                draws.clear()
+                got = stream.worker_epoch_stream(worker, epoch)
+                assert draws == [epoch]
+                np.testing.assert_array_equal(got, expected)
+
+    def test_worker_frequencies(self, draws):
+        c = self.CONFIG
+        stream = AccessStream(c)
+        for worker in range(c.num_workers):
+            expected = self.composed_counts(stream, worker)
+            draws.clear()
+            got = stream.worker_frequencies(worker)
+            assert draws == list(range(c.num_epochs))
+            np.testing.assert_array_equal(got, expected)
+
+    def test_all_frequencies(self, draws):
+        c = self.CONFIG
+        stream = AccessStream(c)
+        expected = np.stack([self.composed_counts(stream, w) for w in range(c.num_workers)])
+        draws.clear()
+        got = stream.all_frequencies()
+        assert draws == list(range(c.num_epochs))
+        np.testing.assert_array_equal(got, expected)
 
 
 @settings(max_examples=20, deadline=None)

@@ -7,6 +7,7 @@ Covers the acceptance criteria: figures run their grids through
 
 import pytest
 
+from repro.datasets import DatasetModel
 from repro.experiments import fig8, fig9, paper
 from repro.sweep import SweepRunner
 
@@ -24,6 +25,26 @@ class TestFigureGrids:
     def test_fig9_declares_its_grid(self):
         cells = fig9.cells(**FIG9_SMALL)
         assert [c.tag for c in cells] == [(0, 0), (0, 1024), (256, 0), (256, 1024)]
+
+    def test_quick_grids_build_no_size_table(self, monkeypatch):
+        """Declaring every quick-profile grid prices compute on the
+        nominal mean size, so no dataset materializes its sizes."""
+        built = []
+        generate = DatasetModel._generate_sizes
+        monkeypatch.setattr(
+            DatasetModel,
+            "_generate_sizes",
+            lambda self: built.append(self.name) or generate(self),
+        )
+        specs = paper._figure_specs(SweepRunner(n_jobs=1), seed=1)
+        declared = [
+            cell
+            for name, kwargs in paper.resolve_figure_params(specs, "quick", None, None)
+            if specs[name].cells is not None
+            for cell in specs[name].cells(**kwargs)
+        ]
+        assert declared
+        assert built == []
 
     def test_fig8_warm_cache_skips_simulation(self, tmp_path):
         runner = SweepRunner(n_jobs=1, cache_dir=tmp_path)

@@ -19,9 +19,11 @@ from repro.training import (
 
 class TestComputeModel:
     def test_mbps_conversion(self):
+        """``c = samples/s × μ``, priced without building the size table."""
         ds = imagenet1k()
         model = ComputeModel("x", 100.0)
-        assert model.mbps(ds) == pytest.approx(100 * ds.mean_realized_size_mb)
+        assert model.mbps(ds) == 100 * ds.mean_size_mb
+        assert "sizes" not in ds._cache
 
     def test_epoch_compute_scaling(self):
         ds = imagenet1k()
