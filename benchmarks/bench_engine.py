@@ -208,7 +208,7 @@ def test_engine_paper_scale_throughput(benchmark):
     benchmark.pedantic(sim.run, args=(NoPFSPolicy(),), rounds=2, iterations=1)
 
 
-# -- seed-sharing multi-cell execution (ISSUE 9) ---------------------------
+# -- seed replicas in one batch ----------------------------------------------
 
 #: Fig 8-style replication seeds: same scenario, five noise seeds.
 FIG8_SEEDS = [3, 7, 11, 19, 23]
@@ -221,8 +221,8 @@ def _run_lineup_fresh(config):
     tasks do for every one of the grid's 15 cells: deserialize the
     cell's config and build a fresh
     :class:`Simulator` — scenario context, permutations and all — for
-    that single run. This is exactly the work the batched seed-sharing
-    path replaces.
+    that single run. This is exactly the work a batched-executor
+    worker replaces.
     """
     out = {}
     for seed in FIG8_SEEDS:
@@ -238,46 +238,47 @@ def _run_lineup_fresh(config):
 
 
 def _run_lineup_shared(config):
-    """Same cells via one base Simulator's seed-sharing path.
+    """Same cells seed-major, as one batched-executor worker runs them.
 
-    The base lives on the grid's first seed — exactly what the batched
-    executor does (``_simulate_batch`` builds its simulator from the
-    batch's first cell), so the base context is itself one of the
+    The base lives on the grid's first seed — exactly what
+    ``_simulate_batch`` does (it builds its simulator from the batch's
+    first cell) — and each seed's lineup goes through one
+    ``run_many_seed`` call, so the base context is itself one of the
     measured cells, not bookkeeping overhead.
     """
     base = Simulator(
         SimulationConfig.from_dict({**config.to_dict(), "seed": FIG8_SEEDS[0]})
     )
     out = {}
-    for policy in _lineup():
-        try:
-            for seed, result in base.run_seeds(policy, FIG8_SEEDS).items():
-                out[(seed, policy.name)] = result
-        except PolicyError:
-            for seed in FIG8_SEEDS:
-                out[(seed, policy.name)] = None
-    return out, base
+    lineup = _lineup()
+    for seed in FIG8_SEEDS:
+        for policy, outcome in zip(lineup, base.run_many_seed(lineup, seed)):
+            out[(seed, policy.name)] = (
+                None if isinstance(outcome, PolicyError) else outcome
+            )
+    return out
 
 
 def test_engine_seed_sharing(report, ab_timer):
-    """A Fig 8-style 5-seed grid: sharing beats per-cell runs, bitwise-equal.
+    """A Fig 8-style 5-seed grid: one batch beats per-cell runs, bitwise-equal.
 
     The paper's headline figures replicate every scenario across noise
     seeds; the batched executor folds those replicas into one worker
-    batch, where ``Simulator.run_seeds`` pays for the scenario context,
-    the dataset sizes, the shareable prepared policies and the plan
-    scalars once per seed (or once overall) instead of once per *cell*.
-    The shared path must stay bitwise-identical to per-cell execution
-    *and* finish faster.
+    batch, where each seed's lineup shares one epoch-major pass (each
+    epoch's permutation, size gather and noise states built once for
+    all policies) and every seed shares the dataset's size table —
+    instead of paying a fresh config and scenario context per *cell*.
+    The batch must stay bitwise-identical to per-cell execution *and*
+    finish faster.
     """
     config = _scenario()
     fresh = _run_lineup_fresh(config)
-    shared, base = _run_lineup_shared(config)
+    shared = _run_lineup_shared(config)
     for key in fresh:
         a, b = fresh[key], shared[key]
         a_json = None if a is None else json.dumps(a.to_dict(), sort_keys=True)
         b_json = None if b is None else json.dumps(b.to_dict(), sort_keys=True)
-        assert a_json == b_json, f"seed-shared run diverges for {key}"
+        assert a_json == b_json, f"seed-batched run diverges for {key}"
 
     fresh_s, shared_s = ab_timer(
         lambda: _run_lineup_fresh(config),
@@ -287,10 +288,6 @@ def test_engine_seed_sharing(report, ab_timer):
     speedup = fresh_s / shared_s
     cells = len(FIG8_SEEDS) * len(_lineup())
 
-    share = base.seed_share
-    scalar_hits = sum(
-        base.seed_variant(seed).plan_cache.scalar_hits for seed in FIG8_SEEDS
-    )
     report(
         "engine_seed_sharing",
         "\n".join(
@@ -298,24 +295,21 @@ def test_engine_seed_sharing(report, ab_timer):
                 f"grid: {len(_lineup())} policies x {len(FIG8_SEEDS)} seeds "
                 f"on the N={NUM_WORKERS} scenario ({cells} cells)",
                 f"per-cell:     {fresh_s:7.3f}s  ({cells / fresh_s:6.2f} cells/s)",
-                f"seed-sharing: {shared_s:7.3f}s  ({cells / shared_s:6.2f} cells/s)",
+                f"seed-major:   {shared_s:7.3f}s  ({cells / shared_s:6.2f} cells/s)",
                 f"speedup: {speedup:.2f}x (bitwise-identical results)",
-                f"shared prepares: {share.prep_hits} hits / "
-                f"{share.prep_misses} misses across {share.variants} variants; "
-                f"plan scalars: {scalar_hits} adopted-entry hits",
             ]
         ),
     )
     assert speedup > 1.0, (
-        f"seed-sharing ({shared_s:.3f}s) must beat per-cell execution "
+        f"seed-major batch ({shared_s:.3f}s) must beat per-cell execution "
         f"({fresh_s:.3f}s) on a {len(FIG8_SEEDS)}-seed Fig 8-style grid"
     )
 
 
 def test_engine_seed_sharing_throughput(benchmark):
-    """Timing series for BENCH_engine.json: the 5-seed lineup through
-    one base simulator's sharing path (base construction included —
-    amortizing it is the feature under test)."""
+    """Timing series for BENCH_engine.json: the 5-seed lineup seed-major
+    through one base simulator (base construction included — amortizing
+    it is the feature under test)."""
     config = _scenario()
     benchmark.pedantic(
         lambda: _run_lineup_shared(config), rounds=3, iterations=1

@@ -17,7 +17,7 @@ One entry point over the whole library, built on :mod:`repro.api`:
     The full-paper driver (figures/tables through one shared sweep).
 ``search``
     Branch-and-bound (or baseline) search over a declared space:
-    ``--driver bb|random|halving``, the same axis flags as ``run``
+    ``--driver bb|random``, the same axis flags as ``run``
     plus ``--policies`` / repeatable ``--knob field=v1,v2``, budget /
     timeout / seed, and ``--manifest`` to write the byte-reproducible
     :class:`~repro.search.manifest.SearchManifest`.
@@ -338,7 +338,7 @@ def _configure_search(sub) -> None:
     search.add_argument("--knob", action="append", default=None, metavar="FIELD=V1,V2",
                         help="searched scenario field and its values (repeatable)")
     search.add_argument("--driver", default="bb",
-                        help="searcher spec: bb, bb:1.5, random, halving:2 (default bb)")
+                        help="searcher spec: bb, bb:1.5, random (default bb)")
     search.add_argument("--budget", type=int, default=None,
                         help="maximum evaluations (default: unlimited)")
     search.add_argument("--timeout", type=float, default=None, metavar="SECONDS",

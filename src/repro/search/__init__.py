@@ -9,10 +9,9 @@ here by *searching* the design space instead of enumerating it:
   :class:`~repro.api.scenario.Scenario`) declared as plain,
   JSON-round-trippable data.
 * :mod:`repro.search.drivers` — the :data:`SEARCHERS` registry and the
-  three drivers behind it: ``bb`` branch-and-bound pruning on
-  :func:`~repro.sim.bounds.policy_lower_bound`, plus ``random`` and
-  ``halving`` (successive halving on truncated-epoch evaluations)
-  baselines.
+  two drivers behind it: ``bb`` branch-and-bound pruning on
+  :func:`~repro.sim.bounds.policy_lower_bound`, plus the seeded
+  ``random`` baseline.
 * :mod:`repro.search.evaluator` — :class:`Evaluator`: every candidate
   flows through :meth:`Session.sweep <repro.api.session.Session.sweep>`
   and the content-addressed result cache, so repeated and overlapping
@@ -38,7 +37,6 @@ re-running it against the warm cache.
 from .drivers import (
     SEARCHERS,
     BranchBoundSearcher,
-    HalvingSearcher,
     RandomSearcher,
     Searcher,
     SearchResult,
@@ -63,7 +61,6 @@ __all__ = [
     "CandidatePruned",
     "Evaluator",
     "EvaluationRecord",
-    "HalvingSearcher",
     "IncumbentImproved",
     "IncumbentStep",
     "KnobDomain",

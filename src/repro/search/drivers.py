@@ -1,6 +1,6 @@
 """The search drivers and the `SEARCHERS` registry that names them.
 
-Three drivers, one :class:`Searcher` protocol:
+Two drivers, one :class:`Searcher` protocol:
 
 ``bb`` — :class:`BranchBoundSearcher`
     Best-first branch-and-bound over a two-level candidate tree
@@ -18,14 +18,6 @@ Three drivers, one :class:`Searcher` protocol:
 ``random`` — :class:`RandomSearcher`
     Seeded uniform sampling without replacement — the honest baseline
     B&B must beat on evaluations-to-optimum.
-
-``halving`` — :class:`HalvingSearcher`
-    Successive halving on truncated-epoch evaluations: every survivor
-    is priced at a rung's (cheap) epoch count, the best ``1/eta``
-    advance, epochs multiply by ``eta`` per rung, and only full-epoch
-    evaluations may set the incumbent. Truncated evaluations are real
-    scenarios with their own cache fingerprints, so rungs are warm
-    across repeated searches too.
 
 Determinism is a hard contract for every driver: time comes only from
 the injected ``clock``, randomness only from
@@ -60,7 +52,6 @@ from .space import SearchSpace
 __all__ = [
     "SEARCHERS",
     "BranchBoundSearcher",
-    "HalvingSearcher",
     "RandomSearcher",
     "SearchResult",
     "Searcher",
@@ -87,7 +78,7 @@ class Searcher(Protocol):
     """The driver contract: explore a space through an evaluator.
 
     ``name`` keys events and manifests; :meth:`params` reports the
-    driver's own knobs (relaxation, eta, ...) for the manifest;
+    driver's own knobs (e.g. the relaxation) for the manifest;
     :meth:`search` runs the exploration — taking its time *only* from
     ``clock`` and its randomness *only* from the ``seed`` — and
     returns the full trace.
@@ -152,10 +143,8 @@ class _Trace:
             return True
         return False
 
-    def record(
-        self, scenario: Scenario, objective: float | None, *, full: bool
-    ) -> EvaluationRecord:
-        """Append one evaluation; full evaluations may take the incumbent.
+    def record(self, scenario: Scenario, objective: float | None) -> EvaluationRecord:
+        """Append one evaluation; it takes the incumbent if it improves.
 
         Ties on the objective break toward the smaller fingerprint, so
         the incumbent is the canonical ``min((objective, fingerprint))``
@@ -167,7 +156,6 @@ class _Trace:
             fingerprint=scenario.fingerprint(),
             scenario=scenario,
             objective_s=objective,
-            full=full,
         )
         self.evaluations.append(record)
         self.stats.evaluations += 1
@@ -181,7 +169,7 @@ class _Trace:
         )
         if objective is None:
             self.stats.unsupported += 1
-        elif full and improves:
+        elif improves:
             self.incumbent_s = objective
             self.best = record
             self.incumbents.append(
@@ -200,19 +188,9 @@ class _Trace:
             )
         return record
 
-    def evaluate(self, scenario: Scenario, *, full: bool = True) -> EvaluationRecord:
+    def evaluate(self, scenario: Scenario) -> EvaluationRecord:
         """Price one candidate through the evaluator and record it."""
-        return self.record(scenario, self.evaluator.evaluate(scenario), full=full)
-
-    def evaluate_batch(
-        self, scenarios: list[Scenario], *, full: bool = True
-    ) -> list[EvaluationRecord]:
-        """Price a batch in one sweep call and record each in order."""
-        objectives = self.evaluator.evaluate_many(scenarios)
-        return [
-            self.record(scenario, objective, full=full)
-            for scenario, objective in zip(scenarios, objectives)
-        ]
+        return self.record(scenario, self.evaluator.evaluate(scenario))
 
     def result(self) -> SearchResult:
         """Freeze the trace into the driver's return value."""
@@ -254,7 +232,7 @@ def _start(
 class BranchBoundSearcher:
     """Best-first branch-and-bound with admissible-bound pruning.
 
-    ``relaxation`` (``>= 1``) multiplies a node's bound before the
+    ``relaxation`` (finite, ``>= 1``) multiplies a node's bound before the
     incumbent comparison: ``1.0`` (default) prunes only provably
     non-improving nodes (exact optimum), larger values trade optimality
     — bounded to within the factor — for fewer evaluations. Reachable
@@ -264,11 +242,16 @@ class BranchBoundSearcher:
     name = "bb"
 
     def __init__(self, relaxation: float = 1.0) -> None:
-        self.relaxation = float(relaxation)
-        if self.relaxation < 1.0:
+        # A NaN or infinite factor would never prune or prune everything.
+        try:
+            value = float(relaxation)
+        except (TypeError, ValueError):
+            value = math.nan
+        if not (math.isfinite(value) and value >= 1.0):
             raise ConfigurationError(
-                f"relaxation must be >= 1.0, got {relaxation!r}"
+                f"relaxation must be a finite number >= 1.0, got {relaxation!r}"
             )
+        self.relaxation = value
 
     def params(self) -> dict[str, Any]:
         """The driver's knob settings, for the manifest."""
@@ -386,94 +369,6 @@ class RandomSearcher:
         return trace.result()
 
 
-class HalvingSearcher:
-    """Successive halving on truncated-epoch evaluations.
-
-    Rung ``k`` prices every survivor at ``min_epochs * eta**k`` epochs
-    (capped at the candidate's own epoch count) and keeps the best
-    ``1/eta`` fraction; the final rung runs at full epochs and is the
-    only one allowed to set the incumbent. Reachable as the
-    ``halving:2`` spec shorthand (``eta``).
-    """
-
-    name = "halving"
-
-    def __init__(self, eta: int = 3, min_epochs: int = 1) -> None:
-        self.eta = int(eta)
-        self.min_epochs = int(min_epochs)
-        if self.eta < 2:
-            raise ConfigurationError(f"eta must be >= 2, got {eta!r}")
-        if self.min_epochs < 1:
-            raise ConfigurationError(f"min_epochs must be >= 1, got {min_epochs!r}")
-
-    def params(self) -> dict[str, Any]:
-        """The driver's knob settings, for the manifest."""
-        return {"eta": self.eta, "min_epochs": self.min_epochs}
-
-    def _truncated(self, scenario: Scenario, epochs: int) -> tuple[Scenario, bool]:
-        """The rung-priced variant of a candidate (and whether it's full)."""
-        import dataclasses
-
-        epochs = min(epochs, scenario.num_epochs)
-        if epochs == scenario.num_epochs:
-            return scenario, True
-        return dataclasses.replace(scenario, num_epochs=epochs), False
-
-    def search(
-        self,
-        space: SearchSpace,
-        evaluator: Evaluator,
-        *,
-        seed: int,
-        budget: int | None = None,
-        timeout_s: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> SearchResult:
-        """Run the rungs, culling 1/eta of the survivors at each."""
-        trace = _start(self.name, space, evaluator, budget, timeout_s, clock)
-        survivors = list(space.candidates())
-        full_epochs = max(s.num_epochs for s in survivors)
-        epochs = min(self.min_epochs, full_epochs)
-
-        while survivors:
-            if trace.stopping():
-                break
-            rung = [self._truncated(s, epochs) for s in survivors]
-            batch = [scenario for scenario, _ in rung]
-            if trace.budget is not None:
-                remaining = trace.budget - trace.stats.evaluations
-                if remaining < len(batch):
-                    # A culled rung would be decided by a biased subset;
-                    # stop cleanly at the budget instead.
-                    batch = batch[:remaining]
-                    rung = rung[:remaining]
-            for scenario, _ in rung:
-                trace.stats.opened += 1
-                evaluator.emit(CandidateOpened(label=scenario.label, bound_s=math.nan))
-            records = trace.evaluate_batch(
-                batch, full=all(full for _, full in rung) and bool(rung)
-            )
-            if trace.stopping() or len(records) < len(survivors):
-                break
-            if all(full for _, full in rung):
-                break  # everything priced at full fidelity; done
-            # Rank by rung objective (unsupported last), keep the top
-            # 1/eta; ties break on rung order for determinism.
-            ranked = sorted(
-                range(len(survivors)),
-                key=lambda i: (
-                    records[i].objective_s is None,
-                    records[i].objective_s if records[i].objective_s is not None else 0.0,
-                    i,
-                ),
-            )
-            keep = max(1, -(-len(survivors) // self.eta))  # ceil division
-            survivors = [survivors[i] for i in ranked[:keep]]
-            trace.stats.backtracks += 1
-            epochs = min(epochs * self.eta, full_epochs)
-        return trace.result()
-
-
 SEARCHERS.register(
     "bb",
     BranchBoundSearcher,
@@ -484,11 +379,5 @@ SEARCHERS.register(
     "random",
     RandomSearcher,
     summary="Seeded random sampling without replacement (baseline)",
-)
-SEARCHERS.register(
-    "halving",
-    HalvingSearcher,
-    summary="Successive halving on truncated-epoch evaluations (:N = eta)",
-    variant_param="eta",
 )
 SEARCHERS.alias("branch_and_bound", "bb")

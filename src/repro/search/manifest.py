@@ -41,10 +41,10 @@ class EvaluationRecord(ConfigMixin):
 
     ``fingerprint`` is the scenario's sweep-cache key (the evaluation
     is replayable — and warm — through it); ``objective_s`` is the
-    simulated total time, ``None`` for unsupported candidates;
-    ``full`` distinguishes full-fidelity evaluations (eligible to set
-    the incumbent) from truncated-epoch rung evaluations of the
-    ``halving`` driver.
+    simulated total time, ``None`` for unsupported candidates.
+    ``full`` marks a full-fidelity evaluation, eligible to set the
+    incumbent; every shipped driver records only those, so it is always
+    ``True``. It stays in the record so manifest schema v1 is unchanged.
     """
 
     index: int

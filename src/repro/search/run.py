@@ -45,7 +45,7 @@ def run_search(
     """Search ``space`` and return the manifest of everything that happened.
 
     ``driver`` is a :data:`SEARCHERS` spec (``"bb"``, ``"bb:1.5"``,
-    ``{"name": "halving", "eta": 2}``) or an already-built
+    ``{"name": "bb", "relaxation": 2.0}``) or an already-built
     :class:`~repro.search.drivers.Searcher`. ``session`` supplies the
     executor and result cache every evaluation routes through (a fresh
     serial, uncached session when omitted). ``on_event`` subscribes to

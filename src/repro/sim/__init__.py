@@ -9,7 +9,7 @@ from . import kernels
 from .bounds import policy_lower_bound
 from .config import SimulationConfig
 from .context import ScenarioContext
-from .engine import EpochPlan, EpochTile, SeedShareStats, Simulator, analytic_lower_bound
+from .engine import EpochPlan, EpochTile, Simulator, analytic_lower_bound
 from .lockstep import LockstepResult, lockstep_epoch
 from .noise import NoiseConfig, apply_noise, apply_noise_matrix
 from .plancache import PhasePlan, PlanCache, PlanScalars
@@ -34,7 +34,6 @@ __all__ = [
     "SimulationConfig",
     "ScenarioContext",
     "Simulator",
-    "SeedShareStats",
     "EpochPlan",
     "EpochTile",
     "PhasePlan",

@@ -46,7 +46,9 @@ Every entry point — :meth:`Simulator.run`, :meth:`Simulator.run_seed`,
 :meth:`Simulator.run_many_outcomes` and :meth:`Simulator.run_many_seed`
 — prepares its policies and then drives them through one epoch-major
 loop: epochs outermost, each epoch's permutation materialized once and
-shared by every policy of the call.
+shared by every policy of the call. The two ``*_seed`` entry points run
+that loop on a sibling simulator for the reseeded config — the seed
+alone fixes a run (Sec 2), so another seed needs nothing more.
 
 Caches follow the paper's observed dynamics: during epoch 0 every
 policy reads from the PFS while caches fill ("without caching, it is
@@ -59,7 +61,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -79,7 +81,6 @@ __all__ = [
     "EpochPlan",
     "EpochTile",
     "FetchTable",
-    "SeedShareStats",
     "analytic_lower_bound",
 ]
 
@@ -266,26 +267,6 @@ class EpochPlan:
             yield self.tile(slice(start, min(start + step, n)))
 
 
-@dataclass
-class SeedShareStats:
-    """Counters proving what :meth:`Simulator.run_seeds` actually shared.
-
-    ``prep_hits`` counts runs served by a prepared policy built once on
-    the base context (policies with
-    :attr:`~repro.sim.policies.base.Policy.seed_invariant_prepare`);
-    ``prep_misses`` counts runs that re-prepared — either the first
-    touch of a shareable policy or every run of a seed-dependent one.
-    ``variants`` counts the sibling simulators built (one per distinct
-    non-base seed). The plan-scalar sharing these enable is counted
-    separately on :class:`~repro.sim.plancache.PlanCache`
-    (``scalar_hits`` / ``scalar_misses``).
-    """
-
-    prep_hits: int = 0
-    prep_misses: int = 0
-    variants: int = 0
-
-
 class Simulator:
     """Evaluates I/O policies on one scenario (dataset x system x E x B).
 
@@ -323,12 +304,6 @@ class Simulator:
         self.tile_rows = None if tile_rows is None else int(tile_rows)
         self.ctx = ctx if ctx is not None else ScenarioContext(config)
         self.plan_cache = PlanCache(self.ctx)
-        #: Counters for the :meth:`run_seeds` sharing (see the class doc).
-        self.seed_share = SeedShareStats()
-        #: seed -> sibling simulator differing only in ``config.seed``.
-        self._seed_variants: dict[int, "Simulator"] = {}
-        #: id(policy) -> (policy, prep) for seed-invariant preparations.
-        self._shared_preps: dict[int, tuple[Policy, PreparedPolicy]] = {}
 
     # -- public API --------------------------------------------------------
 
@@ -338,8 +313,7 @@ class Simulator:
         Raises the policy's :class:`~repro.errors.PolicyError` when it
         does not support the scenario.
         """
-        slots = self._prepare_slots([policy], lambda p: p.prepare(self.ctx))
-        return _unwrap(self._run_epoch_major(slots)[0])
+        return _unwrap(self._run_epoch_major(self._prepare_slots([policy]))[0])
 
     def run_many(self, policies: list[Policy]) -> dict[str, SimulationResult]:
         """Simulate several policies, skipping unsupported ones.
@@ -384,17 +358,14 @@ class Simulator:
         mid-epoch — yields that error in its slot (the same error the
         per-policy run would raise) without disturbing its siblings.
         """
-        slots = self._prepare_slots(policies, lambda p: p.prepare(self.ctx))
-        return self._run_epoch_major(slots)
+        return self._run_epoch_major(self._prepare_slots(policies))
 
     def _prepare_slots(
-        self,
-        policies: list[Policy],
-        prepare: Callable[[Policy], PreparedPolicy],
+        self, policies: list[Policy]
     ) -> "list[tuple[Policy, PreparedPolicy] | PolicyError]":
-        """Prepare ``policies`` for :meth:`_run_epoch_major`, in order.
+        """Prepare ``policies`` on this context for :meth:`_run_epoch_major`.
 
-        Each slot is ``(policy, prepare(policy))`` or the
+        Each slot is ``(policy, policy.prepare(ctx))`` or the
         :class:`~repro.errors.PolicyError` the prepare raised. Epoch 0
         is held through the prepares: placement-building prepares
         (DeepIO, LBANN) gather it, and the loop's first epoch then
@@ -406,7 +377,7 @@ class Simulator:
         try:
             for policy in policies:
                 try:
-                    slots.append((policy, prepare(policy)))
+                    slots.append((policy, policy.prepare(self.ctx)))
                 except PolicyError as exc:
                     slots.append(exc)
         except BaseException:
@@ -456,118 +427,47 @@ class Simulator:
         """:func:`analytic_lower_bound` reusing this simulator's context."""
         return analytic_lower_bound(self.config, self.ctx)
 
-    # -- seed-sharing execution ----------------------------------------------
+    # -- other seeds ---------------------------------------------------------
 
-    def seed_variant(self, seed: int) -> "Simulator":
-        """A sibling simulator for the same scenario under another seed.
+    def _reseeded(self, seed: int) -> "Simulator":
+        """This scenario under ``seed``: ``self``, or a fresh sibling.
 
-        Variants are memoized per seed and share every seed-invariant
-        piece of this simulator's state: the same
-        :class:`~repro.datasets.DatasetModel` instance (so the
-        materialized sample-size table is built once — the dataset's
-        sizes derive from its *own* seed, not the simulation seed), the
-        tile height, and — via
-        :meth:`~repro.sim.plancache.PlanCache.adopt_invariants` — the
-        plan cache's cold-class template and every already-computed
-        :class:`~repro.sim.plancache.PlanScalars`. Only the genuinely
-        seed-dependent state (epoch permutations, per-epoch size
-        gathers, noise draws) is variant-private, so results are
-        bitwise identical to a fresh ``Simulator`` on the reseeded
-        config — pinned by ``tests/sim/test_seed_sharing.py``.
+        The sibling's config is a ``dataclasses.replace`` of this one, so
+        it holds the same :class:`~repro.datasets.DatasetModel` instance
+        and its materialized sample-size table (sizes derive from the
+        dataset's own seed, not the simulation seed). Everything else —
+        permutations, prepared policies, plan scalars, noise states — is
+        rebuilt, so results are bitwise identical to a fresh
+        ``Simulator`` on the reseeded config.
         """
         if seed == self.config.seed:
             return self
-        sim = self._seed_variants.get(seed)
-        if sim is None:
-            config = dataclasses.replace(self.config, seed=seed)
-            sim = Simulator(config, tile_rows=self.tile_rows)
-            self._seed_variants[seed] = sim
-            self.seed_share.variants += 1
-        # Re-adopt on every access: scalars computed since the variant
-        # was built (a later policy's shared prep) propagate too. The
-        # merge is idempotent and keyed on prep identity, so it is safe
-        # for preps the variant prepared privately.
-        sim.plan_cache.adopt_invariants(self.plan_cache)
-        return sim
+        config = dataclasses.replace(self.config, seed=seed)
+        return Simulator(config, tile_rows=self.tile_rows)
 
     def run_seed(self, policy: Policy, seed: int) -> SimulationResult:
-        """Simulate ``policy`` under ``seed``, sharing invariant state.
+        """:meth:`run` on this scenario under another noise seed.
 
-        Policies declaring
-        :attr:`~repro.sim.policies.base.Policy.seed_invariant_prepare`
-        are prepared once on the base context and the prepared instance
-        is reused for every seed (counted in :attr:`seed_share`);
-        seed-dependent policies (stream rewriters, frequency-driven
-        placements) re-prepare on the variant's own context. Either
-        way the result is bitwise identical to
-        ``Simulator(replace(config, seed=seed)).run(policy)``, and a
-        policy that does not support the scenario raises its
-        :class:`~repro.errors.PolicyError`.
+        Bitwise identical to
+        ``Simulator(replace(config, seed=seed)).run(policy)``; raises the
+        policy's :class:`~repro.errors.PolicyError` when it does not
+        support the scenario.
         """
-        sim = self.seed_variant(seed)
-        slots = sim._prepare_slots([policy], lambda p: self._seed_prep(p, sim))
-        return _unwrap(sim._run_epoch_major(slots)[0])
-
-    def run_seeds(
-        self, policy: Policy, seeds: Iterable[int]
-    ) -> dict[int, SimulationResult]:
-        """Simulate ``policy`` under each seed, building shared state once.
-
-        The batched form of :meth:`run_seed` — the multi-seed
-        replication the paper's Sec 7 sweeps run (same scenario, many
-        noise seeds) pays for the dataset sizes, the prepared policy
-        (when shareable) and the plan scalars once instead of once per
-        seed. Returns ``{seed: result}`` in input order; duplicate
-        seeds simulate once per occurrence (results are deterministic,
-        so the dict still holds one entry each).
-        """
-        return {seed: self.run_seed(policy, seed) for seed in seeds}
+        sim = self._reseeded(seed)
+        return _unwrap(sim._run_epoch_major(sim._prepare_slots([policy]))[0])
 
     def run_many_seed(
         self, policies: list[Policy], seed: int
     ) -> "list[SimulationResult | PolicyError]":
-        """Epoch-major :meth:`run_many_outcomes` under another seed.
+        """:meth:`run_many_outcomes` on this scenario under another seed.
 
-        The batched sweep executor's grouping hook: several policies of
-        one scenario batch that share a seed run through the variant
-        simulator's epoch-major loop, combining the seed-sharing reuse
-        of :meth:`run_seed` (shared dataset tables, shareable prepared
-        policies, adopted plan scalars — same counters) with the
-        epoch-major permutation/size/RNG sharing across the policies.
+        The sweep executors' batch step: the policies of one scenario
+        batch that share a seed run through one epoch-major loop.
         Outcomes align with ``policies``; each is bitwise identical to
         ``run_seed(policy, seed)``.
         """
-        sim = self.seed_variant(seed)
-        slots = sim._prepare_slots(policies, lambda p: self._seed_prep(p, sim))
-        return sim._run_epoch_major(slots)
-
-    def _seed_prep(self, policy: Policy, sim: "Simulator") -> PreparedPolicy:
-        """Prepare ``policy`` for the seed variant ``sim``, counting reuse.
-
-        The one prepare-or-reuse step behind :meth:`run_seed` and
-        :meth:`run_many_seed`. Seed-dependent policies prepare on the
-        variant's own context; seed-invariant ones are prepared once on
-        the base context and served from :attr:`_shared_preps` after
-        that.
-        """
-        if not policy.seed_invariant_prepare:
-            self.seed_share.prep_misses += 1
-            return policy.prepare(sim.ctx)
-        cached = self._shared_preps.get(id(policy))
-        if cached is not None:
-            # Its scalars were on the base cache before ``sim`` was
-            # fetched, and :meth:`seed_variant` adopts on every access.
-            self.seed_share.prep_hits += 1
-            return cached[1]
-        self.seed_share.prep_misses += 1
-        prep = policy.prepare(self.ctx)
-        # Materialize the scalars on the base cache now, so every
-        # variant adopts them instead of recomputing per seed.
-        self.plan_cache.scalars(prep)
-        self._shared_preps[id(policy)] = (policy, prep)
-        if sim is not self:
-            sim.plan_cache.adopt_invariants(self.plan_cache)
-        return prep
+        sim = self._reseeded(seed)
+        return sim._run_epoch_major(sim._prepare_slots(policies))
 
     # -- plan phase ----------------------------------------------------------
 

@@ -96,11 +96,7 @@ class PlanCache:
     once per epoch per policy.
 
     ``hits`` / ``misses`` count epoch-size-matrix cache traffic (the
-    dominant shared allocation); ``scalar_hits`` / ``scalar_misses``
-    count :meth:`scalars` traffic — including scalars adopted from a
-    sibling cache (:meth:`adopt_invariants`, the
-    :meth:`~repro.sim.engine.Simulator.run_seeds` seed-sharing path).
-    They exist for tests and profiling.
+    dominant shared allocation); they exist for tests and profiling.
     """
 
     def __init__(self, ctx: ScenarioContext) -> None:
@@ -119,35 +115,6 @@ class PlanCache:
         self.noise_states = GeneratorStateCache()
         self.hits = 0
         self.misses = 0
-        self.scalar_hits = 0
-        self.scalar_misses = 0
-
-    # -- cross-seed sharing --------------------------------------------------
-
-    def adopt_invariants(self, other: "PlanCache") -> None:
-        """Copy ``other``'s seed-invariant state into this cache.
-
-        The seed-sharing path
-        (:meth:`~repro.sim.engine.Simulator.seed_variant`) calls this on
-        a sibling scenario differing only in ``config.seed``. Everything
-        adopted is a pure function of seed-invariant inputs, so sharing
-        is bitwise-neutral by construction:
-
-        * the cold-class template (shape depends only on ``N`` and
-          ``L``);
-        * every computed :class:`PlanScalars` — scalars derive from the
-          prepared policy plus the sizes table, worker count and system
-          curves, none of which involve the simulation seed. (Keyed on
-          prep identity, so they only ever serve the exact prepared
-          instance they were computed for.)
-
-        The per-epoch sizes gather (``_held_sizes``) is **not** adopted:
-        it indexes the seed-dependent epoch permutation.
-        """
-        if self._cold_template is None and other._cold_template is not None:
-            self._cold_template = other._cold_template
-        for key, entry in other._scalars.items():
-            self._scalars.setdefault(key, entry)
 
     # -- per-policy scalars -------------------------------------------------
 
@@ -155,9 +122,7 @@ class PlanCache:
         """The epoch-invariant scalars of ``prep`` (computed once)."""
         cached = self._scalars.get(id(prep))
         if cached is not None:
-            self.scalar_hits += 1
             return cached[1]
-        self.scalar_misses += 1
         # A label >= C would silently read another fetch-table pair.
         c = self.ctx.config.system.hierarchy.num_classes
         placements = prep.plan.placements if prep.plan is not None else ()

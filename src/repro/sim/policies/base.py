@@ -196,14 +196,6 @@ class Policy(abc.ABC):
     display_name: str = "Abstract"
     #: Table 1 row, when the policy corresponds to one.
     capabilities: PolicyCapabilities | None = None
-    #: True when :meth:`prepare` consumes no seed-dependent context
-    #: state (no access-stream order, frequencies or seeded shuffles) —
-    #: the prepared instance is then byte-identical for every
-    #: simulation seed, and the seed-sharing path
-    #: (:meth:`~repro.sim.engine.Simulator.run_seeds`) prepares once
-    #: and reuses it across seed replicas. Opt-in: the default is
-    #: conservative re-preparation per seed.
-    seed_invariant_prepare: bool = False
 
     @abc.abstractmethod
     def prepare(self, ctx: ScenarioContext) -> PreparedPolicy:

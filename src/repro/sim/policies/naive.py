@@ -22,8 +22,6 @@ class NaivePolicy(Policy):
     name = "naive"
     display_name = "Naive"
     capabilities = None  # below every Table 1 row
-    # prepare() reads nothing from the context at all.
-    seed_invariant_prepare = True
 
     def prepare(self, ctx: ScenarioContext) -> PreparedPolicy:
         """No cache plan; reads fold into the compute chain (overlap off)."""

@@ -22,8 +22,6 @@ class PerfectPolicy(Policy):
     name = "perfect"
     display_name = "Perfect / No I/O"
     capabilities = None  # not a real framework; no Table 1 row
-    # prepare() reads nothing from the context at all.
-    seed_invariant_prepare = True
 
     def prepare(self, ctx: ScenarioContext) -> PreparedPolicy:
         """Nothing to prepare — fetching is skipped entirely."""

@@ -39,8 +39,6 @@ class StagingBufferPolicy(Policy):
         hardware_independence=False,
         ease_of_use=True,
     )
-    # prepare() reads nothing from the context at all.
-    seed_invariant_prepare = True
 
     def prepare(self, ctx: ScenarioContext) -> PreparedPolicy:
         """Stream order preserved; lookahead bounded by staging capacity."""
@@ -60,8 +58,6 @@ class DoubleBufferPolicy(Policy):
         hardware_independence=False,
         ease_of_use=True,
     )
-    # prepare() uses only the constructor's prefetch depth.
-    seed_invariant_prepare = True
 
     def __init__(self, prefetch_batches: int = 2) -> None:
         if prefetch_batches < 1:

@@ -14,8 +14,8 @@ fully deterministic. This package makes that grid a first-class object:
   memoizes every cell's :class:`~repro.sim.result.SimulationResult`
   in a content-addressed cache (:class:`~repro.sweep.cache.ResultCache`)
   over a pluggable :class:`~repro.sweep.backends.CacheBackend`
-  (``dir:/path`` on disk, ``mem:`` in-process, remote stores via
-  :func:`~repro.sweep.backends.register_backend_scheme`).
+  (``dir:/path`` on disk, ``mem:`` in-process, or any backend
+  instance).
 * Sweeps stream typed progress events (cell started / cached /
   finished / unsupported) on the runner's
   :class:`~repro.sweep.events.ProgressBus` — what the CLI's
@@ -62,7 +62,6 @@ from .backends import (
     as_backend,
     memory_backend,
     parse_cache_spec,
-    register_backend_scheme,
 )
 from .cache import (
     CACHE_SCHEMA_VERSION,
@@ -167,7 +166,6 @@ __all__ = [
     "merge_manifests",
     "parse_cache_spec",
     "policy_fingerprint",
-    "register_backend_scheme",
     "resolve_executor",
     "scan_entries",
     "verify_cache",

@@ -16,11 +16,11 @@ sidecar *index* document (the hit-count ledger):
 
 Backends are named by URL-style specs (``dir:/path/to/cache``,
 ``mem:``, ``mem:shared``; a bare path means ``dir:``) parsed by
-:func:`parse_cache_spec`; :func:`register_backend_scheme` is the hook
-the ROADMAP's remote object-store backend plugs into — implement the
-protocol, register a scheme, and every consumer (``SweepRunner``,
-``Session(cache=...)``, ``python -m repro sweep run --cache``, gc,
-verify, merge) can use it unchanged.
+:func:`parse_cache_spec` — the form ``python -m repro ... --cache``
+takes. In Python, ``ResultCache`` (hence ``SweepRunner`` and
+``Session(cache=...)``) and the gc/verify/merge tooling also accept a
+live backend instance, so any other implementation of the protocol
+plugs in unchanged.
 
 Protocol semantics every implementation must honour:
 
@@ -56,7 +56,6 @@ __all__ = [
     "as_backend",
     "memory_backend",
     "parse_cache_spec",
-    "register_backend_scheme",
 ]
 
 #: Subdirectory corrupt entries are moved to (dir backends).
@@ -412,19 +411,11 @@ def _dir_backend_from_spec(rest: str) -> LocalDirBackend:
     return LocalDirBackend(rest)
 
 
-#: Spec scheme -> factory taking the text after the colon. Remote
-#: backends (the ROADMAP's shared object store) register here.
+#: Spec scheme -> factory taking the text after the colon.
 _SCHEMES: dict[str, Callable[[str], CacheBackend]] = {
     "dir": _dir_backend_from_spec,
     "mem": memory_backend,
 }
-
-
-def register_backend_scheme(scheme: str, factory: Callable[[str], CacheBackend]) -> None:
-    """Register ``scheme:rest`` specs to construct backends via ``factory``."""
-    if not scheme or not scheme.isalnum():
-        raise ConfigurationError(f"invalid backend scheme {scheme!r}")
-    _SCHEMES[scheme.lower()] = factory
 
 
 def parse_cache_spec(spec: "str | Path | CacheBackend") -> CacheBackend:
@@ -448,7 +439,7 @@ def parse_cache_spec(spec: "str | Path | CacheBackend") -> CacheBackend:
     scheme, sep, rest = spec.partition(":")
     if sep and len(scheme) > 1 and scheme.isalnum():
         # Anything shaped like a scheme must be a *known* scheme: a
-        # typo ("men:shared") or an unregistered remote backend must
+        # typo ("men:shared") or any scheme not listed here must
         # fail loudly, not silently become a junk local directory.
         # (Spell a literal path containing a colon as dir:that/path.)
         factory = _SCHEMES.get(scheme.lower())

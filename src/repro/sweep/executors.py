@@ -5,8 +5,8 @@ cache misses get simulated — it hands the pending cells to an executor
 and records whatever comes back. Three implementations ship:
 
 ``serial`` (:class:`SerialExecutor`)
-    In-process, one cell at a time — easiest to debug/profile. One
-    shared :class:`~repro.sim.engine.Simulator` per scenario reuses the
+    In-process — easiest to debug/profile. One shared
+    :class:`~repro.sim.engine.Simulator` per scenario reuses the
     expensive access streams across consecutive cells on the same
     config (Fig 8's nine policies on one scenario build their streams
     once), keeping only the *current* scenario's streams alive.
@@ -24,18 +24,18 @@ and records whatever comes back. Three implementations ship:
     sweep (``ceil(cells / max_workers)``) into contiguous chunks, so a
     one-scenario multi-seed sweep still fills every worker. Each chunk
     is one pool task: the worker rebuilds one ``Simulator`` and runs
-    the chunk's policies — across every noise seed in it — through the
-    engine's seed-sharing path
-    (:meth:`~repro.sim.engine.Simulator.run_seed`). This amortizes
-    spawn/pickle overhead and restores the serial path's stream reuse
-    under parallelism, and cells that differ only in
-    ``SimulationConfig.seed`` (the paper's Sec 7 multi-seed
-    replications) additionally share the dataset size tables, prepared
-    policies and plan scalars instead of rebuilding them per cell.
+    the chunk's cells on it. This amortizes spawn/pickle overhead and
+    restores the serial path's stream reuse under parallelism; seed
+    replicas of one scenario (the paper's Sec 7 multi-seed
+    replications) run on sibling simulators that share the dataset's
+    size table.
 
-Both pool executors run one dispatch loop and one worker function
-(:func:`_simulate_batch`; the ``process`` executor with one-cell
-batches).
+Every executor runs its cells through one batch step,
+:func:`_run_batch` (each run of cells sharing a seed is one
+:meth:`~repro.sim.engine.Simulator.run_many_seed` call): the serial
+executor in-process per scenario group, the pool executors inside one
+worker function (:func:`_simulate_batch`; the ``process`` executor with
+one-cell batches) fed by one dispatch loop.
 
 All three produce **bitwise-identical** results: every path simulates
 from the same serialized config, and the simulator is deterministic in
@@ -170,122 +170,97 @@ def _consecutive_groups(items: Sequence, key: Callable) -> Iterator[list]:
         yield group
 
 
-def _simulate_batch(
-    payload: tuple[dict[str, Any], list[tuple[int, Policy, int]], int | None],
-) -> tuple[list[tuple[int, dict[str, Any] | None, str | None, float]], BaseException | None]:
-    """Run one pool task: one Simulator, many (policy, seed) cells.
+#: One completed cell on the wire: ``(index, result_dict, error, elapsed_s)``.
+Done = tuple[int, dict[str, Any] | None, str | None, float]
 
-    The worker function of both pool executors; top-level so it
-    pickles. A batch is a scenario batch, a contiguous chunk of one
-    (the cut may fall inside a seed run — determinism makes that
-    bitwise free), or the ``process`` executor's single cell, which
-    :meth:`~repro.sim.engine.Simulator.run_seed` maps to the base
-    simulator. ``config_dict`` is the batch's first cell's config; the
-    other cells may differ only in ``seed``. Consecutive cells sharing
-    a seed run together through the engine's epoch-major multi-policy
-    path (:meth:`~repro.sim.engine.Simulator.run_many_seed`), which layers
-    the cross-policy permutation/size/noise-state sharing on top of the
-    seed sharing (dataset size tables, shareable prepared policies,
-    plan scalars) — bitwise identical to fresh per-cell runs either
-    way. Grouped cells report the group's mean per-cell wall time.
+
+def _run_seed_group(sim: Simulator, group: list[tuple[int, Policy, int]]) -> list[Done]:
+    """One epoch-major ``run_many_seed`` call over cells sharing a seed."""
+    start = time.perf_counter()
+    outcomes = sim.run_many_seed([policy for _, policy, _ in group], group[0][2])
+    elapsed = (time.perf_counter() - start) / len(group)
+    return [
+        (index, None, str(outcome), elapsed)
+        if isinstance(outcome, PolicyError)
+        else (index, outcome.to_dict(), None, elapsed)
+        for (index, _, _), outcome in zip(group, outcomes)
+    ]
+
+
+def _run_batch(
+    sim: Simulator, items: Sequence[tuple[int, Policy, int]]
+) -> tuple[list[Done], BaseException | None]:
+    """Run ``(index, policy, seed)`` cells of ``sim``'s scenario, in order.
+
+    The one batch step every executor runs. Consecutive cells sharing a
+    seed go through one epoch-major
+    :meth:`~repro.sim.engine.Simulator.run_many_seed` call, which shares
+    each epoch's permutation, size gather and noise states across their
+    policies — bitwise identical to fresh per-cell runs. Grouped cells
+    report the group's mean per-cell wall time.
 
     Returns ``(completed_cells, failure)``: on an unexpected error the
     cells that finished *before* it are returned alongside the
-    exception, so the parent can memoize them before re-raising — a
-    crash mid-batch loses only the crashing cell's work. (A group that
-    crashes re-runs its cells one at a time — determinism makes the
-    re-run bitwise free — to keep that per-cell guarantee.)
+    exception, so the caller can memoize them before re-raising. A group
+    that crashes re-runs its cells one at a time (determinism makes the
+    re-run bitwise free) to keep that per-cell guarantee.
     """
-    config_dict, items, tile_rows = payload
-    sim = Simulator(SimulationConfig.from_dict(config_dict), tile_rows=tile_rows)
-    done: list[tuple[int, dict[str, Any] | None, str | None, float]] = []
-
-    def run_one(
-        index: int, policy: Policy, seed: int
-    ) -> BaseException | None:
-        start = time.perf_counter()
-        try:
-            raw: tuple[dict[str, Any] | None, str | None] = (
-                sim.run_seed(policy, seed).to_dict(),
-                None,
-            )
-        except PolicyError as exc:
-            raw = (None, str(exc))
-        except BaseException as exc:  # noqa: BLE001 - shipped to the parent to re-raise
-            return exc
-        done.append((index, raw[0], raw[1], time.perf_counter() - start))
-        return None
-
+    done: list[Done] = []
     for group in _consecutive_groups(items, key=lambda item: item[2]):
-        if len(group) == 1:
-            failure = run_one(*group[0])
-            if failure is not None:
-                return done, failure
-            continue
-        start = time.perf_counter()
         try:
-            outcomes = sim.run_many_seed(
-                [policy for _, policy, _ in group], group[0][2]
-            )
-        except BaseException as first_exc:  # noqa: BLE001 - recover per cell
-            for index, policy, seed in group:
-                failure = run_one(index, policy, seed)
-                if failure is not None:
-                    return done, failure
-            return done, first_exc
-        elapsed = (time.perf_counter() - start) / len(group)
-        for (index, _, _), outcome in zip(group, outcomes):
-            if isinstance(outcome, PolicyError):
-                done.append((index, None, str(outcome), elapsed))
-            else:
-                done.append((index, outcome.to_dict(), None, elapsed))
+            done += _run_seed_group(sim, group)
+        except BaseException as exc:  # noqa: BLE001 - handed to the caller to re-raise
+            if len(group) > 1:
+                for item in group:
+                    try:
+                        done += _run_seed_group(sim, [item])
+                    except BaseException as cell_exc:  # noqa: BLE001 - same
+                        return done, cell_exc
+            return done, exc
     return done, None
 
 
-def _emit_completion(emit: Emit, task: CellTask, result: CellResult) -> None:
-    """Publish the finished/unsupported event for one completed cell."""
-    if result.supported:
-        emit(CellFinished(tag=task.cell.tag, index=task.index, elapsed_s=result.elapsed_s))
-    else:
-        emit(
-            CellUnsupported(
-                tag=task.cell.tag, index=task.index, error=result.error or ""
-            )
-        )
+def _simulate_batch(
+    payload: tuple[dict[str, Any], list[tuple[int, Policy, int]], int | None],
+) -> tuple[list[Done], BaseException | None]:
+    """The pool worker: rebuild the batch's Simulator, then :func:`_run_batch`.
+
+    Top-level so it pickles. A batch is a scenario batch, a contiguous
+    chunk of one (the cut may fall inside a seed run — determinism makes
+    that bitwise free), or the ``process`` executor's single cell.
+    ``config_dict`` is the batch's first cell's config; the other cells
+    may differ only in ``seed``.
+    """
+    config_dict, items, tile_rows = payload
+    sim = Simulator(SimulationConfig.from_dict(config_dict), tile_rows=tile_rows)
+    return _run_batch(sim, items)
 
 
-def _run_cell(sim: Simulator, task: CellTask, emit: Emit) -> CellResult:
-    """One cell through ``Simulator.run``, timed, completion emitted."""
-    start = time.perf_counter()
-    try:
-        raw: tuple[dict[str, Any] | None, str | None] = (
-            sim.run(task.cell.policy).to_dict(),
-            None,
+def _yield_done(
+    done: list[Done], by_index: dict[int, CellTask], emit: Emit
+) -> Iterator[CellResult]:
+    """Yield each completed cell as a :class:`CellResult`, emitting its completion."""
+    for index, result_dict, error, elapsed in done:
+        result = CellResult(
+            index=index, result_dict=result_dict, error=error, elapsed_s=elapsed
         )
-    except PolicyError as exc:
-        raw = (None, str(exc))
-    result = CellResult(
-        index=task.index,
-        result_dict=raw[0],
-        error=raw[1],
-        elapsed_s=time.perf_counter() - start,
-    )
-    _emit_completion(emit, task, result)
-    return result
+        task = by_index[index]
+        if result.supported:
+            emit(CellFinished(tag=task.cell.tag, index=index, elapsed_s=elapsed))
+        else:
+            emit(CellUnsupported(tag=task.cell.tag, index=index, error=error or ""))
+        yield result
 
 
 class SerialExecutor:
     """In-process execution with per-scenario Simulator reuse.
 
     Consecutive cells on one scenario (Fig 8's nine policies on one
-    config) run together through the engine's epoch-major
-    :meth:`~repro.sim.engine.Simulator.run_many_outcomes`, so the
-    scenario's permutations, size gathers and noise RNG states are
-    materialized once per epoch for the whole group — bitwise identical
-    to per-cell runs. Grouped cells report the group's mean per-cell
-    wall time; a group hit by an unexpected error re-runs its cells
-    one at a time so finished cells still land before the error
-    propagates.
+    config) run together through :func:`_run_batch`, so the scenario's
+    permutations, size gathers and noise RNG states are materialized
+    once per epoch for the whole group — bitwise identical to per-cell
+    runs. Finished cells of a group hit by an unexpected error still
+    yield before the error propagates.
     """
 
     name = "serial"
@@ -303,41 +278,12 @@ class SerialExecutor:
             sim = Simulator(group[0].cell.config, tile_rows=group[0].tile_rows)
             for task in group:
                 emit(CellStarted(tag=task.cell.tag, index=task.index))
-            if len(group) == 1:
-                yield _run_cell(sim, group[0], emit)
-                continue
-            start = time.perf_counter()
-            try:
-                outcomes = sim.run_many_outcomes(
-                    [task.cell.policy for task in group]
-                )
-            except BaseException:  # noqa: BLE001 - recover per cell, then re-raise
-                # Unexpected crash somewhere in the group: re-run one
-                # cell at a time (determinism makes the re-run bitwise
-                # free) so the cells before the crashing one still
-                # yield — and get memoized — before the error aborts
-                # the sweep.
-                for task in group:
-                    yield _run_cell(sim, task, emit)
-                raise
-            elapsed = (time.perf_counter() - start) / len(group)
-            for task, outcome in zip(group, outcomes):
-                if isinstance(outcome, PolicyError):
-                    result = CellResult(
-                        index=task.index,
-                        result_dict=None,
-                        error=str(outcome),
-                        elapsed_s=elapsed,
-                    )
-                else:
-                    result = CellResult(
-                        index=task.index,
-                        result_dict=outcome.to_dict(),
-                        error=None,
-                        elapsed_s=elapsed,
-                    )
-                _emit_completion(emit, task, result)
-                yield result
+            done, failure = _run_batch(
+                sim, [(t.index, t.cell.policy, t.cell.config.seed) for t in group]
+            )
+            yield from _yield_done(done, {t.index: t for t in group}, emit)
+            if failure is not None:
+                raise failure
 
 
 class _PoolExecutorBase:
@@ -377,15 +323,7 @@ class _PoolExecutorBase:
             for future in as_completed(futures):
                 try:
                     done, failure = future.result()
-                    for index, result_dict, error, elapsed in done:
-                        result = CellResult(
-                            index=index,
-                            result_dict=result_dict,
-                            error=error,
-                            elapsed_s=elapsed,
-                        )
-                        _emit_completion(emit, by_index[index], result)
-                        yield result
+                    yield from _yield_done(done, by_index, emit)
                     if failure is not None:
                         raise failure
                 except GeneratorExit:
@@ -433,7 +371,7 @@ class BatchedExecutor(_PoolExecutorBase):
     still keeps every worker busy; batches that already fit stay whole.
     Each batch or chunk is one pool task: the worker rebuilds the
     scenario's ``Simulator`` once and runs every (policy, seed) cell in
-    it through the engine's seed-sharing path.
+    it through :func:`_run_batch`.
     """
 
     name = "batched"
@@ -451,8 +389,8 @@ class BatchedExecutor(_PoolExecutorBase):
         # alive by its cell, so ids cannot be recycled mid-loop), while
         # batches key on the canonical seed-stripped JSON — equal-but-
         # distinct configs still share one batch, as do seed replicas
-        # of the same scenario (the worker re-seeds per cell through
-        # Simulator.run_seed).
+        # of the same scenario (the worker re-seeds per run of cells
+        # through Simulator.run_many_seed).
         group_keys: dict[int, str] = {}  # id(cell.config) -> seedless JSON
         batches: dict[tuple[str, int | None], list[CellTask]] = {}
         for task in tasks:

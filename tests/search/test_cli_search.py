@@ -17,7 +17,8 @@ class TestListSearchers:
     def test_list_searchers_section(self, capsys):
         assert main(["list", "searchers"]) == 0
         out = capsys.readouterr().out
-        assert "bb" in out and "halving" in out and "random" in out
+        assert "bb" in out and "random" in out
+        assert "halving" not in out
         assert "alias of bb" in out
 
     def test_list_everything_includes_searchers(self, capsys):
@@ -89,6 +90,12 @@ class TestSearchErrors:
         assert main([*SMOKE_FLAGS, "--driver", "branch_nd_bound"]) == 2
         err = capsys.readouterr().err
         assert "did you mean: branch_and_bound" in err
+
+    def test_bad_bb_relaxation_exits_2(self, capsys):
+        assert main([*SMOKE_FLAGS, "--driver", "bb:abc"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "relaxation" in err
+        assert "Traceback" not in err
 
     def test_space_conflicts_with_axis_flags(self, capsys):
         assert main([

@@ -1,4 +1,4 @@
-"""The three search drivers: correctness, pruning, budgets, timeouts."""
+"""The search drivers: correctness, pruning, budgets, timeouts."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.search import (
     CandidateOpened,
     CandidatePruned,
     Evaluator,
-    HalvingSearcher,
     IncumbentImproved,
     RandomSearcher,
     Searcher,
@@ -46,7 +45,7 @@ def exhaustive_best(space, session):
 
 class TestRegistry:
     def test_drivers_registered(self):
-        assert SEARCHERS.names() == ["bb", "halving", "random"]
+        assert SEARCHERS.names() == ["bb", "random"]
         assert "branch_and_bound" in SEARCHERS.known()
 
     def test_variant_spec_builds_relaxed_bb(self):
@@ -59,7 +58,7 @@ class TestRegistry:
             SEARCHERS.create("branch_nd_bound")
 
     def test_drivers_satisfy_protocol(self):
-        for cls in (BranchBoundSearcher, RandomSearcher, HalvingSearcher):
+        for cls in (BranchBoundSearcher, RandomSearcher):
             assert isinstance(cls(), Searcher)
 
 
@@ -89,6 +88,12 @@ class TestBranchBound:
     def test_relaxation_below_one_rejected(self):
         with pytest.raises(ConfigurationError, match="relaxation"):
             BranchBoundSearcher(relaxation=0.5)
+
+    @pytest.mark.parametrize("spec", ["bb:nan", "bb:inf", "bb:abc", "bb:0.5"])
+    def test_relaxation_must_be_finite_number_at_least_one(self, spec):
+        """NaN never prunes, inf prunes everything, text is not a number."""
+        with pytest.raises(ConfigurationError, match="finite number >= 1.0"):
+            SEARCHERS.create(spec)
 
     def test_budget_stops_early(self, smoke_space):
         manifest = run_search(smoke_space, driver="bb", budget=2)
@@ -158,36 +163,6 @@ class TestRandom:
         manifest = run_search(smoke_space, driver="random", session=mem_session)
         assert manifest.stats.evaluations == smoke_space.size()
         assert manifest.stats.status == "solved"
-
-
-class TestHalving:
-    def test_rungs_truncate_then_finish_full(self, smoke_space, mem_session):
-        manifest = run_search(smoke_space, driver="halving:2", session=mem_session)
-        truncated = [e for e in manifest.evaluations if not e.full]
-        full = [e for e in manifest.evaluations if e.full]
-        assert truncated and full
-        assert all(e.scenario.num_epochs < 4 for e in truncated)
-        assert all(e.scenario.num_epochs == 4 for e in full)
-        # the incumbent only ever comes from a full-fidelity evaluation
-        assert manifest.best.full
-        assert all(
-            manifest.evaluations[step.evaluation].full
-            for step in manifest.incumbents
-        )
-        assert manifest.stats.status == "solved"
-
-    def test_eta_validation(self):
-        with pytest.raises(ConfigurationError, match="eta"):
-            HalvingSearcher(eta=1)
-        with pytest.raises(ConfigurationError, match="min_epochs"):
-            HalvingSearcher(min_epochs=0)
-
-    def test_budget_respected(self, smoke_space, mem_session):
-        manifest = run_search(
-            smoke_space, driver="halving:2", session=mem_session, budget=5
-        )
-        assert manifest.stats.evaluations <= 5
-        assert manifest.stats.status == "budget_exhausted"
 
 
 class TestValidation:

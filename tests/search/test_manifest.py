@@ -39,7 +39,7 @@ class TestRoundTrip:
 
 
 class TestByteReproducibility:
-    @pytest.mark.parametrize("driver", ["bb", "random", "halving:2"])
+    @pytest.mark.parametrize("driver", ["bb", "random"])
     def test_identical_across_runs_and_cache_states(
         self, smoke_space, mem_session, driver
     ):

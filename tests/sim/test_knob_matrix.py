@@ -1,7 +1,7 @@
-"""Execution-knob equivalence matrix: tiling x seed sharing.
+"""Execution-knob equivalence matrix: tiling x reaching the seed via ``run_seed``.
 
-``tile_rows`` and the seed-sharing ``run_seed`` path are execution
-knobs with a bitwise-identity contract: no combination may change a
+``tile_rows`` and ``run_seed`` from a simulator on another seed are
+execution paths with a bitwise-identity contract: no combination may change a
 single simulated number. This suite pins every registered policy spec
 (canonical names plus the lineup variants) against the frozen seed
 engine (``tests/sim/reference_engine.py``) across the full knob cross
@@ -61,8 +61,8 @@ def test_knob_matrix_bitwise_identical(reference, spec, tile_rows, shared):
     config = _config()
     policy = make_policy(spec)
     if shared:
-        # Reach the target seed through another scenario's simulator,
-        # exercising the shared-prep/adopted-scalars path.
+        # Reach the target seed through a simulator on another seed,
+        # exercising run_seed's sibling-simulator path.
         base = Simulator(dataclasses.replace(config, seed=3), tile_rows=tile_rows)
         try:
             base.run(policy)  # prime the base seed's caches first

@@ -1,13 +1,15 @@
-"""Seed-sharing execution: ``run_seed``/``run_seeds`` semantics.
+"""Other seeds: ``run_seed``/``run_many_seed`` semantics.
 
-The shared path must be a pure optimization: per-seed results are
-bitwise identical to fresh ``Simulator.run()`` calls, in any
-evaluation order (no RNG state may leak from one seed's run into the
-next), and the :class:`~repro.sim.SeedShareStats` counters prove what
-was actually shared.
+Running a scenario under another seed must be bitwise identical to a
+fresh ``Simulator.run()`` on the reseeded config, in any evaluation
+order (no RNG state may leak from one seed's run into the next). The
+one state still shared across seeds is the dataset's size table: a
+sibling simulator's config is a ``dataclasses.replace`` of the base
+config, so it holds the same :class:`~repro.datasets.DatasetModel`.
 """
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -22,6 +24,7 @@ from repro.sim import (
     Simulator,
     StagingBufferPolicy,
 )
+from repro.sweep.executors import _simulate_batch
 
 SEEDS = [3, 7, 11, 19, 23]
 
@@ -51,27 +54,29 @@ class TestBitwiseEquality:
     )
     def test_run_seeds_matches_fresh_runs(self, policy):
         config = _config()
-        shared = Simulator(config).run_seeds(policy, SEEDS)
-        assert sorted(shared) == sorted(SEEDS)
+        sim = Simulator(config)
         for seed in SEEDS:
-            assert shared[seed].to_json() == _fresh(config, policy, seed), seed
+            assert sim.run_seed(policy, seed).to_json() == _fresh(
+                config, policy, seed
+            ), seed
 
     def test_no_rng_leak_across_permutations(self):
-        """Property (ISSUE 9): evaluation order never changes a result.
+        """Property: evaluation order never changes a result.
 
-        Any RNG or cache state leaking from one seed's run into the
-        next would make some permutation disagree with the fresh
-        per-seed runs.
+        One base simulator serves every shuffled order. Any RNG or
+        cache state leaking from one seed's run into the next would
+        make some permutation disagree with the fresh per-seed runs.
         """
         config = _config()
         policy = StagingBufferPolicy()
         expected = {seed: _fresh(config, policy, seed) for seed in SEEDS}
         rng = random.Random(0)
+        sim = Simulator(config)
         for _ in range(4):
             order = SEEDS[:]
             rng.shuffle(order)
-            shared = Simulator(config).run_seeds(policy, order)
-            assert {s: r.to_json() for s, r in shared.items()} == expected, order
+            shared = {seed: sim.run_seed(policy, seed).to_json() for seed in order}
+            assert shared == expected, order
 
     def test_interleaved_policies_share_cleanly(self):
         """Alternating policies between seeds must not cross-pollute."""
@@ -85,23 +90,26 @@ class TestBitwiseEquality:
                 ), (policy.name, seed)
 
     def test_own_seed_short_circuits(self):
+        """The base's own seed runs on the base; other seeds do not."""
         config = _config(seed=7)
         sim = Simulator(config)
-        assert sim.seed_variant(7) is sim
-        assert sim.run_seed(NaivePolicy(), 7).to_json() == sim.run(
-            NaivePolicy()
-        ).to_json()
+        sim.run_seed(NaivePolicy(), 3)
+        assert sim.ctx.perm_builds == 0
+        own = sim.run_seed(NaivePolicy(), 7)
+        assert sim.ctx.perm_builds == config.num_epochs
+        assert own.to_json() == Simulator(config).run(NaivePolicy()).to_json()
 
     def test_no_rng_leak_through_state_cache(self):
-        """Property (ISSUE 10): the cloned RNG path never leaks state.
+        """Property: the cloned RNG path never leaks state.
 
-        One *reused* simulator serves every shuffled order, so from the
-        second run on, every noise generator comes from the
+        The base simulator's own seed is one of the shuffled seeds, so
+        from the second order on its noise generators come from the
         generator-state cache's rewind path (half-consumed streams
-        rewound between runs). Any stale state would make some order
-        disagree with the fresh per-seed runs.
+        rewound between runs), interleaved with sibling runs on other
+        seeds. Any stale state would make some order disagree with the
+        fresh per-seed runs.
         """
-        config = _config()
+        config = _config(seed=SEEDS[2])
         policy = StagingBufferPolicy()
         expected = {seed: _fresh(config, policy, seed) for seed in SEEDS}
         rng = random.Random(1)
@@ -109,18 +117,11 @@ class TestBitwiseEquality:
         for _ in range(4):
             order = SEEDS[:]
             rng.shuffle(order)
-            shared = sim.run_seeds(policy, order)
-            assert {s: r.to_json() for s, r in shared.items()} == expected, order
-        # The reruns were served by clones, not fresh derivations.
-        variant = sim.seed_variant(SEEDS[0])
-        states = variant.plan_cache.noise_states
-        assert states.cloned > 0
-        assert states.derived == config.num_epochs * config.system.num_workers
+            shared = {seed: sim.run_seed(policy, seed).to_json() for seed in order}
+            assert shared == expected, order
 
     def test_run_many_seed_matches_fresh_runs(self):
         """The grouped epoch-major seed path == fresh per-policy runs."""
-        from repro.api import fig8_lineup
-
         config = _config()
         sim = Simulator(config)
         lineup = fig8_lineup()
@@ -132,50 +133,29 @@ class TestBitwiseEquality:
                     policy.name,
                     seed,
                 )
-            assert sim.seed_variant(seed).ctx.held_epoch is None
 
 
-class TestCounters:
-    def test_invariant_policy_prep_shared_across_seeds(self):
-        sim = Simulator(_config())
-        policy = NaivePolicy()  # seed_invariant_prepare = True
-        sim.run_seeds(policy, SEEDS)
-        assert sim.seed_share.prep_misses == 1
-        assert sim.seed_share.prep_hits == len(SEEDS) - 1
-        # None of SEEDS is the base seed, so every one spawns a variant.
-        assert sim.seed_share.variants == len(SEEDS)
+def test_seed_batch_generates_dataset_sizes_once(monkeypatch):
+    """A 4-seed Fig 8 pool batch builds the sample-size table once.
 
-    def test_seed_dependent_policy_reprepares_per_seed(self):
-        sim = Simulator(_config())
-        policy = NoPFSPolicy()  # prepare() reads the seeded streams
-        assert not policy.seed_invariant_prepare
-        sim.run_seeds(policy, SEEDS)
-        assert sim.seed_share.prep_misses == len(SEEDS)
-        assert sim.seed_share.prep_hits == 0
+    The worker builds its base simulator from the batch's first config,
+    and every other seed runs on a sibling whose config is a
+    ``dataclasses.replace`` of it — same ``DatasetModel`` instance,
+    same cached size table.
+    """
+    calls = []
+    generate = DatasetModel._generate_sizes
 
-    def test_plan_scalars_adopted_by_variants(self):
-        """Variant simulators inherit shared scalars instead of recomputing."""
-        sim = Simulator(_config())
-        sim.run_seeds(NaivePolicy(), SEEDS[:3])
-        variant = sim.seed_variant(SEEDS[1])
-        assert variant is not sim
-        assert variant.plan_cache.scalar_hits > 0
+    def spy(self):
+        calls.append(self.name)
+        return generate(self)
 
-    def test_variants_memoized(self):
-        sim = Simulator(_config())
-        assert sim.seed_variant(3) is sim.seed_variant(3)
-        assert sim.seed_share.variants == 1
-
-    def test_run_many_seed_mirrors_run_seed_counters(self):
-        """Grouped prep counters match the sequential run_seed semantics."""
-        sequential = Simulator(_config())
-        grouped = Simulator(_config())
-        policy = NaivePolicy()  # seed_invariant_prepare = True
-        for seed in SEEDS:
-            sequential.run_seed(policy, seed)
-        for seed in SEEDS:
-            grouped.run_many_seed([policy], seed)
-        for field in ("prep_misses", "prep_hits", "variants"):
-            assert getattr(grouped.seed_share, field) == getattr(
-                sequential.seed_share, field
-            ), field
+    monkeypatch.setattr(DatasetModel, "_generate_sizes", spy)
+    seeds = SEEDS[:4]
+    cells = list(itertools.product(seeds, fig8_lineup()))
+    items = [(index, policy, seed) for index, (seed, policy) in enumerate(cells)]
+    assert len(items) == 36
+    done, failure = _simulate_batch((_config(seed=seeds[0]).to_dict(), items, None))
+    assert failure is None
+    assert sorted(index for index, *_ in done) == list(range(36))
+    assert calls == ["seed-share"]

@@ -15,8 +15,9 @@ Cells: the standard demo grid plus the full Fig 8 nine-policy lineup on
 a scaled-down MNIST scenario, so every registered policy — including
 the unsupported/PolicyError path — flows through both engines.
 
-``--share-seeds`` routes every cell through the seed-sharing path
-(``Simulator.run_seed`` from a base simulator on a *different* seed),
+``--share-seeds`` routes every cell through ``Simulator.run_seed``
+from a base simulator on a *different* seed (the reseeded sibling
+simulator the sweep executors' seed replicas run on),
 and ``--run-many`` evaluates each scenario's cells together through
 the epoch-major multi-policy path (``Simulator.run_many_outcomes`` /
 ``run_many_seed``) — both execution knobs with a bitwise-identity
@@ -87,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--share-seeds", action="store_true",
         help="route every cell through Simulator.run_seed from a base "
-        "simulator on a different seed (the seed-sharing path)",
+        "simulator on a different seed (the reseeded sibling path)",
     )
     parser.add_argument(
         "--run-many", action="store_true",
