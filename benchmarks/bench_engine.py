@@ -318,10 +318,11 @@ def test_engine_seed_sharing_throughput(benchmark):
 
 # -- noise-RNG fast path (ISSUE 10) ----------------------------------------
 
-#: Required speedup of the production noise path (generator-state cache
-#: + fused lognormal draws + lazy source masks) over the frozen PR 9
-#: baseline on the noisiest N=64 cell. Measured ~1.4x; the gate keeps
-#: margin for CI jitter, not for regressions.
+#: Required speedup of the production noise path (vectorized stream
+#: seeding + draw-then-scatter kernel + lazy source masks) over the
+#: frozen baseline kernel (:func:`_pr9_apply_noise_matrix`) on the
+#: noisiest N=64 cell. Measured 1.45-1.48x; the gate keeps margin for
+#: CI jitter, not for regressions.
 NOISE_FAST_PATH_MIN_SPEEDUP = 1.15
 
 
@@ -374,7 +375,12 @@ def _pr9_apply_noise_matrix(fetch_times, sources, noise, rngs):
 
 
 def _pr9_noise_sim(config, ctx):
-    """A simulator forced onto PR 9's fresh-generator noise RNG path."""
+    """A simulator forced onto the baseline's fresh-generator noise path.
+
+    Its plan cache hands the engine one fresh ``generator()`` per worker
+    where the production path hands stream states; only
+    :func:`_frozen_noise_kernel` consumes them.
+    """
     from repro.rng import generator
 
     sim = Simulator(config, ctx=ctx)
@@ -386,7 +392,7 @@ def _pr9_noise_sim(config, ctx):
             for worker in range(rows.start, rows.stop)
         ]
 
-    sim.plan_cache.noise_generators = fresh_noise_generators
+    sim.plan_cache.noise_stream_states = fresh_noise_generators
     return sim
 
 
@@ -401,12 +407,12 @@ def test_engine_noise_fast_path(report, ab_timer):
 
     The all-PFS :class:`NaivePolicy` cell is the noisiest the engine
     runs (every sample draws PFS jitter + a tail uniform), so it
-    isolates what PR 10 changed: per-worker generators served by state
-    rewind instead of fresh SeedSequence expansion, consecutive
-    lognormal segments fused into one broadcast draw, and source masks
-    built lazily. The legacy side runs the frozen PR 9 kernel
-    (:func:`_pr9_apply_noise_matrix`) with fresh per-worker generators
-    — and must still produce byte-identical results.
+    isolates the noise path: per-tile stream states derived in one
+    vectorized pass instead of one SeedSequence expansion per worker,
+    draws collected per worker and scattered once per source, and
+    source masks built lazily. The legacy side runs the frozen baseline
+    kernel (:func:`_pr9_apply_noise_matrix`) with fresh per-worker
+    generators — and must still produce byte-identical results.
     """
     from repro.sim import engine as engine_mod
 
@@ -429,7 +435,6 @@ def test_engine_noise_fast_path(report, ab_timer):
     legacy_s, fast_s = ab_timer(run_legacy, lambda: fast.run(policy), rounds=7)
     speedup = legacy_s / fast_s
 
-    states = fast.plan_cache.noise_states
     report(
         "engine_noise_fast_path",
         "\n".join(
@@ -441,8 +446,6 @@ def test_engine_noise_fast_path(report, ab_timer):
                 f"PR 9 noise path: {legacy_s * 1e3:7.2f} ms/cell",
                 f"fast path:       {fast_s * 1e3:7.2f} ms/cell",
                 f"speedup: {speedup:.2f}x (bitwise-identical results)",
-                f"rng states: {states.derived} derived, "
-                f"{states.cloned} cloned across the repeats",
             ]
         ),
     )
@@ -457,7 +460,7 @@ def test_engine_noise_fast_path_throughput(benchmark):
     """Timing series for BENCH_engine.json: the noisiest N=64 cell
     (all-PFS naive policy) on the production fast path."""
     sim = Simulator(_scenario())
-    sim.run(NaivePolicy())  # warm scenario state + noise RNG states
+    sim.run(NaivePolicy())  # warm scenario state
     benchmark.pedantic(sim.run, args=(NaivePolicy(),), rounds=3, iterations=1)
 
 
@@ -465,9 +468,9 @@ def test_engine_noise_fast_path_throughput(benchmark):
 
 #: Peak-allocation bound (tracemalloc, MB) for the N=1024 ``run_many``:
 #: ~one epoch's matrices (a 24 MB id permutation plus the rolling size
-#: gather and band floats) and the N x E noise RNG states (~2 KB each,
-#: ~4 MB here), NOT per-policy copies. Measured ~77 MB; the bound
-#: carries allocator slack only.
+#: gather and band floats), NOT per-policy copies; noise stream states
+#: live only for the tile that draws from them. Measured ~75 MB;
+#: the bound carries allocator slack only.
 RUN_MANY_UNCACHED_PEAK_MB = 160.0
 
 #: Clairvoyant-stream lineup for the run_many tier: policies whose
@@ -482,9 +485,8 @@ def test_engine_run_many_uncached(report):
     The context keeps one epoch permutation resident, so the
     epoch-major ``run_many`` must materialize each epoch's permutation
     once for the whole policy lineup — ``perm_builds == E``, not
-    ``E x policies`` (the policy-major cost) — derive each noise state
-    once per (epoch, worker), and keep the traced peak near one
-    epoch's matrices.
+    ``E x policies`` (the policy-major cost) — and keep the traced peak
+    near one epoch's matrices.
     """
     from repro.api import make_policy
 
@@ -504,12 +506,6 @@ def test_engine_run_many_uncached(report):
     assert sim.ctx.perm_builds == config.num_epochs, (
         f"epoch-major run_many built {sim.ctx.perm_builds} permutations "
         f"for {len(policies)} policies; must be E={config.num_epochs}"
-    )
-    states = sim.plan_cache.noise_states
-    expected_states = config.num_epochs * sim.ctx.num_workers
-    assert states.derived == expected_states, (
-        f"{states.derived} noise states derived; must be "
-        f"N x E = {expected_states}"
     )
     assert peak_mb < RUN_MANY_UNCACHED_PEAK_MB, (
         f"N={PAPER_SCALE_WORKERS} run_many peaked at "
@@ -533,8 +529,6 @@ def test_engine_run_many_uncached(report):
                 f"peak {peak_mb:6.1f} MB",
                 f"permutations built: {sim.ctx.perm_builds} "
                 f"(= E, shared across the lineup)",
-                f"noise states: {states.derived} derived "
-                f"(= N x E), {states.cloned} cloned",
             ]
         ),
     )

@@ -24,6 +24,7 @@ import dataclasses
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
+from ..datasets import DatasetModel
 from ..errors import ConfigurationError, PolicyError
 from ..sim import SimulationResult
 from ..sweep.backends import CacheBackend
@@ -138,6 +139,13 @@ class Session:
         positionally — relabelling :class:`SweepCell` entries too.
         Without it, scenario entries (instances or dicts) are tagged
         with their fingerprints and cells keep their own tags.
+
+        Scenario entries whose built datasets compare equal share one
+        :class:`~repro.datasets.DatasetModel` instance, so the sweep
+        generates (and holds) each sample-size table once rather than
+        once per cell. Equal values make this invisible to tags,
+        fingerprints and cache keys. :class:`SweepCell` entries pass
+        through untouched.
         """
         if isinstance(grid, ScenarioGrid):
             if tags is not None:
@@ -149,6 +157,7 @@ class Session:
                 f"got {len(tags)} tags for {len(items)} grid entries"
             )
         cells: list[SweepCell] = []
+        datasets: dict[DatasetModel, DatasetModel] = {}
         for i, item in enumerate(items):
             if isinstance(item, SweepCell):
                 if tags is not None:
@@ -156,7 +165,13 @@ class Session:
                 cells.append(item)
                 continue
             scenario = cls.as_scenario(item)
-            cells.append(scenario.cell(tag=None if tags is None else tags[i]))
+            cell = scenario.cell(tag=None if tags is None else tags[i])
+            config = cell.config
+            dataset = datasets.setdefault(config.dataset, config.dataset)
+            if dataset is not config.dataset:
+                config = dataclasses.replace(config, dataset=dataset)
+                cell = dataclasses.replace(cell, config=config)
+            cells.append(cell)
         return as_cells(cells)
 
     # -- execution -----------------------------------------------------

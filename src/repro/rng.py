@@ -11,7 +11,9 @@ therefore flows through this module, which derives independent
 
 Two different callers asking for the same ``(seed, *key)`` always receive
 generators producing identical output; different keys give statistically
-independent streams.
+independent streams. :func:`generator_states` derives the initial PCG64
+states of a whole family ``(seed, *key, w)`` at once, for callers that
+need one stream per worker.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from typing import Iterable
 import numpy as np
 
 __all__ = [
-    "GeneratorStateCache",
     "derive_seed_sequence",
     "generator",
+    "generator_states",
     "spawn_generators",
     "DEFAULT_SEED",
 ]
@@ -68,60 +70,108 @@ def spawn_generators(seed: int, n: int, *key: object) -> list[np.random.Generato
     return [generator(seed, *key, i) for i in range(n)]
 
 
-class GeneratorStateCache:
-    """Derive each keyed stream's PCG64 state once; clone it thereafter.
+# NumPy's SeedSequence mixing constants (numpy/random/bit_generator.pyx)
+# and PCG64's 128-bit LCG multiplier. Both are covered by NumPy's stream
+# compatibility guarantee; tests/test_rng.py pins the replay below
+# against generator().
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
-    :func:`generator` pays the full ``SeedSequence`` expansion (key
-    normalization, entropy mixing, state initialization) on every call
-    — ~18us, which profiling shows is ~20% of a noisy N=64 simulator
-    cell, because the engine asks for the same ``(seed, "noise",
-    epoch, worker)`` streams again for every policy of a comparison
-    and every repeat run. This cache derives a key's *initial* PCG64
-    state once and afterwards rewinds a retained
-    :class:`~numpy.random.Generator` to that state by plain state
-    assignment (~1.4us; default-constructing a fresh ``PCG64`` would
-    re-pay OS entropy gathering and cost nearly as much as deriving).
 
-    The returned stream is therefore bitwise identical to a fresh
-    ``generator(seed, *key)`` — same bit generator, same initial state
-    — pinned by ``tests/test_rng.py``.
+def _hashmix(value, hash_const: int, mult: int = _MULT_A):
+    """SeedSequence's ``hashmix`` on a uint32 word or uint32 array.
 
-    Aliasing contract: repeated requests for one key return the *same*
-    generator object, rewound. Callers must finish consuming a key's
-    stream before requesting that key again (the engine does: noise
-    generators are drained inside the tile that requested them).
-
-    ``derived`` / ``cloned`` count the two paths, proving how much
-    sharing actually happened.
+    Returns the mixed value and the next hash constant. Python ints are
+    masked to 32 bits; uint32 arrays wrap on their own.
     """
+    value = value ^ hash_const
+    hash_const = (hash_const * mult) & _MASK32
+    value = (value * hash_const) & _MASK32
+    return value ^ (value >> 16), hash_const
 
-    def __init__(self) -> None:
-        #: (entropy, normalized key) -> (retained generator, initial state).
-        self._entries: dict[
-            tuple[int, tuple[int, ...]], tuple[np.random.Generator, dict]
-        ] = {}
-        self.derived = 0
-        self.cloned = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two uint32 words (or uint32 arrays)."""
+    result = (((_MIX_MULT_L * x) & _MASK32) - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
 
-    def generator(self, seed: int, *key: object) -> np.random.Generator:
-        """The stream for ``(seed, *key)`` — derived once, rewound after."""
-        cache_key = (int(seed), _normalize_key(key))
-        entry = self._entries.get(cache_key)
-        if entry is None:
-            self.derived += 1
-            gen = generator(seed, *key)
-            # ``.state`` returns a fresh dict, so the snapshot is
-            # immune to the generator advancing.
-            self._entries[cache_key] = (gen, gen.bit_generator.state)
-            return gen
-        self.cloned += 1
-        gen, state = entry
-        gen.bit_generator.state = state
-        return gen
 
-    def clear(self) -> None:
-        """Drop every cached stream (counters are preserved)."""
-        self._entries.clear()
+def generator_states(seed: int, *key: object, last: Iterable[int]) -> list[dict]:
+    """PCG64 states of ``generator(seed, *key, w)`` for every ``w`` in ``last``.
+
+    Entry ``i`` equals ``generator(seed, *key, last[i]).bit_generator.state``
+    — the same initial state, so a generator re-stated to it replays that
+    stream bitwise — without building one ``SeedSequence`` and ``PCG64``
+    per stream. It replays NumPy's entropy mixing word by word with the
+    last spawn-key word as a uint32 array, so the worker-independent
+    prefix ``(seed, *key)`` is mixed once in Python ints and only the
+    last word, the 8-word ``generate_state(4, uint64)`` output and
+    PCG64's two-step seeding run per entry. ``last`` holds integers
+    (int64 or uint64), masked to 32 bits as :func:`generator` masks key
+    parts.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words: list = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    # A spawned sequence zero-pads its run entropy to the pool size, so
+    # the last word always mixes in after the pool is full.
+    words += [0] * (_POOL_SIZE - len(words))
+    words += _normalize_key(key)
+    last_words = np.asarray(last)
+    if last_words.size and last_words.dtype.kind not in "iu":
+        raise TypeError(f"last key words must be integers, got {last_words.dtype}")
+    words.append((last_words.astype(np.int64, copy=False) & _MASK32).astype(np.uint32))
+
+    # SeedSequence.mix_entropy.
+    hash_const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        mixed, hash_const = _hashmix(word, hash_const)
+        pool.append(mixed)
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                mixed, hash_const = _hashmix(pool[i_src], hash_const)
+                pool[i_dst] = _mix(pool[i_dst], mixed)
+    for word in words[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            mixed, hash_const = _hashmix(word, hash_const)
+            pool[i_dst] = _mix(pool[i_dst], mixed)
+    # generate_state(4, uint64): 8 uint32 words cycling over the pool.
+    hash_const = _INIT_B
+    out = []
+    for i in range(2 * _POOL_SIZE):
+        value, hash_const = _hashmix(pool[i % _POOL_SIZE], hash_const, _MULT_B)
+        out.append(value.astype(np.uint64))
+    # Little-endian pairs -> 4 uint64 words: seed = w0:w1, increment = w2:w3.
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        (out[2 * k] | (out[2 * k + 1] << np.uint64(32))).tolist() for k in range(4)
+    )
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        # pcg64_srandom_r: inc = 2*seq + 1; state = (inc + seed) * M + inc.
+        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append(
+            {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        )
+    return states

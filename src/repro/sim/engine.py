@@ -351,7 +351,7 @@ class Simulator:
 
         Per-policy results are bitwise identical to :meth:`run`: every
         shared value is a pure function of ``(epoch, scenario)`` and
-        the noise streams rewind to the same derived states, so
+        every tile derives its noise streams' initial states afresh, so
         iteration order cannot change a bit (pinned by
         ``tests/sim/test_run_many.py``). A policy raising
         :class:`~repro.errors.PolicyError` — at prepare time or
@@ -436,9 +436,9 @@ class Simulator:
         it holds the same :class:`~repro.datasets.DatasetModel` instance
         and its materialized sample-size table (sizes derive from the
         dataset's own seed, not the simulation seed). Everything else —
-        permutations, prepared policies, plan scalars, noise states — is
-        rebuilt, so results are bitwise identical to a fresh
-        ``Simulator`` on the reseeded config.
+        permutations, prepared policies, plan scalars — is rebuilt, so
+        results are bitwise identical to a fresh ``Simulator`` on the
+        reseeded config.
         """
         if seed == self.config.seed:
             return self
@@ -579,13 +579,12 @@ class Simulator:
             index = kernels.source_index(sources)
             counts = kernels.source_totals(index)
             if cfg.noise.enabled:
-                # Per-worker streams served through the plan cache's
-                # generator-state cache: derived once per (epoch,
-                # worker), rewound for every later policy/run — bitwise
-                # identical to fresh generator() calls. Disabled noise
-                # skips the call outright (it would only copy).
-                rngs = self.plan_cache.noise_generators(plan.epoch, rows)
-                fetch = apply_noise_matrix(fetch, sources, cfg.noise, rngs, counts)
+                # The band's per-worker stream states, derived in one
+                # vectorized pass — bitwise identical to fresh
+                # generator() calls. Disabled noise skips the call
+                # outright (it would only copy).
+                states = self.plan_cache.noise_stream_states(plan.epoch, rows)
+                fetch = apply_noise_matrix(fetch, sources, cfg.noise, states, counts)
             reads = fetch + write_times(tile.sizes_mb, system)
 
             tile_bytes = kernels.source_totals(index, tile.sizes_mb)

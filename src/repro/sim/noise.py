@@ -8,8 +8,10 @@ show any of that, so the simulator multiplies fetch times by seeded,
 mean-preserving lognormal noise — heavy for PFS reads under contention,
 light for local caches — plus rare catastrophic tail events on the PFS.
 
-All noise flows through :func:`repro.rng.generator` keyed by
-``(worker, epoch)``, so simulations are exactly reproducible.
+All noise flows through the :func:`repro.rng.generator` stream keyed
+by ``("noise", epoch, worker)`` (the engine derives those streams'
+initial states a band at a time with :func:`repro.rng.generator_states`),
+so simulations are exactly reproducible.
 """
 
 from __future__ import annotations
@@ -116,43 +118,11 @@ def apply_noise(
     return out
 
 
-def _fused_unit_lognormals(
-    rng: np.random.Generator, segments: Sequence[tuple[float, int]]
-) -> list[np.ndarray]:
-    """Draws for consecutive unit-mean lognormal segments, fused.
-
-    ``segments`` is ``[(sigma, count), ...]`` with every sigma > 0 and
-    count > 0. A single broadcast ``Generator.lognormal`` over
-    per-element mean/sigma arrays consumes one standard normal per
-    element and runs each through the same scalar ``exp`` the
-    scalar-parameter call uses, so the fused draws are bitwise
-    identical to issuing one ``lognormal(mean, sigma, size)`` call per
-    segment — the sequence :func:`apply_noise` makes. (Rewriting the
-    draw as ``np.exp(mean + sigma * standard_normal(...))`` would
-    *not* be: numpy's vectorized ``np.exp`` differs from the
-    distribution code's libm ``exp`` by 1 ulp on a few permille of
-    values.) Single segments keep the cheaper scalar-parameter call.
-    """
-    if len(segments) == 1:
-        sigma, count = segments[0]
-        return [rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma, size=count)]
-    sig = np.repeat(
-        [sigma for sigma, _ in segments], [count for _, count in segments]
-    )
-    draws = rng.lognormal(mean=-0.5 * sig * sig, sigma=sig)
-    out: list[np.ndarray] = []
-    start = 0
-    for _, count in segments:
-        out.append(draws[start : start + count])
-        start += count
-    return out
-
-
 def apply_noise_matrix(
     fetch_times: np.ndarray,
     sources: np.ndarray,
     noise: NoiseConfig,
-    rngs: Sequence[np.random.Generator],
+    states: Sequence[dict],
     counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Noise for a whole epoch: ``(N, L)`` fetch/source matrices at once.
@@ -160,23 +130,27 @@ def apply_noise_matrix(
     Reproducibility pins noise to *per-worker* RNG streams
     (``generator(seed, "noise", epoch, worker)``), so the random draws
     cannot be batched across workers without changing every simulated
-    number. This kernel therefore separates the two halves: the source
-    masks, multiplier scatter and final multiply are whole-matrix
-    operations, while each worker's draws come from its own generator in
-    ``rngs`` — in exactly the order :func:`apply_noise` consumed them
-    (PFS lognormal, PFS tail Bernoulli, remote, local). Results are
-    bitwise identical to applying :func:`apply_noise` row by row.
+    number. ``states`` holds each worker's initial PCG64 state (as
+    :func:`repro.rng.generator_states` returns them); one scratch
+    generator is re-stated to each in turn and draws exactly what
+    :func:`apply_noise` drew from that worker's generator, in the same
+    order (PFS lognormal, PFS tail uniforms, remote, local) and through
+    the same scalar-parameter ``Generator`` calls. Results are bitwise
+    identical to applying :func:`apply_noise` row by row.
 
-    Three fast paths keep the per-worker loop lean without touching the
-    stream: per-worker per-source ``counts`` come from one offset-bincount
-    (:func:`~repro.sim.kernels.source_totals`, or the caller's) and a source's boolean
-    mask is only built if some worker actually scatters draws for it
-    (all-PFS cold epochs never scan for remote/local); ``sigma == 0``
-    segments short-circuit — :func:`_lognormal_mean_one` consumes
-    nothing and multiplies by exactly 1.0, so skipping the scatter is
-    bitwise neutral (PFS tail events still draw their uniforms); and a
-    worker's consecutive lognormal segments collapse into one broadcast
-    draw (:func:`_fused_unit_lognormals`).
+    The per-worker loop only draws. Everything else runs once per
+    source after it: the workers' draws are concatenated in worker
+    order, the tail events scale the PFS multipliers in one masked
+    in-place multiply, and one boolean-mask scatter writes the
+    multipliers — a row-major mask visits workers in order, so it
+    writes exactly what per-row scatters wrote. Per-worker per-source
+    ``counts`` come from one offset bincount
+    (:func:`~repro.sim.kernels.source_totals`, or the caller's), and a
+    source's mask is built only if some worker drew for it (all-PFS
+    cold epochs never scan for remote/local).
+    ``sigma == 0`` sources draw nothing: :func:`_lognormal_mean_one`
+    consumes nothing and multiplies by exactly 1.0, so skipping them is
+    bitwise neutral (PFS tail events still draw their uniforms).
     """
     times = np.asarray(fetch_times, dtype=np.float64)
     if not noise.enabled or times.size == 0:
@@ -185,10 +159,10 @@ def apply_noise_matrix(
     # subclass that forbids comparisons against absent source codes.
     src = np.asanyarray(sources)
     n = times.shape[0]
-    if len(rngs) != n:
+    if len(states) != n:
         raise ConfigurationError(
-            f"apply_noise_matrix needs one generator per worker "
-            f"({n} workers, {len(rngs)} generators)"
+            f"apply_noise_matrix needs one stream state per worker "
+            f"({n} workers, {len(states)} states)"
         )
 
     if counts is None:
@@ -199,62 +173,61 @@ def apply_noise_matrix(
     pfs_sigma = noise.pfs_sigma
     remote_sigma = noise.remote_sigma
     local_sigma = noise.local_sigma
+    pfs_mean = -0.5 * pfs_sigma * pfs_sigma
+    remote_mean = -0.5 * remote_sigma * remote_sigma
+    local_mean = -0.5 * local_sigma * local_sigma
     tail_prob = noise.pfs_tail_prob
 
-    masks: dict[int, np.ndarray] = {}
-
-    def _mask_row(code: int, worker: int) -> np.ndarray:
-        mask = masks.get(code)
-        if mask is None:
-            mask = masks[code] = src == code
-        return mask[worker]
+    pfs_counts = counts[:, pfs_code].tolist()
+    pfs_draws: list[np.ndarray] = []
+    remote_draws: list[np.ndarray] = []
+    local_draws: list[np.ndarray] = []
+    # Tail uniforms land straight in one buffer (``Generator.random``
+    # fills ``out`` exactly as it fills a fresh array).
+    tail_uniforms = np.empty(sum(pfs_counts) if tail_prob > 0 else 0)
+    tail_start = 0
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    lognormal = rng.lognormal
+    uniform = rng.random
+    for state, n_pfs, n_remote, n_local in zip(
+        states,
+        pfs_counts,
+        counts[:, remote_code].tolist(),
+        counts[:, local_code].tolist(),
+    ):
+        bit_generator.state = state
+        if n_pfs:
+            if pfs_sigma > 0:
+                pfs_draws.append(lognormal(pfs_mean, pfs_sigma, n_pfs))
+            if tail_prob > 0:
+                tail_end = tail_start + n_pfs
+                uniform(out=tail_uniforms[tail_start:tail_end])
+                tail_start = tail_end
+        if n_remote and remote_sigma > 0:
+            remote_draws.append(lognormal(remote_mean, remote_sigma, n_remote))
+        if n_local and local_sigma > 0:
+            local_draws.append(lognormal(local_mean, local_sigma, n_local))
 
     mult = np.ones_like(times)
-    for worker, rng in enumerate(rngs):
-        n_pfs = int(counts[worker, pfs_code])
-        n_remote = int(counts[worker, remote_code])
-        n_local = int(counts[worker, local_code])
-
-        pfs_draw: np.ndarray | None = None
-        remote_draw: np.ndarray | None = None
-        local_draw: np.ndarray | None = None
-        tails: np.ndarray | None = None
-        segments: list[tuple[float, int]] = []
-        codes: list[int] = []
-        if n_pfs and tail_prob > 0:
-            # The tail uniforms sit between the PFS and remote/local
-            # lognormals in the stream, so the PFS segment cannot fuse
-            # with the ones after the break.
-            if pfs_sigma > 0:
-                pfs_draw = rng.lognormal(
-                    mean=-0.5 * pfs_sigma * pfs_sigma, sigma=pfs_sigma, size=n_pfs
-                )
-            tails = rng.random(n_pfs) < tail_prob
-        elif n_pfs and pfs_sigma > 0:
-            segments.append((pfs_sigma, n_pfs))
-            codes.append(pfs_code)
-        if n_remote and remote_sigma > 0:
-            segments.append((remote_sigma, n_remote))
-            codes.append(remote_code)
-        if n_local and local_sigma > 0:
-            segments.append((local_sigma, n_local))
-            codes.append(local_code)
-        if segments:
-            for code, draw in zip(codes, _fused_unit_lognormals(rng, segments)):
-                if code == pfs_code:
-                    pfs_draw = draw
-                elif code == remote_code:
-                    remote_draw = draw
-                else:
-                    local_draw = draw
-
-        if tails is not None:
-            base = 1.0 if pfs_draw is None else pfs_draw
-            pfs_draw = np.where(tails, base * noise.pfs_tail_scale, base)
-        if pfs_draw is not None:
-            mult[worker, _mask_row(pfs_code, worker)] = pfs_draw
-        if remote_draw is not None:
-            mult[worker, _mask_row(remote_code, worker)] = remote_draw
-        if local_draw is not None:
-            mult[worker, _mask_row(local_code, worker)] = local_draw
-    return times * mult
+    if pfs_draws or tail_uniforms.size:
+        if pfs_draws:
+            pfs_mult = np.concatenate(pfs_draws)
+        else:
+            pfs_mult = np.ones(tail_uniforms.size)
+        if tail_uniforms.size:
+            # In place where the tails fire: the same products as
+            # ``np.where(tails, mult * scale, mult)``, minus two
+            # full-size temporaries.
+            np.multiply(
+                pfs_mult,
+                noise.pfs_tail_scale,
+                out=pfs_mult,
+                where=tail_uniforms < tail_prob,
+            )
+        mult[src == pfs_code] = pfs_mult
+    if remote_draws:
+        mult[src == remote_code] = np.concatenate(remote_draws)
+    if local_draws:
+        mult[src == local_code] = np.concatenate(local_draws)
+    return np.multiply(times, mult, out=mult)

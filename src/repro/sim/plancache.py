@@ -19,11 +19,11 @@ A :class:`PlanCache` hoists all of it: scalars are computed once per
 :class:`~repro.sim.policies.base.PreparedPolicy` (keyed on the prepared
 instance), the size matrix once per epoch (held in a one-epoch slot
 that the engine's epoch-major loop shares across every policy it
-runs), noise RNG initial states once per ``(epoch, worker)`` for the
-simulator's lifetime, and the cold class template once per scenario.
-Only the genuinely per-epoch work — the id permutation, warm cache-tier
-lookups, warm-up availability and noise draws — is recomputed each
-epoch.
+runs), and the cold class template once per scenario. Only the
+genuinely per-epoch work — the id permutation, warm cache-tier lookups,
+warm-up availability, the noise stream states (one vectorized
+derivation per tile, :meth:`PlanCache.noise_stream_states`) and the
+noise draws — is recomputed each epoch.
 
 Everything cached here is a value the per-epoch code used to recompute
 from the same inputs, so reuse is bitwise-neutral by construction; the
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..rng import GeneratorStateCache
+from ..rng import generator_states
 from .context import ScenarioContext
 from .policies.base import PreparedPolicy
 
@@ -109,10 +109,6 @@ class PlanCache:
         #: epoch's float matrix is ever alive.
         self._held_sizes: tuple[int, np.ndarray] | None = None
         self._cold_template: np.ndarray | None = None
-        #: Initial PCG64 states for the per-worker noise streams,
-        #: derived once per ``(epoch, worker)`` and rewound thereafter
-        #: for this cache's lifetime (see :meth:`noise_generators`).
-        self.noise_states = GeneratorStateCache()
         self.hits = 0
         self.misses = 0
 
@@ -234,28 +230,18 @@ class PlanCache:
 
     # -- per-worker noise streams --------------------------------------------
 
-    def noise_generators(
-        self, epoch: int, rows: slice
-    ) -> list[np.random.Generator]:
-        """The band's per-worker noise streams, state-cloned when warm.
+    def noise_stream_states(self, epoch: int, rows: slice) -> list[dict]:
+        """Initial PCG64 states of the band's per-worker noise streams.
 
-        One generator per worker in ``rows``, each bitwise identical to
-        a fresh ``generator(seed, "noise", epoch, worker)`` — the
-        engine's reproducibility contract — but served through the
-        scenario's :class:`~repro.rng.GeneratorStateCache`: the PCG64
-        initial state is derived once per ``(epoch, worker)`` and every
-        later request (the next policy of a ``run_many`` comparison, a
-        repeat run on this simulator) rewinds the retained generator
-        instead of re-paying the SeedSequence expansion. States stay
-        resident for the cache's lifetime: ``N * E`` of them, about
-        2 KB each.
+        One state per worker in ``rows``, each equal to a fresh
+        ``generator(seed, "noise", epoch, worker)``'s — the engine's
+        reproducibility contract — derived for the whole band in one
+        vectorized :func:`~repro.rng.generator_states` call rather than
+        one ``SeedSequence`` expansion per worker.
         """
-        seed = self.ctx.config.seed
-        states = self.noise_states
-        return [
-            states.generator(seed, "noise", epoch, worker)
-            for worker in range(rows.start, rows.stop)
-        ]
+        return generator_states(
+            self.ctx.config.seed, "noise", epoch, last=range(rows.start, rows.stop)
+        )
 
     def cold_classes(self, rows: int) -> np.ndarray:
         """Read-only ``(rows, L)`` "nothing cached" int8 template.

@@ -195,9 +195,9 @@ def _run_batch(
     The one batch step every executor runs. Consecutive cells sharing a
     seed go through one epoch-major
     :meth:`~repro.sim.engine.Simulator.run_many_seed` call, which shares
-    each epoch's permutation, size gather and noise states across their
-    policies — bitwise identical to fresh per-cell runs. Grouped cells
-    report the group's mean per-cell wall time.
+    each epoch's permutation and size gather across their policies —
+    bitwise identical to fresh per-cell runs. Grouped cells report the
+    group's mean per-cell wall time.
 
     Returns ``(completed_cells, failure)``: on an unexpected error the
     cells that finished *before* it are returned alongside the

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.api import Scenario, Session
+from repro.datasets import DatasetModel
 from repro.errors import ConfigurationError, PolicyError
 from repro.sim import Simulator
 from repro.sweep import (
@@ -121,6 +122,53 @@ class TestSweep:
         warm = session.sweep(SCENARIOS, jobs=2)  # one-off runner, same cache
         assert warm.stats.misses == 0
         assert warm.stats.hits == len(SCENARIOS)
+
+
+#: Seven Fig 8 policies that all support ``tiny(dataset="imagenet1k")``.
+SEVEN_POLICIES = (
+    "naive",
+    "staging_buffer",
+    "deepio:ordered",
+    "deepio:opportunistic",
+    "parallel_staging",
+    "locality_aware",
+    "nopfs",
+)
+
+
+class TestSharedDatasets:
+    """Equal datasets in one sweep call share one size table."""
+
+    def scenarios(self):
+        return [tiny(p, dataset="imagenet1k", scale=0.0005) for p in SEVEN_POLICIES]
+
+    def test_size_table_generated_once_per_sweep(self, monkeypatch):
+        calls = []
+        generate = DatasetModel._generate_sizes
+
+        def spy(self):
+            calls.append(self.name)
+            return generate(self)
+
+        monkeypatch.setattr(DatasetModel, "_generate_sizes", spy)
+        scenarios = self.scenarios()
+        outcome = Session().sweep(scenarios)
+        assert len(outcome.results) == len(SEVEN_POLICIES)
+        assert set(outcome.results) == {s.fingerprint() for s in scenarios}
+        assert calls == ["imagenet1k-x0.0005"]
+
+    def test_equal_datasets_share_one_instance(self):
+        cells = Session.as_cells(self.scenarios())
+        assert len({id(cell.config.dataset) for cell in cells}) == 1
+        other = Session.as_cells([tiny("naive"), tiny("nopfs", scale=0.1)])
+        assert other[0].config.dataset is not other[1].config.dataset
+
+    def test_sweep_cells_pass_through_untouched(self):
+        cells = [s.cell(tag=f"c{i}") for i, s in enumerate(self.scenarios()[:2])]
+        out = Session.as_cells([*cells, *self.scenarios()[2:4]])
+        assert out[0] is cells[0] and out[1] is cells[1]
+        assert out[0].config.dataset is not out[1].config.dataset
+        assert out[2].config.dataset is out[3].config.dataset
 
 
 class TestExecutors:

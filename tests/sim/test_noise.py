@@ -5,12 +5,17 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.perfmodel import Source
-from repro.rng import generator
+from repro.rng import generator, generator_states
 from repro.sim import NoiseConfig, apply_noise, apply_noise_matrix
 
 
 def sources(n, kind):
     return np.full(n, int(kind), dtype=np.int8)
+
+
+def stream_states(n, offset=0):
+    """Initial states of ``generator(0, "noise", 1, w)`` for ``n`` workers."""
+    return generator_states(0, "noise", 1, last=range(offset, offset + n))
 
 
 class TestConfig:
@@ -101,6 +106,15 @@ class TestApply:
 class TestApplyNoiseMatrix:
     """The whole-epoch form must replay the per-worker RNG streams."""
 
+    def _assert_rows_replay(self, out, times, src, cfg, offset=0, label=""):
+        for w in range(times.shape[0]):
+            row_rng = generator(0, "noise", 1, offset + w)
+            np.testing.assert_array_equal(
+                out[w],
+                apply_noise(times[w], src[w], cfg, row_rng),
+                err_msg=f"{label} worker {offset + w}",
+            )
+
     def _matrices(self, n=4, length=96, seed=13):
         rng = np.random.default_rng(seed)
         times = rng.random((n, length)) + 1e-3
@@ -110,13 +124,23 @@ class TestApplyNoiseMatrix:
     def test_bitwise_matches_per_worker_apply_noise(self):
         times, src = self._matrices()
         cfg = NoiseConfig()
-        rngs = [generator(0, "noise", 1, w) for w in range(times.shape[0])]
-        out = apply_noise_matrix(times, src, cfg, rngs)
-        for w in range(times.shape[0]):
-            row_rng = generator(0, "noise", 1, w)
-            np.testing.assert_array_equal(
-                out[w], apply_noise(times[w], src[w], cfg, row_rng)
-            )
+        out = apply_noise_matrix(times, src, cfg, stream_states(times.shape[0]))
+        self._assert_rows_replay(out, times, src, cfg)
+
+    def test_band_at_worker_offset_mixes_every_source(self):
+        """A band starting at worker 37: all three sources, tail events
+        and a zero-sigma source in one call replay the absolute streams."""
+        cfg = NoiseConfig(pfs_tail_prob=0.2, remote_sigma=0.0)
+        times, src = self._matrices(n=6, length=128, seed=5)
+        for code in (Source.PFS, Source.REMOTE, Source.LOCAL):
+            assert (src == int(code)).any(axis=1).all()
+        offset = 37
+        out = apply_noise_matrix(times, src, cfg, stream_states(6, offset))
+        self._assert_rows_replay(out, times, src, cfg, offset=offset)
+        pfs = src == int(Source.PFS)
+        assert (out[pfs] / times[pfs] > 5.0).any()  # tail events fired
+        remote = src == int(Source.REMOTE)
+        np.testing.assert_array_equal(out[remote], times[remote])
 
     def test_disabled_noise_is_a_copy(self):
         times, src = self._matrices()
@@ -127,12 +151,12 @@ class TestApplyNoiseMatrix:
     def test_generator_count_must_match_workers(self):
         times, src = self._matrices(n=3)
         with pytest.raises(ConfigurationError):
-            apply_noise_matrix(times, src, NoiseConfig(), [generator(0, "n", 0)])
+            apply_noise_matrix(times, src, NoiseConfig(), stream_states(1))
 
-    #: Configs steering every short-circuit in the fused kernel: the
-    #: default (tail break between PFS and remote/local), no tails
-    #: (PFS fuses with the rest), sigma-zero segments that must consume
-    #: nothing, tails with jitterless PFS, and everything off.
+    #: Configs steering every short-circuit in the kernel: the default
+    #: (tail uniforms between PFS and remote/local), no tails,
+    #: sigma-zero sources that must consume nothing, tails with
+    #: jitterless PFS, and everything off.
     CONFIGS = {
         "default": NoiseConfig(),
         "no-tails": NoiseConfig(pfs_tail_prob=0.0),
@@ -174,15 +198,10 @@ class TestApplyNoiseMatrix:
         cfg = self.CONFIGS[cfg_name]
         times, _ = self._matrices()
         for layout, src in self._source_layouts().items():
-            rngs = [generator(0, "noise", 1, w) for w in range(times.shape[0])]
-            out = apply_noise_matrix(times, src, cfg, rngs)
-            for w in range(times.shape[0]):
-                row_rng = generator(0, "noise", 1, w)
-                np.testing.assert_array_equal(
-                    out[w],
-                    apply_noise(times[w], src[w], cfg, row_rng),
-                    err_msg=f"{cfg_name} / {layout} / worker {w}",
-                )
+            out = apply_noise_matrix(times, src, cfg, stream_states(times.shape[0]))
+            self._assert_rows_replay(
+                out, times, src, cfg, label=f"{cfg_name} / {layout} /"
+            )
 
     def test_absent_classes_skip_mask_construction(self):
         """The micro-fix: all-PFS rows never scan for remote/local."""
@@ -198,58 +217,28 @@ class TestApplyNoiseMatrix:
         guarded = src.view(_NoCompare)
         with pytest.raises(AssertionError):
             guarded == int(Source.REMOTE)  # the guard itself is live
-        rngs = [generator(0, "noise", 1, w) for w in range(times.shape[0])]
-        out = apply_noise_matrix(times, guarded, NoiseConfig(), rngs)
+        out = apply_noise_matrix(
+            times, guarded, NoiseConfig(), stream_states(times.shape[0])
+        )
         assert out.shape == times.shape
 
     def test_stream_not_consumed_for_sigma_zero(self):
-        """sigma==0 segments draw nothing, keeping streams aligned."""
+        """sigma==0 sources draw nothing, keeping streams aligned: with
+        jitterless PFS and remote ahead of local in the stream, the
+        local draws replay :func:`apply_noise` only if nothing before
+        them consumed the stream."""
+        times, src = self._matrices()
         cfg = NoiseConfig(
             pfs_sigma=0.0, remote_sigma=0.0, local_sigma=0.0, pfs_tail_prob=0.0
         )
-        times, src = self._matrices()
-        rngs = [generator(0, "noise", 1, w) for w in range(times.shape[0])]
-        out = apply_noise_matrix(times, src, cfg, rngs)
+        out = apply_noise_matrix(times, src, cfg, stream_states(times.shape[0]))
         np.testing.assert_array_equal(out, times)
-        for w, rng in enumerate(rngs):
-            assert rng.random() == generator(0, "noise", 1, w).random()
-
-
-class TestFusedUnitLognormals:
-    """The fused broadcast draw must equal consecutive scalar-sigma calls."""
-
-    def _sequential(self, rng, segments):
-        return [
-            rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma, size=count)
-            for sigma, count in segments
-        ]
-
-    @pytest.mark.parametrize(
-        "segments",
-        [
-            [(0.45, 37)],
-            [(0.45, 37), (0.08, 11)],
-            [(0.45, 1), (0.08, 1), (0.03, 1)],
-            [(0.45, 200), (0.08, 50), (0.03, 129)],
-            [(1.7, 3), (0.0001, 3)],
-        ],
-        ids=lambda s: "+".join(f"{sig}x{n}" for sig, n in s),
-    )
-    def test_bitwise_matches_sequential_draws(self, segments):
-        from repro.sim.noise import _fused_unit_lognormals
-
-        fused = _fused_unit_lognormals(generator(2, "fuse"), segments)
-        expected = self._sequential(generator(2, "fuse"), segments)
-        assert len(fused) == len(expected)
-        for got, want in zip(fused, expected):
-            np.testing.assert_array_equal(got, want)
-
-    def test_leaves_stream_where_sequential_does(self):
-        from repro.sim.noise import _fused_unit_lognormals
-
-        segments = [(0.45, 8), (0.08, 5), (0.03, 3)]
-        fused_rng = generator(3, "fuse")
-        _fused_unit_lognormals(fused_rng, segments)
-        seq_rng = generator(3, "fuse")
-        self._sequential(seq_rng, segments)
-        assert fused_rng.random() == seq_rng.random()
+        cfg = NoiseConfig(pfs_sigma=0.0, remote_sigma=0.0, pfs_tail_prob=0.0)
+        out = apply_noise_matrix(times, src, cfg, stream_states(times.shape[0]))
+        self._assert_rows_replay(out, times, src, cfg)
+        local = src == int(Source.LOCAL)
+        assert not np.array_equal(out[local], times[local])
+        first_local = int(np.argmax(local[0]))
+        assert out[0, first_local] / times[0, first_local] == (
+            generator(0, "noise", 1, 0).lognormal(-0.5 * 0.03**2, 0.03)
+        )

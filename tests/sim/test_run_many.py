@@ -1,18 +1,18 @@
 """Epoch-major ``run_many`` is bitwise-identical to per-policy ``run``.
 
 The sharing contract: :meth:`Simulator.run_many_outcomes` iterates
-epochs outermost so each epoch's permutation, size gather and noise RNG
-states are materialized once and shared by every policy, while the
-context keeps only one epoch permutation resident. This suite pins, for
-every registered policy spec:
+epochs outermost so each epoch's permutation and size gather are
+materialized once and shared by every policy, while the context keeps
+only one epoch permutation resident. Every policy draws from the same
+per-``(epoch, worker)`` noise streams. This suite pins, for every
+registered policy spec:
 
 * byte-identical results (or identical ``PolicyError`` messages)
   against a fresh per-policy ``Simulator.run``;
 * the sharing counters — permutations built once per epoch
-  (``perm_builds == E``, not ``E x P``), noise states derived once per
-  ``(epoch, worker)``;
+  (``perm_builds == E``, not ``E x P``);
 * the resident permutation slot drains afterwards (``held_epoch is
-  None``) while the noise states stay for the simulator's lifetime.
+  None``).
 
 A second part pins how many permutations ``run`` (policy by policy), the
 reference engine and the lineup's lower bounds build on the search-bb
@@ -138,19 +138,6 @@ def test_permutations_built_once_per_epoch(shared, scenario):
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_rolling_slots_released(shared, scenario):
     assert shared[scenario]["sim"].ctx.held_epoch is None
-
-
-def test_noise_states_derived_once_per_epoch_worker(shared):
-    """N x E derives total; every further request is a state clone."""
-    config = SCENARIOS["default"]
-    sim = shared["default"]["sim"]
-    states = sim.plan_cache.noise_states
-    n = config.system.num_workers
-    assert states.derived == n * config.num_epochs
-    # Several noisy policies per epoch -> the clone path dominates.
-    assert states.cloned >= states.derived
-    # States stay resident for the simulator's lifetime.
-    assert len(states) == n * config.num_epochs
 
 
 def test_size_gathers_shared_across_policies(shared):

@@ -100,14 +100,13 @@ class TestBitwiseEquality:
         assert own.to_json() == Simulator(config).run(NaivePolicy()).to_json()
 
     def test_no_rng_leak_through_state_cache(self):
-        """Property: the cloned RNG path never leaks state.
+        """Property: repeat runs on one simulator never leak RNG state.
 
         The base simulator's own seed is one of the shuffled seeds, so
-        from the second order on its noise generators come from the
-        generator-state cache's rewind path (half-consumed streams
-        rewound between runs), interleaved with sibling runs on other
-        seeds. Any stale state would make some order disagree with the
-        fresh per-seed runs.
+        its repeat runs (every tile re-stating the noise kernel's
+        scratch generator to freshly derived stream states) interleave
+        with sibling runs on other seeds. Any stale state would make
+        some order disagree with the fresh per-seed runs.
         """
         config = _config(seed=SEEDS[2])
         policy = StagingBufferPolicy()

@@ -5,6 +5,7 @@ the scenarios a downstream user actually runs.
 """
 
 import threading
+import time
 
 import numpy as np
 
@@ -186,6 +187,22 @@ class TestSimulatorRuntimeAgreement:
             staging_bytes=4096,
         )
         with grp:
+            # Consume only once every rank's tier prefetch has attempted
+            # its whole list: the warm epochs then find their samples
+            # cached whatever the thread timing, and only the staging
+            # buffer's head start (about 4096 bytes of samples) can
+            # have come from the dataset.
+            planned = [
+                sum(len(ids) for ids in job.plan.tier_prefetch_lists(job.rank))
+                for job in grp.jobs
+            ]
+            deadline = time.monotonic() + 60.0
+            while any(
+                job.metadata.progress < n for job, n in zip(grp.jobs, planned)
+            ):
+                assert not grp.errors(), grp.errors()
+                assert time.monotonic() < deadline, "tier prefetch stalled"
+                time.sleep(0.005)
             stats = grp.run_consumers()
         for job, s in zip(grp.jobs, stats):
             # With full-coverage caches, dataset reads are bounded by

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import rng
 
@@ -75,60 +77,65 @@ KEY_SHAPES = [
 ]
 
 
-class TestGeneratorStateCache:
-    def test_clone_bitwise_matches_fresh_across_key_shapes(self):
-        """Property (ISSUE 10): a state-cloned stream == a fresh stream.
+#: Root seeds around every word boundary of SeedSequence's entropy
+#: coercion (one, two, three and five uint32 words), plus the default.
+STATE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 17, rng.DEFAULT_SEED]
 
-        For every key shape, both the first (derived) and every later
-        (rewound) request must reproduce ``generator(seed, *key)``'s
-        stream exactly — across the draw kinds the engine consumes
-        (lognormal, uniform, standard normal).
-        """
-        cache = rng.GeneratorStateCache()
-        for seed, key in KEY_SHAPES:
-            def draws(g):
-                return (g.lognormal(0.0, 0.3, 16), g.random(8), g.standard_normal(4))
-            fresh = draws(rng.generator(seed, *key))
-            for trip in ("derived", "cloned", "cloned-again"):
-                got = draws(cache.generator(seed, *key))
-                for a, b in zip(got, fresh):
-                    np.testing.assert_array_equal(a, b, err_msg=f"{key} {trip}")
+#: Last key words, masked to 32 bits like every key part (2**32 -> 0).
+LAST_WORDS = [0, 1, 2**32 - 1, 2**32]
 
-    def test_rewinds_consumed_state(self):
-        """A half-consumed stream rewinds to its start on re-request."""
-        cache = rng.GeneratorStateCache()
-        first = cache.generator(9, "noise", 0, 0)
-        first.random(1000)  # advance arbitrarily far
-        again = cache.generator(9, "noise", 0, 0)
-        np.testing.assert_array_equal(
-            again.random(32), rng.generator(9, "noise", 0, 0).random(32)
-        )
 
-    def test_same_object_rewound(self):
-        """The cache retains one generator per key (the cheap path)."""
-        cache = rng.GeneratorStateCache()
-        assert cache.generator(9, "n", 0) is cache.generator(9, "n", 0)
+def _fresh_state(seed, key, last):
+    return rng.generator(seed, *key, last).bit_generator.state
 
-    def test_counters(self):
-        cache = rng.GeneratorStateCache()
-        cache.generator(9, "noise", 0, 0)
-        cache.generator(9, "noise", 0, 1)
-        cache.generator(9, "noise", 0, 0)
-        cache.generator(9, "noise", 0, 1)
-        assert cache.derived == 2
-        assert cache.cloned == 2
-        assert len(cache) == 2
 
-    def test_distinct_keys_distinct_streams(self):
-        cache = rng.GeneratorStateCache()
-        a = cache.generator(9, "noise", 0, 0).random(50)
-        b = cache.generator(9, "noise", 0, 1).random(50)
-        assert not np.array_equal(a, b)
+class TestGeneratorStates:
+    @pytest.mark.parametrize("seed", STATE_SEEDS)
+    def test_equals_fresh_generator_states(self, seed):
+        for _, key in [*KEY_SHAPES, (None, ())]:
+            states = rng.generator_states(seed, *key, last=LAST_WORDS)
+            assert len(states) == len(LAST_WORDS)
+            for last, state in zip(LAST_WORDS, states):
+                assert state == _fresh_state(seed, key, last), (seed, key, last)
 
-    def test_clear_preserves_counters(self):
-        cache = rng.GeneratorStateCache()
-        cache.generator(9, "n")
-        cache.generator(9, "n")
-        cache.clear()
-        assert len(cache) == 0
-        assert (cache.derived, cache.cloned) == (1, 1)
+    def test_restated_generator_replays_stream(self):
+        """A generator re-stated to a derived state draws the fresh stream."""
+        seed, key = KEY_SHAPES[-1]
+        scratch = np.random.Generator(np.random.PCG64(0))
+        for last, state in enumerate(rng.generator_states(seed, *key, last=range(3))):
+            scratch.bit_generator.state = state
+            fresh = rng.generator(seed, *key, last)
+            np.testing.assert_array_equal(
+                scratch.lognormal(0.0, 0.3, 16), fresh.lognormal(0.0, 0.3, 16)
+            )
+            np.testing.assert_array_equal(scratch.random(8), fresh.random(8))
+
+    def test_accepts_integer_arrays(self):
+        words = np.array([5, 2**32 + 5], dtype=np.uint64)
+        a, b = rng.generator_states(9, "noise", 0, last=words)
+        assert a == b == _fresh_state(9, ("noise", 0), 5)
+        assert rng.generator_states(9, "noise", last=np.arange(0)) == []
+
+    def test_negative_seed_raises_like_generator(self):
+        with pytest.raises(ValueError) as fresh:
+            rng.generator(-1, "noise", 0)
+        with pytest.raises(type(fresh.value), match=str(fresh.value)):
+            rng.generator_states(-1, "noise", last=[0])
+
+    def test_bad_key_type(self):
+        with pytest.raises(TypeError):
+            rng.generator_states(1, 3.14, last=[0])
+        with pytest.raises(TypeError):
+            rng.generator_states(1, "noise", last=[0.5])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**160 - 1),
+        key=st.lists(
+            st.one_of(st.integers(-(2**40), 2**40), st.text(max_size=6)), max_size=5
+        ),
+        last=st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=4),
+    )
+    def test_property_equals_fresh_generator_states(self, seed, key, last):
+        states = rng.generator_states(seed, *key, last=last)
+        assert states == [_fresh_state(seed, key, w) for w in last]

@@ -13,14 +13,13 @@ by phase:
     :class:`~repro.sim.engine.FetchTable`. Per tile, the pair index is
     billed to ``accumulate`` and the table gathers to ``other``.
 ``rng``
-    Noise generator construction — the state-cached
-    :meth:`~repro.sim.plancache.PlanCache.noise_generators` path, or
-    (with ``--fresh-rng``) the historical fresh
-    :func:`repro.rng.generator` per worker, so the fast path's RNG
-    share is measurable before/after.
+    Noise stream seeding — the vectorized
+    :meth:`~repro.sim.plancache.PlanCache.noise_stream_states` path, or
+    (with ``--fresh-rng``) one fresh :func:`repro.rng.generator` per
+    worker, so the seeding share is measurable both ways.
 ``noise``
     :func:`~repro.sim.noise.apply_noise_matrix` — the draws and the
-    multiplier scatter (generator construction excluded; see ``rng``).
+    multiplier scatter (stream seeding excluded; see ``rng``).
 ``accumulate``
     The :mod:`repro.sim.kernels` functions (batch totals, source
     totals, row accumulation, latency add, interference, warm-up
@@ -32,7 +31,8 @@ noise model's source histogram, the warm-up hash) is billed to the
 outer one only. The tool only *observes* — every wrapper calls
 straight through and the patched module attributes are restored
 afterwards — so the simulated results are the production engine's,
-bitwise.
+bitwise. ``result_sha256`` digests the last run's canonical JSON, so
+the two RNG modes can be checked for identical results.
 
 Usage::
 
@@ -43,6 +43,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -114,15 +115,17 @@ def profile_cell(args: argparse.Namespace) -> dict:
     if args.fresh_rng:
         seed = config.seed
 
-        def fresh_noise_generators(epoch: int, rows: slice):
+        def fresh_noise_states(epoch: int, rows: slice) -> list[dict]:
             return [
-                generator(seed, "noise", epoch, worker)
+                generator(seed, "noise", epoch, worker).bit_generator.state
                 for worker in range(rows.start, rows.stop)
             ]
 
-        sim.plan_cache.noise_generators = timed(fresh_noise_generators, "rng")
+        sim.plan_cache.noise_stream_states = timed(fresh_noise_states, "rng")
     else:
-        sim.plan_cache.noise_generators = timed(sim.plan_cache.noise_generators, "rng")
+        sim.plan_cache.noise_stream_states = timed(
+            sim.plan_cache.noise_stream_states, "rng"
+        )
 
     policy = make_policy(args.policy)
     # (module, attribute, phase) for every module-level callable the
@@ -144,7 +147,7 @@ def profile_cell(args: argparse.Namespace) -> dict:
             setattr(module, name, timed(getattr(module, name), bucket))
         for _ in range(args.repeats):
             start = time.perf_counter()
-            sim.run(policy)
+            result = sim.run(policy)
             total += time.perf_counter() - start
     finally:
         for module, name, fn in saved:
@@ -152,7 +155,7 @@ def profile_cell(args: argparse.Namespace) -> dict:
 
     covered = sum(phases.values())
     phases["other"] = max(0.0, total - covered)
-    states = sim.plan_cache.noise_states
+    canonical = json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
     return {
         "policy": policy.name,
         "scenario": config.scenario,
@@ -162,14 +165,14 @@ def profile_cell(args: argparse.Namespace) -> dict:
         "epochs": args.epochs,
         "seed": args.seed,
         "repeats": args.repeats,
-        "rng_mode": "fresh" if args.fresh_rng else "state-cache",
+        "rng_mode": "fresh" if args.fresh_rng else "vectorized",
         "total_s": total,
         "phases_s": dict(phases),
         "shares": {
             name: (seconds / total if total > 0 else 0.0)
             for name, seconds in phases.items()
         },
-        "rng_states": {"derived": states.derived, "cloned": states.cloned},
+        "result_sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
     }
 
 
@@ -192,13 +195,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--fresh-rng", action="store_true",
-        help="build noise generators fresh per worker (the pre-state-cache "
-        "path) instead of through the generator-state cache",
+        help="seed each worker's noise stream with a fresh generator() "
+        "instead of one vectorized generator_states() call per tile",
     )
     parser.add_argument(
         "--json", action="store_true", help="emit the breakdown as JSON"
     )
     args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
     report = profile_cell(args)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -212,8 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         seconds = report["phases_s"][name]
         share = report["shares"][name]
         print(f"  {name:<12} {seconds * 1e3:9.2f} ms  {share:6.1%}")
-    states = report["rng_states"]
-    print(f"  rng states   derived={states['derived']} cloned={states['cloned']}")
+    print(f"  result       sha256 {report['result_sha256']}")
     return 0
 
 
