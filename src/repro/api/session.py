@@ -13,6 +13,10 @@ cache backend) behind two verbs:
   :class:`Scenario` s (tags default to their fingerprints). ``shard``
   runs only this host's deterministic slice.
 
+A session keeps one runner, so one configuration, for its whole life;
+a different worker count, executor, cache or tile height means a
+second session.
+
 The engine, the sweep CLI, the figure modules and any future job-queue
 service all sit on the same runner underneath, so results and cache
 entries are interchangeable across every path.
@@ -59,10 +63,12 @@ class Session:
         batched otherwise). Results are bitwise-identical across all
         built-in executors.
     cache:
-        Alternative to ``cache_dir``: a cache spec string
-        (``dir:/path``, ``mem:``, ``mem:shared``) or a live
-        :class:`~repro.sweep.backends.CacheBackend` — the seam remote
-        cache stores plug into.
+        Alternative to ``cache_dir``: a live
+        :class:`~repro.sweep.backends.CacheBackend` (e.g. an
+        :class:`~repro.sweep.backends.InMemoryBackend`) or
+        :class:`~repro.sweep.cache.ResultCache` instance — the seam
+        other cache stores plug into. Sessions that share the instance
+        share its entries.
     tile_rows:
         Engine streaming tile height (worker rows per execute-phase
         band) to bound peak memory on paper-scale scenarios; ``None``
@@ -76,10 +82,9 @@ class Session:
         cache_dir: str | Path | None = None,
         *,
         executor: "str | Executor | None" = None,
-        cache: "str | Path | CacheBackend | ResultCache | None" = None,
+        cache: "CacheBackend | ResultCache | None" = None,
         tile_rows: int | None = None,
     ) -> None:
-        self._executor_spec = executor
         self._runner = SweepRunner(
             n_jobs=jobs,
             cache_dir=cache_dir,
@@ -198,53 +203,20 @@ class Session:
         tags: Sequence[Hashable] | None = None,
         shard: ShardSpec | str | None = None,
         strategy: str = "round_robin",
-        jobs: int | None = None,
-        cache_dir: str | Path | None = None,
-        executor: "str | Executor | None" = None,
-        cache: "str | Path | CacheBackend | ResultCache | None" = None,
-        tile_rows: int | None = None,
         on_event: Callable[[SweepEvent], None] | None = None,
     ) -> SweepOutcome:
         """Evaluate a grid (optionally one shard of it) and collect results.
 
-        ``jobs`` / ``cache_dir`` / ``executor`` / ``cache`` /
-        ``tile_rows`` override the session's configuration for this
-        call only (a one-off runner executes the
-        sweep on the session's progress bus; its counters are folded
-        into :attr:`stats` so the session totals stay complete).
         ``on_event`` subscribes a progress listener for just this sweep
         — every cell lifecycle transition (:mod:`repro.sweep.events`)
         is delivered to it.
         """
-        runner = self._runner
-        if any(v is not None for v in (jobs, cache_dir, executor, cache, tile_rows)):
-            if cache is None and cache_dir is None:
-                # Inherit the session's cache *object* so overridden
-                # sweeps still share its entries (and its backend).
-                cache = self._runner.cache
-            runner = SweepRunner(
-                n_jobs=self._runner.n_jobs if jobs is None else jobs,
-                cache_dir=cache_dir,
-                cache=cache,
-                # An explicit per-call executor wins; otherwise re-derive
-                # from the session's spec so a jobs override still picks
-                # the right default (serial for 1, batched above).
-                executor=executor if executor is not None else self._executor_spec,
-                bus=self._runner.bus,
-                tile_rows=(
-                    self._runner.tile_rows if tile_rows is None else tile_rows
-                ),
-            )
-        unsubscribe = None if on_event is None else runner.bus.subscribe(on_event)
+        unsubscribe = None if on_event is None else self.bus.subscribe(on_event)
         try:
             cells = self.as_cells(grid, tags=tags)
             if shard is not None:
-                outcome = runner.run_shard(cells, shard, strategy)
-            else:
-                outcome = runner.run(cells)
+                return self._runner.run_shard(cells, shard, strategy)
+            return self._runner.run(cells)
         finally:
             if unsubscribe is not None:
                 unsubscribe()
-        if runner is not self._runner:
-            self._runner.lifetime.accumulate(outcome.stats)
-        return outcome

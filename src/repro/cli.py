@@ -112,12 +112,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .api import Session
 
     scenario = build_scenario_from_args(args)
-    session = Session(
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        executor=args.executor,
-        cache=args.cache,
-    )
+    session = Session(jobs=args.jobs, cache_dir=args.cache_dir, executor=args.executor)
     result = session.run(scenario)
     print(f"scenario: {scenario.label} [{result.scenario}] scale={scenario.scale}")
     print(f"fingerprint: {scenario.fingerprint()}")
@@ -143,6 +138,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _configure_run(sub) -> None:
+    from .sweep.executors import EXECUTORS
+
     run = sub.add_parser("run", help="simulate one scenario (registry flags or JSON)")
     run.add_argument("--scenario", default=None, metavar="FILE|JSON",
                      help="scenario as a JSON file path or inline JSON object")
@@ -161,11 +158,7 @@ def _configure_run(sub) -> None:
     run.add_argument("--jobs", type=int, default=1, help="worker processes")
     run.add_argument("--cache-dir", default=None, help="memoize results here")
     run.add_argument(
-        "--cache", default=None, metavar="SPEC",
-        help="cache backend spec (dir:/path, mem:NAME); alternative to --cache-dir",
-    )
-    run.add_argument(
-        "--executor", choices=("serial", "process", "batched"), default=None,
+        "--executor", choices=EXECUTORS, default=None,
         help="sweep execution strategy (default: derived from --jobs)",
     )
     run.add_argument("--json", default=None, metavar="FILE|-",
@@ -272,12 +265,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     from .search import SearchEvent, run_search
 
     space = build_space_from_args(args)
-    session = Session(
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        executor=args.executor,
-        cache=args.cache,
-    )
+    session = Session(jobs=args.jobs, cache_dir=args.cache_dir, executor=args.executor)
     on_event = None
     if args.progress:
 
@@ -317,6 +305,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _configure_search(sub) -> None:
     from .rng import DEFAULT_SEED
+    from .sweep.executors import EXECUTORS
 
     search = sub.add_parser(
         "search", help="search a scenario/policy space (branch-and-bound or baselines)"
@@ -348,11 +337,7 @@ def _configure_search(sub) -> None:
     search.add_argument("--jobs", type=int, default=1, help="worker processes")
     search.add_argument("--cache-dir", default=None, help="memoize evaluations here")
     search.add_argument(
-        "--cache", default=None, metavar="SPEC",
-        help="cache backend spec (dir:/path, mem:NAME); alternative to --cache-dir",
-    )
-    search.add_argument(
-        "--executor", choices=("serial", "process", "batched"), default=None,
+        "--executor", choices=EXECUTORS, default=None,
         help="sweep execution strategy (default: derived from --jobs)",
     )
     search.add_argument("--manifest", default=None, metavar="FILE",
@@ -411,10 +396,21 @@ def _configure_list(sub) -> None:
 # -- parser ------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that never matches a flag by its prefix.
+
+    Subparsers inherit the class, so every subcommand rejects an unknown
+    flag (exit 2) instead of reading it as the flag it abbreviates.
+    """
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     from .sweep import cli as sweep_cli
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="python -m repro",
         description="NoPFS reproduction: scenarios, sweeps, caches, experiments.",
         epilog="Figure regeneration: python -m repro experiments --help",

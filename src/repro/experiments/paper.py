@@ -22,7 +22,7 @@ from typing import Any, Callable, Mapping
 
 from ..errors import ConfigurationError
 from ..rng import DEFAULT_SEED
-from ..sweep import SweepCell, SweepRunner, SweepStats
+from ..sweep import EXECUTORS, SweepCell, SweepRunner, SweepStats
 from .common import render_result, resolve_runner
 
 __all__ = [
@@ -368,18 +368,15 @@ def main(argv: list[str] | None = None) -> None:  # pragma: no cover - CLI entry
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="Regenerate the paper's figures through the shared sweep engine."
+        description="Regenerate the paper's figures through the shared sweep engine.",
+        allow_abbrev=False,
     )
     parser.add_argument("--jobs", type=int, default=1, help="sweep worker processes")
     parser.add_argument(
         "--cache-dir", default=None, help="on-disk result cache (default: no cache)"
     )
     parser.add_argument(
-        "--cache", default=None, metavar="SPEC",
-        help="cache backend spec (dir:/path, mem:NAME); alternative to --cache-dir",
-    )
-    parser.add_argument(
-        "--executor", choices=("serial", "process", "batched"), default=None,
+        "--executor", choices=EXECUTORS, default=None,
         help="sweep execution strategy (default: derived from --jobs)",
     )
     parser.add_argument("--profile", choices=("quick", "full"), default="quick")
@@ -398,12 +395,7 @@ def main(argv: list[str] | None = None) -> None:  # pragma: no cover - CLI entry
     )
     args = parser.parse_args(argv)
 
-    runner = SweepRunner(
-        n_jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        executor=args.executor,
-        cache=args.cache,
-    )
+    runner = SweepRunner(n_jobs=args.jobs, cache_dir=args.cache_dir, executor=args.executor)
     figures = [f.strip() for f in args.figures.split(",")] if args.figures else None
     if args.artifacts:
         from .artifacts import run_incremental  # deferred: artifacts imports paper

@@ -216,8 +216,12 @@ def _start(
     """Validate common driver inputs and open a trace."""
     if budget is not None and budget < 1:
         raise ConfigurationError(f"search budget must be >= 1, got {budget}")
-    if timeout_s is not None and timeout_s <= 0:
-        raise ConfigurationError(f"search timeout must be positive, got {timeout_s}")
+    # NaN never times out and neither NaN nor infinity is valid JSON in
+    # the manifest, so the timeout must be a finite number.
+    if timeout_s is not None and not (math.isfinite(timeout_s) and timeout_s > 0):
+        raise ConfigurationError(
+            f"search timeout must be a finite number > 0, got {timeout_s!r}"
+        )
     stats = SearchStats(status="solving")
     evaluator.emit(SearchStarted(driver=name, space_size=space.size()))
     return _Trace(

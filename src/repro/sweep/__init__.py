@@ -13,9 +13,9 @@ fully deterministic. This package makes that grid a first-class object:
   streams are built once per scenario, not once per cell) — and
   memoizes every cell's :class:`~repro.sim.result.SimulationResult`
   in a content-addressed cache (:class:`~repro.sweep.cache.ResultCache`)
-  over a pluggable :class:`~repro.sweep.backends.CacheBackend`
-  (``dir:/path`` on disk, ``mem:`` in-process, or any backend
-  instance).
+  over a pluggable :class:`~repro.sweep.backends.CacheBackend` (a
+  directory named by ``cache_dir``, or any live backend instance
+  passed as ``cache``).
 * Sweeps stream typed progress events (cell started / cached /
   finished / unsupported) on the runner's
   :class:`~repro.sweep.events.ProgressBus` — what the CLI's
@@ -60,8 +60,6 @@ from .backends import (
     InMemoryBackend,
     LocalDirBackend,
     as_backend,
-    memory_backend,
-    parse_cache_spec,
 )
 from .cache import (
     CACHE_SCHEMA_VERSION,
@@ -161,10 +159,8 @@ __all__ = [
     "code_fingerprint",
     "collect_garbage",
     "estimate_cell_cost",
-    "memory_backend",
     "merge_caches",
     "merge_manifests",
-    "parse_cache_spec",
     "policy_fingerprint",
     "resolve_executor",
     "scan_entries",

@@ -11,16 +11,15 @@ sidecar *index* document (the hit-count ledger):
   the LRU clock, a ``_quarantine/`` corner for damaged entries).
 * :class:`InMemoryBackend` — the same contract in a dict; for tests,
   ephemeral sweeps, and as the reference implementation of the
-  protocol's semantics. ``mem:NAME`` specs share one process-wide
-  instance per name, so two sessions in one process can share a cache.
+  protocol's semantics.
 
-Backends are named by URL-style specs (``dir:/path/to/cache``,
-``mem:``, ``mem:shared``; a bare path means ``dir:``) parsed by
-:func:`parse_cache_spec` — the form ``python -m repro ... --cache``
-takes. In Python, ``ResultCache`` (hence ``SweepRunner`` and
-``Session(cache=...)``) and the gc/verify/merge tooling also accept a
-live backend instance, so any other implementation of the protocol
-plugs in unchanged.
+A cache is named one of two ways. A directory path (``cache_dir=``,
+``--cache-dir``) becomes a :class:`LocalDirBackend` via
+:func:`as_backend`; in Python, ``cache=`` on
+:class:`~repro.sweep.runner.SweepRunner` and
+:class:`~repro.api.session.Session` takes a live backend instance, and
+the gc/verify/merge tooling accepts either, so any other
+implementation of the protocol plugs in unchanged.
 
 Protocol semantics every implementation must honour:
 
@@ -43,7 +42,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Protocol, runtime_checkable
+from typing import Iterator, Protocol, runtime_checkable
 
 from ..errors import ConfigurationError
 
@@ -54,8 +53,6 @@ __all__ = [
     "InMemoryBackend",
     "LocalDirBackend",
     "as_backend",
-    "memory_backend",
-    "parse_cache_spec",
 ]
 
 #: Subdirectory corrupt entries are moved to (dir backends).
@@ -91,7 +88,7 @@ class CacheBackend(Protocol):
 
     @property
     def url(self) -> str:
-        """The spec that names this store (``dir:/path``, ``mem:...``)."""
+        """The label naming this store in reports (``dir:/path``, ``mem:``)."""
         ...
 
     def prepare(self) -> None:
@@ -200,7 +197,7 @@ class LocalDirBackend:
 
     @property
     def url(self) -> str:
-        """The ``dir:`` spec naming this store."""
+        """``dir:`` plus the root, naming this store in reports."""
         return f"dir:{self.root}"
 
     def prepare(self) -> None:
@@ -307,21 +304,19 @@ class InMemoryBackend:
 
     Process-local (never shared across hosts or processes); pool
     executors still work with it because cache writes always happen in
-    the sweeping process. ``name`` gives the store an identity:
-    ``memory_backend("shared")`` returns one process-wide instance per
-    name, so independently constructed sessions can share entries.
+    the sweeping process. Two sessions share entries by sharing the
+    instance.
     """
 
-    def __init__(self, name: str = "") -> None:
-        self.name = name
+    def __init__(self) -> None:
         self._entries: dict[str, tuple[str, int]] = {}  # key -> (text, mtime_ns)
         self._quarantined: dict[str, str] = {}
         self._index: str | None = None
 
     @property
     def url(self) -> str:
-        """The ``mem:`` spec naming this store."""
-        return f"mem:{self.name}"
+        """``mem:``, naming this store in reports."""
+        return "mem:"
 
     def prepare(self) -> None:
         """Nothing to create: the dict is always ready."""
@@ -391,68 +386,12 @@ class InMemoryBackend:
         return other is self
 
 
-#: Process-wide named in-memory stores (``mem:NAME`` specs).
-_NAMED_MEMORY: dict[str, InMemoryBackend] = {}
-
-
-def memory_backend(name: str = "") -> InMemoryBackend:
-    """An in-memory backend; named ones are process-wide singletons."""
-    if not name:
-        return InMemoryBackend()
-    backend = _NAMED_MEMORY.get(name)
-    if backend is None:
-        backend = _NAMED_MEMORY[name] = InMemoryBackend(name)
-    return backend
-
-
-def _dir_backend_from_spec(rest: str) -> LocalDirBackend:
-    if not rest:
-        raise ConfigurationError("cache spec 'dir:' needs a path (e.g. dir:.sweep-cache)")
-    return LocalDirBackend(rest)
-
-
-#: Spec scheme -> factory taking the text after the colon.
-_SCHEMES: dict[str, Callable[[str], CacheBackend]] = {
-    "dir": _dir_backend_from_spec,
-    "mem": memory_backend,
-}
-
-
-def parse_cache_spec(spec: "str | Path | CacheBackend") -> CacheBackend:
-    """A backend from a URL-style spec (``dir:/path``, ``mem:``, bare path).
-
-    Backend instances pass through unchanged; :class:`~pathlib.Path`
-    and scheme-less strings mean a local directory. Single-letter
-    schemes are treated as paths, so Windows drive spellings
-    (``C:\\cache``) stay directories.
-    """
-    if isinstance(spec, CacheBackend):  # runtime_checkable: structural
-        return spec
-    if isinstance(spec, Path):
-        return LocalDirBackend(spec)
-    if not isinstance(spec, str):
-        raise ConfigurationError(
-            f"cannot interpret {type(spec).__name__!r} as a cache backend"
-        )
-    if not spec:
-        raise ConfigurationError("empty cache spec; expected dir:PATH, mem:, or a path")
-    scheme, sep, rest = spec.partition(":")
-    if sep and len(scheme) > 1 and scheme.isalnum():
-        # Anything shaped like a scheme must be a *known* scheme: a
-        # typo ("men:shared") or any scheme not listed here must
-        # fail loudly, not silently become a junk local directory.
-        # (Spell a literal path containing a colon as dir:that/path.)
-        factory = _SCHEMES.get(scheme.lower())
-        if factory is None:
-            raise ConfigurationError(
-                f"unknown cache backend scheme {scheme!r} in {spec!r}; "
-                f"known: {', '.join(sorted(_SCHEMES))} "
-                "(use dir:PATH for a literal path containing ':')"
-            )
-        return factory(rest)
-    return LocalDirBackend(spec)
-
-
 def as_backend(source: "str | Path | CacheBackend") -> CacheBackend:
-    """Normalize any accepted cache naming to a live backend."""
-    return parse_cache_spec(source)
+    """A live backend: an instance passes through, a path is a directory."""
+    if isinstance(source, CacheBackend):  # runtime_checkable: structural
+        return source
+    if isinstance(source, Path) or (isinstance(source, str) and source):
+        return LocalDirBackend(source)
+    raise ConfigurationError(
+        f"cannot interpret {source!r} as a cache directory or CacheBackend"
+    )

@@ -4,9 +4,8 @@ Storage is pluggable (:mod:`repro.sweep.backends`): the default
 :class:`~repro.sweep.backends.LocalDirBackend` keeps the original
 layout — ``<root>/<key[:2]>/<key>.json``, one JSON file per grid cell —
 and :class:`ResultCache` accepts any
-:class:`~repro.sweep.backends.CacheBackend` (or a ``dir:``/``mem:``
-spec string) in place of a directory. ``key`` is the SHA-256 over the
-canonical JSON of
+:class:`~repro.sweep.backends.CacheBackend` in place of a directory.
+``key`` is the SHA-256 over the canonical JSON of
 
 * the full :meth:`~repro.config.ConfigMixin.to_dict` serialization of
   the cell's :class:`~repro.sim.config.SimulationConfig` (dataset,
@@ -56,7 +55,6 @@ from .. import __version__
 from ..errors import ConfigurationError
 from ..sim import Policy, SimulationConfig, SimulationResult
 from .backends import (
-    _ENTRY_GLOB,
     QUARANTINE_DIR,
     CacheBackend,
     LocalDirBackend,
@@ -71,23 +69,11 @@ __all__ = [
     "ResultCache",
     "cell_key",
     "code_fingerprint",
-    "iter_entry_paths",
     "policy_fingerprint",
 ]
 
 #: Bump to invalidate every existing cache entry (serialization changes).
 CACHE_SCHEMA_VERSION = 1
-
-
-def iter_entry_paths(root: str | Path):
-    """Yield every cache entry file under ``root`` (shard dirs only).
-
-    Skips ``index.json``, the quarantine directory and in-flight temp
-    files — anything not shaped like ``<xx>/<key>.json``. Directory
-    caches only; backend-generic consumers iterate
-    :meth:`~repro.sweep.backends.CacheBackend.keys` instead.
-    """
-    yield from Path(root).glob(_ENTRY_GLOB)
 
 
 def atomic_write_json(
@@ -236,8 +222,7 @@ class CachedOutcome:
 class ResultCache:
     """Backend-backed store of :class:`CachedOutcome` s by cell key.
 
-    ``store`` names the storage: a directory path (the historical
-    spelling), a ``dir:``/``mem:`` spec string, or any live
+    ``store`` names the storage: a directory path or any live
     :class:`~repro.sweep.backends.CacheBackend`. Serialization —
     what an entry *says* — lives here; how its bytes are kept is
     entirely the backend's business.

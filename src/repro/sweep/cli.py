@@ -14,10 +14,8 @@ cache``:
     :class:`~repro.sweep.grid.SweepCell` s, or a callable returning
     either (``--grid-kwargs`` passes JSON keyword arguments).
     ``--executor serial|process|batched`` picks the execution
-    strategy (bitwise-identical results), ``--cache SPEC`` selects a
-    cache backend by URL-style spec (``dir:/path``, ``mem:NAME``) and
-    ``--progress`` streams per-cell progress lines from the runner's
-    event bus to stderr.
+    strategy (bitwise-identical results) and ``--progress`` streams
+    per-cell progress lines from the runner's event bus to stderr.
 ``merge``
     Union shard caches (and optionally their manifests) into one
     directory that is bitwise-identical to a single-host sweep's.
@@ -28,9 +26,10 @@ cache``:
 ``verify``
     Detect corrupt entries and quarantine them for re-simulation.
 
-Every subcommand is a thin argparse layer over the library API
-(:mod:`repro.sweep.shard`, :mod:`repro.sweep.gc`) — scripts that need
-more control call those directly.
+``--cache-dir`` names the cache directory (required by ``gc`` /
+``stats`` / ``verify``). Every subcommand is a thin argparse layer
+over the library API (:mod:`repro.sweep.shard`, :mod:`repro.sweep.gc`)
+— scripts that need more control call those directly.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -137,38 +137,30 @@ def demo_grid(scale: float = 0.2) -> ScenarioGrid:
     )
 
 
+def _parse_quantity(text: str, suffixes: dict[str, float], what: str) -> float:
+    """A finite, non-negative number with an optional unit suffix."""
+    text = text.strip()
+    mult = suffixes.get(text[-1:].lower())
+    body = text if mult is None else text[:-1]
+    try:
+        value = float(body) * (1 if mult is None else mult)
+    except ValueError as exc:
+        raise ConfigurationError(f"invalid {what} {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{what} must be finite, got {text!r}")
+    if value < 0:
+        raise ConfigurationError(f"{what} must be >= 0, got {text!r}")
+    return value
+
+
 def parse_bytes(text: str) -> int:
     """Parse a byte count: plain int or ``512K`` / ``64M`` / ``2G`` / ``1T``."""
-    text = text.strip()
-    suffix = text[-1:].lower()
-    if suffix in _SIZE_SUFFIXES:
-        body, mult = text[:-1], _SIZE_SUFFIXES[suffix]
-    else:
-        body, mult = text, 1
-    try:
-        value = int(float(body) * mult)
-    except ValueError as exc:
-        raise ConfigurationError(f"invalid byte count {text!r}") from exc
-    if value < 0:
-        raise ConfigurationError(f"byte count must be >= 0, got {text!r}")
-    return value
+    return int(_parse_quantity(text, _SIZE_SUFFIXES, "byte count"))
 
 
 def parse_duration(text: str) -> float:
     """Parse a duration: plain seconds or ``30m`` / ``12h`` / ``7d``."""
-    text = text.strip()
-    suffix = text[-1:].lower()
-    if suffix in _TIME_SUFFIXES:
-        body, mult = text[:-1], _TIME_SUFFIXES[suffix]
-    else:
-        body, mult = text, 1.0
-    try:
-        value = float(body) * mult
-    except ValueError as exc:
-        raise ConfigurationError(f"invalid duration {text!r}") from exc
-    if value < 0:
-        raise ConfigurationError(f"duration must be >= 0, got {text!r}")
-    return value
+    return _parse_quantity(text, _TIME_SUFFIXES, "duration")
 
 
 def _resolve_grid(spec: str, kwargs_json: str | None) -> ScenarioGrid | list[SweepCell]:
@@ -261,7 +253,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         n_jobs=args.jobs,
         cache_dir=args.cache_dir,
         executor=args.executor,
-        cache=args.cache,
         tile_rows=args.tile_rows,
     )
     if args.progress:
@@ -275,7 +266,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             strategy=args.strategy,
             shard=shard,
             stats=asdict(outcome.stats),
-            cache_dir=args.cache_dir if args.cache_dir is not None else args.cache,
+            cache_dir=args.cache_dir,
         )
         manifest.save(args.manifest)
         print(f"manifest: {args.manifest} ({len(manifest.cells)} cells)")
@@ -298,21 +289,9 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cache_store(args: argparse.Namespace) -> str:
-    """The cache naming a lifecycle subcommand was given.
-
-    ``--cache-dir PATH`` (the historical flag) and ``--cache SPEC``
-    (``dir:/path``, ``mem:NAME``, any registered scheme) are two
-    spellings of the same thing; exactly one is required.
-    """
-    if (args.cache_dir is None) == (args.cache is None):
-        raise ConfigurationError("pass exactly one of --cache-dir or --cache")
-    return args.cache_dir if args.cache_dir is not None else args.cache
-
-
 def _cmd_gc(args: argparse.Namespace) -> int:
     report = collect_garbage(
-        _cache_store(args),
+        args.cache_dir,
         max_bytes=None if args.max_bytes is None else parse_bytes(args.max_bytes),
         max_age_s=None if args.max_age is None else parse_duration(args.max_age),
         dry_run=args.dry_run,
@@ -322,12 +301,12 @@ def _cmd_gc(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    print(cache_stats(_cache_store(args)).render())
+    print(cache_stats(args.cache_dir).render())
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify_cache(_cache_store(args), quarantine=not args.no_quarantine)
+    report = verify_cache(args.cache_dir, quarantine=not args.no_quarantine)
     print(report.render())
     return 1 if (report.corrupt and args.strict) else 0
 
@@ -357,11 +336,6 @@ def configure_run(sub) -> argparse.ArgumentParser:
     )
     run.add_argument("--cache-dir", default=None, help="on-disk result cache")
     run.add_argument(
-        "--cache", default=None, metavar="SPEC",
-        help="cache backend spec (dir:/path, mem:, mem:NAME); "
-        "alternative to --cache-dir",
-    )
-    run.add_argument(
         "--tile-rows", type=int, default=None, metavar="N",
         help="engine streaming tile height (worker rows per band) to bound "
         "peak memory on paper-scale scenarios; results are bitwise-identical "
@@ -387,19 +361,10 @@ def configure_merge(sub) -> argparse.ArgumentParser:
     return merge
 
 
-def _add_store_flags(parser: argparse.ArgumentParser) -> None:
-    """Attach the two cache-naming spellings lifecycle commands accept."""
-    parser.add_argument("--cache-dir", default=None, help="cache directory")
-    parser.add_argument(
-        "--cache", default=None, metavar="SPEC",
-        help="cache backend spec (dir:/path, mem:NAME); alternative to --cache-dir",
-    )
-
-
 def configure_gc(sub) -> argparse.ArgumentParser:
     """Attach the ``gc`` subcommand (LRU cache eviction)."""
     gc = sub.add_parser("gc", help="evict LRU cache entries by policy")
-    _add_store_flags(gc)
+    gc.add_argument("--cache-dir", required=True, help="cache directory")
     gc.add_argument("--max-bytes", default=None, help="size bound (e.g. 500M, 2G)")
     gc.add_argument("--max-age", default=None, help="age bound (e.g. 3600, 12h, 7d)")
     gc.add_argument("--dry-run", action="store_true", help="report without deleting")
@@ -410,7 +375,7 @@ def configure_gc(sub) -> argparse.ArgumentParser:
 def configure_stats(sub) -> argparse.ArgumentParser:
     """Attach the ``stats`` subcommand (cache size/hit/age summary)."""
     stats = sub.add_parser("stats", help="cache size/hit/age summary")
-    _add_store_flags(stats)
+    stats.add_argument("--cache-dir", required=True, help="cache directory")
     stats.set_defaults(func=_cmd_stats)
     return stats
 
@@ -418,7 +383,7 @@ def configure_stats(sub) -> argparse.ArgumentParser:
 def configure_verify(sub) -> argparse.ArgumentParser:
     """Attach the ``verify`` subcommand (quarantine corrupt entries)."""
     verify = sub.add_parser("verify", help="quarantine corrupt cache entries")
-    _add_store_flags(verify)
+    verify.add_argument("--cache-dir", required=True, help="cache directory")
     verify.add_argument(
         "--no-quarantine", action="store_true", help="report corruption without moving files"
     )

@@ -4,8 +4,7 @@ The :class:`~repro.sweep.cache.ResultCache` is append-only during
 sweeps; this module is everything that happens to the store *between*
 sweeps. Every function here speaks the
 :class:`~repro.sweep.backends.CacheBackend` protocol — pass a live
-backend, a ``dir:``/``mem:`` spec string, or a plain directory path
-(the historical spelling) interchangeably:
+backend or a directory path interchangeably:
 
 * :class:`CacheIndex` — a best-effort index document (``index.json``
   at a dir cache's root) accumulating per-entry hit counts; recency is
@@ -241,8 +240,8 @@ def collect_garbage(
     Parameters
     ----------
     store:
-        Cache backend, spec string, or directory (the ``cache_dir``
-        sweeps were run with).
+        Cache backend or directory (the ``cache_dir`` sweeps were run
+        with).
     max_bytes:
         Keep total entry bytes at or below this (evicting least
         recently used first).

@@ -139,17 +139,21 @@ class SweepOutcome:
 
 
 def _resolve_cache(
-    cache: "str | Path | CacheBackend | ResultCache | None",
-    cache_dir: str | Path | None,
+    cache: "CacheBackend | ResultCache | None", cache_dir: str | Path | None
 ) -> ResultCache | None:
-    """Normalize the two cache namings to one (optional) ResultCache."""
+    """The one (optional) ResultCache a directory or a live cache names."""
     if cache is not None and cache_dir is not None:
         raise ConfigurationError("pass cache or cache_dir, not both")
-    if cache is None:
-        return ResultCache(cache_dir) if cache_dir is not None else None
-    if isinstance(cache, ResultCache):
+    if cache_dir is not None:
+        return ResultCache(cache_dir)
+    if cache is None or isinstance(cache, ResultCache):
         return cache
-    return ResultCache(cache)
+    if isinstance(cache, CacheBackend):  # runtime_checkable: structural
+        return ResultCache(cache)
+    raise ConfigurationError(
+        f"cache= takes a CacheBackend or ResultCache instance, got "
+        f"{type(cache).__name__}; name a directory with cache_dir="
+    )
 
 
 class SweepRunner:
@@ -171,14 +175,10 @@ class SweepRunner:
         instance. ``None`` picks ``serial`` for ``n_jobs == 1`` and
         ``batched`` otherwise.
     cache:
-        Alternative to ``cache_dir``: a
-        :class:`~repro.sweep.backends.CacheBackend`, a ``dir:``/
-        ``mem:`` spec string, or a ready :class:`ResultCache`.
-    bus:
-        Share an existing :class:`~repro.sweep.events.ProgressBus`
-        (the per-call override runners in
-        :meth:`repro.api.session.Session.sweep` keep one subscriber
-        set across runners this way). ``None`` creates a fresh bus.
+        Alternative to ``cache_dir``: a live
+        :class:`~repro.sweep.backends.CacheBackend` (e.g. an
+        :class:`~repro.sweep.backends.InMemoryBackend`) or a ready
+        :class:`ResultCache`. Directories are named by ``cache_dir``.
     tile_rows:
         Engine streaming tile height: execute each epoch in bands of
         this many worker rows to bound peak memory on paper-scale
@@ -194,8 +194,7 @@ class SweepRunner:
         cache_dir: str | Path | None = None,
         *,
         executor: "str | Executor | None" = None,
-        cache: "str | Path | CacheBackend | ResultCache | None" = None,
-        bus: ProgressBus | None = None,
+        cache: "CacheBackend | ResultCache | None" = None,
         tile_rows: int | None = None,
     ) -> None:
         if n_jobs is None:
@@ -209,7 +208,7 @@ class SweepRunner:
         self.cache = _resolve_cache(cache, cache_dir)
         self.executor = resolve_executor(executor, self.n_jobs)
         #: The progress bus every sweep on this runner publishes to.
-        self.bus = bus if bus is not None else ProgressBus()
+        self.bus = ProgressBus()
         #: Totals accumulated over every :meth:`run` call on this runner —
         #: the full-paper driver reports one line for its whole sweep.
         self.lifetime = SweepStats(

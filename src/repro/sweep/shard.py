@@ -158,19 +158,16 @@ class ShardPlanner:
     Parameters
     ----------
     strategy:
-        ``"round_robin"`` (default) or ``"cost"`` (see module docs).
-    cost_fn:
-        Per-cell weight used by the ``cost`` strategy; defaults to
-        :func:`estimate_cell_cost`. Ignored by ``round_robin``.
+        ``"round_robin"`` (default) or ``"cost"`` (see module docs), which
+        weighs cells by :func:`estimate_cell_cost`.
     """
 
-    def __init__(self, strategy: str = "round_robin", cost_fn=None) -> None:
+    def __init__(self, strategy: str = "round_robin") -> None:
         if strategy not in STRATEGIES:
             raise ConfigurationError(
                 f"unknown shard strategy {strategy!r}; known: {STRATEGIES}"
             )
         self.strategy = strategy
-        self.cost_fn = cost_fn or estimate_cell_cost
 
     def plan(self, grid: ScenarioGrid | Iterable[SweepCell], count: int) -> ShardPlan:
         """Partition ``grid`` into ``count`` disjoint shards.
@@ -192,12 +189,11 @@ class ShardPlanner:
 
     def _plan_by_cost(self, cells: Sequence[SweepCell], count: int) -> list[list[SweepCell]]:
         # Longest-processing-time greedy: heaviest cell first onto the
-        # lightest shard. Costs are evaluated once per cell (cost_fn may
-        # be user-supplied and expensive). Ties break on (load, shard
-        # index) and the sort on (-cost, original index), both total
-        # orders, so the result is reproducible across hosts and Python
-        # hash seeds.
-        costs = [self.cost_fn(cell) for cell in cells]
+        # lightest shard. Costs are evaluated once per cell. Ties break
+        # on (load, shard index) and the sort on (-cost, original index),
+        # both total orders, so the result is reproducible across hosts
+        # and Python hash seeds.
+        costs = [estimate_cell_cost(cell) for cell in cells]
         order = sorted(range(len(cells)), key=lambda i: (-costs[i], i))
         loads = [0.0] * count
         assignment: list[list[int]] = [[] for _ in range(count)]
@@ -220,9 +216,8 @@ class ShardManifest:
     ``code`` fingerprint pins the simulator version the keys were
     computed against, so merging manifests from mismatched checkouts
     fails loudly instead of silently unioning incompatible keys.
-    ``cache_dir`` records where this shard's results were memoized —
-    a directory path, or a backend spec (``dir:``/``mem:``/...) when
-    the run used ``--cache`` (see :mod:`repro.sweep.backends`).
+    ``cache_dir`` records the directory this shard's results were
+    memoized in (None when the run was uncached).
     """
 
     grid: str

@@ -143,33 +143,12 @@ class TestSweepAndCache:
         assert "sweep:" in captured.err  # end-of-sweep summary
         assert "executor=batched" in captured.out
 
-    def test_sweep_and_lifecycle_with_mem_cache_spec(self, scenarios_file, capsys):
-        spec = "mem:cli-test"
-        assert main(["sweep", "run", "--scenarios", str(scenarios_file),
-                     "--cache", spec]) == 0
-        capsys.readouterr()
-        assert main(["sweep", "run", "--scenarios", str(scenarios_file),
-                     "--cache", spec]) == 0
-        assert "3 hit / 0 miss" in capsys.readouterr().out
-        assert main(["cache", "stats", "--cache", spec]) == 0
-        assert "entries: 3" in capsys.readouterr().out
-        assert main(["cache", "verify", "--cache", spec, "--strict"]) == 0
-        capsys.readouterr()
-        assert main(["cache", "gc", "--cache", spec, "--max-bytes", "1"]) == 0
-        capsys.readouterr()
-        assert main(["cache", "stats", "--cache", spec]) == 0
-        assert "entries: 0" in capsys.readouterr().out
-
     def test_lifecycle_requires_exactly_one_cache_naming(self, tmp_path, capsys):
-        assert main(["cache", "stats"]) == 2
-        assert main(["cache", "stats", "--cache-dir", str(tmp_path),
-                     "--cache", "mem:"]) == 2
-
-    def test_run_with_mem_cache_and_executor(self, capsys):
-        assert main([*RUN_FLAGS, "--cache", "mem:cli-run", "--executor", "serial"]) == 0
-        capsys.readouterr()
-        assert main([*RUN_FLAGS, "--cache", "mem:cli-run"]) == 0
-        assert "1 hit / 0 miss" in capsys.readouterr().out
+        for command in ("gc", "stats", "verify"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["cache", command])
+            assert exit_info.value.code == 2
+            assert "--cache-dir" in capsys.readouterr().err
 
     def test_cache_lifecycle_subcommands(self, tmp_path, scenarios_file, capsys):
         cache = str(tmp_path / "cache")
@@ -184,6 +163,50 @@ class TestSweepAndCache:
         capsys.readouterr()
         assert main(["cache", "stats", "--cache-dir", cache]) == 0
         assert "entries: 0" in capsys.readouterr().out
+
+
+class TestRemovedSpellings:
+    """``--cache SPEC`` is gone, and no flag is matched by its prefix."""
+
+    COMMANDS = {
+        "run": RUN_FLAGS,
+        "search": ["search", "--dataset", "mnist", "--system", "sec6_cluster:2"],
+        "sweep run": ["sweep", "run", "--grid", "repro.sweep.cli:demo_grid"],
+        "experiments": ["experiments", "--figures", "table1"],
+        "cache gc": ["cache", "gc", "--cache-dir", "E"],
+        "cache stats": ["cache", "stats", "--cache-dir", "E"],
+        "cache verify": ["cache", "verify", "--cache-dir", "E"],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_cache_flag_exits_2_and_creates_nothing(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*self.COMMANDS[command], "--cache", "D"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --cache D" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_prefix_of_a_flag_is_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cache", "stats", "--cache-d", "D"])
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "D").exists()
+
+
+class TestNonFiniteQuantities:
+    @pytest.mark.parametrize(
+        "flags", [["--max-bytes", "inf"], ["--max-bytes", "nan"],
+                  ["--max-age", "nan"], ["--max-age", "inf"]],
+    )
+    def test_gc_rejects_non_finite_bounds(self, flags, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        assert main(["cache", "gc", "--cache-dir", str(cache), *flags]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not cache.exists()
 
 
 class TestExperimentsDispatch:

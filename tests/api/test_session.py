@@ -1,5 +1,7 @@
 """Session facade: run/sweep semantics and cache interoperability."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.api import Scenario, Session
@@ -107,19 +109,16 @@ class TestSweep:
         for tag, result in full.results.items():
             assert union[tag].to_json() == result.to_json()
 
-    def test_per_call_override_runner(self, tmp_path):
-        session = Session()
-        outcome = session.sweep(SCENARIOS, jobs=1, cache_dir=tmp_path / "c")
-        assert outcome.stats.misses == len(SCENARIOS)
-        assert (tmp_path / "c").is_dir()
-        # one-off runner counters fold into the session totals
-        assert session.stats.cells == len(SCENARIOS)
+    def test_sweep_takes_no_per_call_configuration(self):
+        # One session, one runner: another configuration is another Session.
+        for override in ("jobs", "cache_dir", "executor", "cache", "tile_rows"):
+            with pytest.raises(TypeError, match=override):
+                Session().sweep(SCENARIOS, **{override: 2})
 
-    def test_jobs_override_inherits_session_cache(self):
+    def test_second_session_shares_the_cache_instance(self):
         backend = InMemoryBackend()
-        session = Session(cache=backend)
-        session.sweep(SCENARIOS)
-        warm = session.sweep(SCENARIOS, jobs=2)  # one-off runner, same cache
+        Session(cache=backend).sweep(SCENARIOS)
+        warm = Session(jobs=2, cache=backend).sweep(SCENARIOS)
         assert warm.stats.misses == 0
         assert warm.stats.hits == len(SCENARIOS)
 
@@ -178,13 +177,21 @@ class TestExecutors:
 
     def test_sweep_executor_override_bitwise_identical(self):
         serial = Session().sweep(SCENARIOS)
-        batched = Session().sweep(SCENARIOS, jobs=2, executor="batched")
+        batched = Session(jobs=2, executor="batched").sweep(SCENARIOS)
         for tag, result in serial.results.items():
             assert batched[tag].to_json() == result.to_json()
 
     def test_cache_and_cache_dir_conflict(self, tmp_path):
         with pytest.raises(ConfigurationError, match="not both"):
-            Session(cache_dir=tmp_path, cache="mem:")
+            Session(cache_dir=tmp_path, cache=InMemoryBackend())
+
+    def test_cache_takes_no_path(self, tmp_path, monkeypatch):
+        # Directories are named by cache_dir= only.
+        monkeypatch.chdir(tmp_path)
+        for path in ("d", Path("d"), "mem:"):
+            with pytest.raises(ConfigurationError, match="cache_dir="):
+                Session(cache=path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEvents:
@@ -203,9 +210,9 @@ class TestEvents:
         session.sweep(SCENARIOS)  # no listener: nothing more recorded
         assert len(events) == first
 
-    def test_on_event_with_override_runner_still_fires(self):
+    def test_on_event_fires_on_a_pool_session(self):
         events = []
-        Session().sweep(SCENARIOS, jobs=2, on_event=events.append)
+        Session(jobs=2).sweep(SCENARIOS, on_event=events.append)
         assert [e for e in events if isinstance(e, CellFinished)]
 
     def test_session_bus_survives_across_sweeps(self):
@@ -213,7 +220,7 @@ class TestEvents:
         events = []
         session.bus.subscribe(events.append)
         session.sweep(SCENARIOS)
-        session.sweep(SCENARIOS, jobs=2)  # override runner shares the bus
+        session.sweep(SCENARIOS)  # the warm sweep publishes on the same bus
         cached = [e for e in events if isinstance(e, CellCached)]
         assert len(cached) == len(SCENARIOS)
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.api import Scenario, Session
 from repro.search import SearchSpace
+from repro.sweep import InMemoryBackend
 
 
 @pytest.fixture
@@ -34,4 +35,4 @@ def smoke_space(smoke_base) -> SearchSpace:
 @pytest.fixture
 def mem_session() -> Session:
     """A serial session with a private in-memory result cache."""
-    return Session(cache="mem:")
+    return Session(cache=InMemoryBackend())

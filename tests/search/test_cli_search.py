@@ -97,6 +97,14 @@ class TestSearchErrors:
         assert err.startswith("error: ") and "relaxation" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("timeout", ["nan", "inf"])
+    def test_non_finite_timeout_exits_2(self, timeout, tmp_path, capsys):
+        manifest = tmp_path / "search.json"
+        rc = main([*SMOKE_FLAGS, "--timeout", timeout, "--manifest", str(manifest)])
+        assert rc == 2
+        assert "timeout must be a finite number" in capsys.readouterr().err
+        assert not manifest.exists()
+
     def test_space_conflicts_with_axis_flags(self, capsys):
         assert main([
             "search", "--space", "{}", "--dataset", "mnist",

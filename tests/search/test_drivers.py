@@ -1,5 +1,7 @@
 """The search drivers: correctness, pruning, budgets, timeouts."""
 
+import math
+
 import pytest
 
 from repro.api import UnknownNameError
@@ -173,3 +175,10 @@ class TestValidation:
     def test_bad_timeout_rejected(self, smoke_space):
         with pytest.raises(ConfigurationError, match="timeout"):
             run_search(smoke_space, driver="bb", timeout_s=-1.0)
+
+    @pytest.mark.parametrize("driver", ["bb", "random"])
+    @pytest.mark.parametrize("timeout_s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timeout_rejected(self, smoke_space, driver, timeout_s):
+        # NaN never times out, and neither NaN nor infinity is valid JSON.
+        with pytest.raises(ConfigurationError, match="finite number > 0"):
+            run_search(smoke_space, driver=driver, timeout_s=timeout_s)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.api import Session
 from repro.search import Evaluator, SearchManifest, run_search
+from repro.sweep import InMemoryBackend
 
 
 def canonical(manifest: SearchManifest) -> str:
@@ -85,7 +86,7 @@ class TestResume:
         zero re-simulations up to the frontier, and the resumed manifest
         is byte-identical to an uninterrupted one."""
         uninterrupted = run_search(
-            smoke_space, driver="random", session=Session(cache="mem:"), seed=4
+            smoke_space, driver="random", session=Session(cache=InMemoryBackend()), seed=4
         )
         interrupted = run_search(
             smoke_space, driver="random", session=mem_session, seed=4, budget=3

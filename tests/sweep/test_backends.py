@@ -1,4 +1,4 @@
-"""CacheBackend protocol: both implementations, specs, lifecycle interop.
+"""CacheBackend protocol: both implementations, cache naming, lifecycle interop.
 
 The corruption-quarantine / hit-stat / stale-tmp behaviours are
 exercised *through the protocol* (parametrized over both backends), not
@@ -24,12 +24,11 @@ from repro.sweep import (
     LocalDirBackend,
     ResultCache,
     SweepRunner,
+    as_backend,
     cache_stats,
     cell_key,
     collect_garbage,
-    memory_backend,
     merge_caches,
-    parse_cache_spec,
     scan_entries,
     verify_cache,
 )
@@ -202,55 +201,50 @@ class TestStaleTmpSweep:
 
 
 class TestSpecs:
+    """A cache is a directory path or a live backend instance."""
+
     def test_dir_spec(self, tmp_path):
-        backend = parse_cache_spec(f"dir:{tmp_path}/c")
+        backend = as_backend(tmp_path / "c")
         assert isinstance(backend, LocalDirBackend)
         assert backend.url == f"dir:{tmp_path}/c"
 
     def test_bare_path_is_a_dir(self, tmp_path):
-        assert isinstance(parse_cache_spec(str(tmp_path)), LocalDirBackend)
-        assert isinstance(parse_cache_spec(tmp_path), LocalDirBackend)
-
-    def test_mem_spec_fresh_each_time(self):
-        assert parse_cache_spec("mem:") is not parse_cache_spec("mem:")
-
-    def test_named_mem_spec_is_shared(self):
-        a = parse_cache_spec("mem:shared-spec-test")
-        assert parse_cache_spec("mem:shared-spec-test") is a
-        assert memory_backend("shared-spec-test") is a
+        assert isinstance(as_backend(str(tmp_path)), LocalDirBackend)
+        assert isinstance(as_backend(tmp_path), LocalDirBackend)
 
     def test_backend_instance_passes_through(self):
         backend = InMemoryBackend()
-        assert parse_cache_spec(backend) is backend
+        assert as_backend(backend) is backend
 
     def test_single_letter_scheme_is_a_path(self):
         # Windows drive spellings must stay directories.
-        assert isinstance(parse_cache_spec("c:cache"), LocalDirBackend)
+        assert isinstance(as_backend("c:cache"), LocalDirBackend)
 
     def test_empty_and_bad_specs_rejected(self):
         with pytest.raises(ConfigurationError):
-            parse_cache_spec("")
+            as_backend("")
         with pytest.raises(ConfigurationError):
-            parse_cache_spec("dir:")
-        with pytest.raises(ConfigurationError):
-            parse_cache_spec(42)
+            as_backend(42)
 
-    def test_unknown_scheme_fails_loudly(self):
-        # A typo'd or unregistered scheme must not become a junk local
-        # directory named "men:shared".
-        with pytest.raises(ConfigurationError, match="unknown cache backend scheme"):
-            parse_cache_spec("men:shared")
-        with pytest.raises(ConfigurationError, match="known: dir, mem"):
-            parse_cache_spec("s3:bucket")
-        # non-scheme-shaped strings are still plain paths
-        assert isinstance(parse_cache_spec("./cache:v2/x"), LocalDirBackend)
+    def test_unknown_scheme_fails_loudly(self, tmp_path, monkeypatch):
+        # cache= takes live instances only: a spec-shaped string must
+        # fail loudly, not silently become a junk local directory.
+        monkeypatch.chdir(tmp_path)
+        for spec in ("men:shared", "s3:bucket", "mem:", "dir:c"):
+            with pytest.raises(ConfigurationError, match="cache_dir="):
+                SweepRunner(cache=spec)
+        assert list(tmp_path.iterdir()) == []
 
     def test_runner_accepts_spec_and_backend(self, tmp_path):
-        assert SweepRunner(cache="mem:").cache is not None
         assert SweepRunner(cache=InMemoryBackend()).cache is not None
+        cache = ResultCache(InMemoryBackend())
+        assert SweepRunner(cache=cache).cache is cache
         assert SweepRunner(cache_dir=tmp_path / "c").cache.root == tmp_path / "c"
+        with pytest.raises(ConfigurationError, match="CacheBackend or ResultCache"):
+            SweepRunner(cache=tmp_path / "d")
+        assert not (tmp_path / "d").exists()
         with pytest.raises(ConfigurationError, match="not both"):
-            SweepRunner(cache="mem:", cache_dir=tmp_path)
+            SweepRunner(cache=InMemoryBackend(), cache_dir=tmp_path)
 
 
 class TestMergeAcrossBackends:
@@ -301,7 +295,7 @@ class TestMergeAcrossBackends:
 
 class TestRunnerOverMemBackend:
     def test_warm_sweep_without_disk(self):
-        runner = SweepRunner(n_jobs=1, cache="mem:")
+        runner = SweepRunner(n_jobs=1, cache=InMemoryBackend())
         cold = runner.run(demo_grid(scale=0.2))
         warm = runner.run(demo_grid(scale=0.2))
         assert cold.stats.misses == 6

@@ -166,7 +166,7 @@ class TestCLIParsers:
     def test_parse_bytes(self, text, expected):
         assert parse_bytes(text) == expected
 
-    @pytest.mark.parametrize("bad", ["", "x", "-1", "1Q"])
+    @pytest.mark.parametrize("bad", ["", "x", "-1", "1Q", "inf", "nan", "-inf", "1e400k"])
     def test_parse_bytes_rejects(self, bad):
         with pytest.raises(ConfigurationError):
             parse_bytes(bad)
@@ -178,7 +178,7 @@ class TestCLIParsers:
     def test_parse_duration(self, text, expected):
         assert parse_duration(text) == expected
 
-    @pytest.mark.parametrize("bad", ["", "x", "-5"])
+    @pytest.mark.parametrize("bad", ["", "x", "-5", "inf", "nan", "-nan", "1e400d"])
     def test_parse_duration_rejects(self, bad):
         with pytest.raises(ConfigurationError):
             parse_duration(bad)
