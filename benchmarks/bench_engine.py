@@ -10,7 +10,9 @@ Benchmarks the innermost hot path under every sweep cell — one
 * **N=1024** (the paper-scale tier): a Sec 7-sized scenario —
   1024 workers over a multi-million-sample stream — must complete
   with streaming tiles (``tile_rows=PAPER_SCALE_TILE_ROWS``) under the
-  documented peak-memory bound, bitwise-identical to the untiled run.
+  documented peak-memory bound, bitwise-identical to the untiled run;
+  and Fig 10's seven-policy Lassen lineup at 1024 GPUs must run as one
+  epoch-major pass under its own peak-memory bound.
 
 CI uploads the pytest-benchmark timings as ``BENCH_engine.json`` plus
 the rendered comparisons; ``tools/bench_gate.py`` compares the timings
@@ -26,6 +28,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
+from repro.api import Scenario, make_policy  # noqa: E402
 from repro.datasets import DatasetModel  # noqa: E402
 from repro.errors import PolicyError  # noqa: E402
 from repro.perfmodel import Source, sec6_cluster  # noqa: E402
@@ -37,6 +40,7 @@ from repro.sim import (  # noqa: E402
     Simulator,
     StagingBufferPolicy,
 )
+from repro.sim.result import SimulationResult  # noqa: E402
 from tests.sim.reference_engine import ReferenceSimulator  # noqa: E402
 
 #: N >= 64 per the acceptance criterion: enough workers that per-worker
@@ -50,10 +54,10 @@ PAPER_SCALE_WORKERS = 1024
 #: materializes ~25 MB per temporary.
 PAPER_SCALE_TILE_ROWS = 64
 #: Documented peak-allocation bound (tracemalloc, MB) for the tiled
-#: N=1024 run. Measured ~182 MB (dominated by the policy's placement
-#: lookups and building the one resident epoch permutation, not
-#: per-sample floats); the untiled run peaks ~410 MB. The bound carries
-#: slack for allocator variance across numpy versions, not for
+#: N=1024 run. Measured ~192 MB, set by NoPFS's prepare (its transient
+#: frequency table over both epochs and the placement built from it),
+#: not by per-sample floats; the untiled run peaks ~271 MB. The bound
+#: carries slack for allocator variance across numpy versions, not for
 #: regressions.
 PAPER_SCALE_TILED_PEAK_MB = 256.0
 
@@ -91,9 +95,10 @@ def test_engine_speedup(report, ab_timer):
     reference = ReferenceSimulator(config, ctx=sim.ctx)
 
     # Identical results come first; this also warms the shared context
-    # (sample sizes, NoPFS's frequency counts) so the timed runs compare
-    # engine arithmetic, not one-off scenario setup. Both engines build
-    # each epoch's permutation once per run.
+    # (sample sizes) so the timed runs compare engine arithmetic, not
+    # one-off scenario setup. Both engines run the same prepares (NoPFS
+    # rebuilds its frequency table in each) and build each epoch's
+    # permutation once per run.
     for policy_new, policy_ref in zip(_lineup(), _lineup()):
         new = json.dumps(sim.run(policy_new).to_dict(), sort_keys=True)
         ref = json.dumps(reference.run(policy_ref).to_dict(), sort_keys=True)
@@ -158,14 +163,14 @@ def test_engine_paper_scale(report):
     """N=1024: tiled run is bitwise-equal to untiled and memory-bounded.
 
     Peak memory is measured with ``tracemalloc`` (it traces every numpy
-    buffer and, unlike RSS, is deterministic across allocator reuse),
-    after warming the shared scenario context's frequency counts so
-    both runs are charged only for their own working set (one resident
-    epoch permutation at a time included).
+    buffer and, unlike RSS, is deterministic across allocator reuse).
+    The runs share the scenario context's sample sizes, built before
+    tracing; each pays for its own working set — NoPFS's prepare,
+    frequency table included (the context keeps none), and one
+    resident epoch permutation at a time.
     """
     config = _paper_scenario()
     ctx = ScenarioContext(config)
-    ctx.worker_frequencies_sparse()
 
     untiled, untiled_s, untiled_mb = _traced_run(
         Simulator(config, ctx=ctx), NoPFSPolicy()
@@ -488,8 +493,6 @@ def test_engine_run_many_uncached(report):
     ``E x policies`` (the policy-major cost) — and keep the traced peak
     near one epoch's matrices.
     """
-    from repro.api import make_policy
-
     config = _paper_scenario()
     sim = Simulator(config, tile_rows=PAPER_SCALE_TILE_ROWS)
     policies = [make_policy(spec) for spec in RUN_MANY_POLICIES]
@@ -537,12 +540,78 @@ def test_engine_run_many_uncached(report):
 def test_engine_run_many_uncached_throughput(benchmark):
     """Timing series for BENCH_engine.json: the N=1024 lineup through
     one epoch-major ``run_many`` call (permutations rebuilt per call)."""
-    from repro.api import make_policy
-
     config = _paper_scenario()
     sim = Simulator(config, tile_rows=PAPER_SCALE_TILE_ROWS)
     policies = [make_policy(spec) for spec in RUN_MANY_POLICIES]
     sim.run_many_outcomes(policies)  # warm the scenario state once
     benchmark.pedantic(
         lambda: sim.run_many_outcomes(policies), rounds=2, iterations=1
+    )
+
+
+# -- the Fig 10 lineup at N=1024 ----------------------------------------------
+
+#: Fig 10's 1024-GPU Lassen lineup, as the e2e lassen-1024 workload runs it.
+FIG10_LINEUP = (
+    "pytorch",
+    "lbann:dynamic",
+    "nopfs",
+    "naive",
+    "staging_buffer",
+    "deepio:opportunistic",
+    "locality_aware",
+)
+#: Peak-allocation bound (tracemalloc, MB) for the lineup's one pass.
+#: Measured ~127 MB: the seven prepared policies held together (~86 MB;
+#: NoPFS's placement is ~41 MB of it) plus one epoch's working set.
+#: When the context kept NoPFS's frequency table and every worker lookup
+#: copied its placement ids, the same pass peaked at ~252 MB. The bound
+#: carries slack for allocator variance across numpy versions, not for
+#: regressions.
+FIG10_LINEUP_PEAK_MB = 160.0
+
+
+def test_engine_fig10_lineup(report):
+    """Fig 10's lineup at 1024 GPUs in one epoch-major pass, memory-bounded.
+
+    ``run_many_outcomes`` prepares every policy before the first epoch,
+    so the pass holds all seven prepared policies at once — the state a
+    serial sweep of the scenario's seven cells holds, since it runs them
+    as one batch. The sample-size table is built before tracing.
+    """
+    config = Scenario(
+        dataset="imagenet1k", system="lassen:1024", policy="nopfs",
+        batch_size=32, num_epochs=3, scale=1.0, seed=1,
+    ).build_config()
+    sim = Simulator(config, tile_rows=PAPER_SCALE_TILE_ROWS)
+    policies = [make_policy(spec) for spec in FIG10_LINEUP]
+
+    tracemalloc.start()
+    start = time.perf_counter()
+    outcomes = sim.run_many_outcomes(policies)
+    wall = time.perf_counter() - start
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    peak_mb = peak / 2**20
+
+    assert all(isinstance(outcome, SimulationResult) for outcome in outcomes)
+    # The prepares build E permutations (NoPFS's frequency scan reads
+    # every epoch), the shared loop E more: not E per policy.
+    assert sim.ctx.perm_builds == 2 * config.num_epochs
+    assert peak_mb < FIG10_LINEUP_PEAK_MB, (
+        f"N=1024 Fig 10 lineup peaked at {peak_mb:.1f} MB; "
+        f"documented bound is {FIG10_LINEUP_PEAK_MB:.0f} MB"
+    )
+    report(
+        "engine_fig10_lineup",
+        "\n".join(
+            [
+                f"scenario: lassen:1024, F={config.dataset.num_samples:,} samples, "
+                f"E={config.num_epochs} epochs, B={config.batch_size}, "
+                f"tile_rows={PAPER_SCALE_TILE_ROWS}",
+                f"lineup: {', '.join(FIG10_LINEUP)}",
+                f"one run_many_outcomes: {wall:6.2f}s (traced)  peak {peak_mb:7.1f} MB",
+                f"permutation builds: {sim.ctx.perm_builds}",
+            ]
+        ),
     )

@@ -368,6 +368,7 @@ def main(argv: list[str] | None = None) -> None:  # pragma: no cover - CLI entry
     import argparse
 
     parser = argparse.ArgumentParser(
+        prog="python -m repro experiments",
         description="Regenerate the paper's figures through the shared sweep engine.",
         allow_abbrev=False,
     )

@@ -2,7 +2,8 @@
 
 A :class:`ScenarioContext` wraps one :class:`SimulationConfig` with the
 derived objects every policy needs — the clairvoyant access stream, the
-materialized sample sizes, per-worker frequency counts.
+materialized sample sizes, per-worker frequency counts (built on
+request, never retained).
 
 The canonical form of an epoch is its *worker-major matrix*
 (:meth:`ScenarioContext.epoch_matrix`): an ``(N, L)`` array whose row
@@ -51,7 +52,6 @@ class ScenarioContext:
         #: epoch-major engine loop, where this stays at E per run, not
         #: E x policies.
         self.perm_builds = 0
-        self._freq_cache: list[tuple[np.ndarray, np.ndarray]] | None = None
         #: epoch -> read-only (N,) per-worker MB totals (:meth:`worker_mb`).
         self._worker_mb: dict[int, np.ndarray] = {}
 
@@ -143,12 +143,12 @@ class ScenarioContext:
 
         The sparse form keeps memory at O(samples actually accessed per
         worker) instead of O(N * F), which matters at Sec 7 scales
-        (N=1024). Built from the epoch matrices — one horizontal stack
-        plus one ``np.unique`` per worker row — and cached on the
-        context.
+        (N=1024). Built afresh on every call from the epoch matrices —
+        one horizontal stack plus one ``np.unique`` per worker row — and
+        not kept: the table is ~62 MB at Lassen's 1024-GPU scale, and
+        its one consumer (NoPFS's prepare) drops it once its placement
+        exists, so a prepared lineup never holds it.
         """
-        if self._freq_cache is not None:
-            return self._freq_cache
         epochs = self.config.num_epochs
         n = self.num_workers
         length = self.samples_per_worker_per_epoch
@@ -157,11 +157,7 @@ class ScenarioContext:
         all_ids[:, :length] = first
         for epoch in range(1, epochs):
             all_ids[:, epoch * length : (epoch + 1) * length] = self.epoch_matrix(epoch)
-        result = [
-            np.unique(all_ids[worker], return_counts=True) for worker in range(n)
-        ]
-        self._freq_cache = result
-        return result
+        return [np.unique(all_ids[worker], return_counts=True) for worker in range(n)]
 
     # -- stream length helpers ----------------------------------------------
 

@@ -286,8 +286,8 @@ class Simulator:
         the memory/speed trade-off.
     ctx:
         Reuse an existing :class:`ScenarioContext` built from the same
-        ``config`` (e.g. to share its sample sizes and frequency counts
-        between simulators) instead of constructing a fresh one.
+        ``config`` (e.g. to share its sample sizes and per-epoch worker
+        totals between simulators) instead of constructing a fresh one.
     """
 
     def __init__(
@@ -390,6 +390,7 @@ class Simulator:
     ) -> "list[SimulationResult | PolicyError]":
         """Drive prepared per-policy slots through the epoch-major loop."""
         epoch_lists: list[list[EpochResult]] = [[] for _ in slots]
+        preps = [slot[1] for slot in slots if not isinstance(slot, PolicyError)]
         try:
             for epoch in range(self.config.num_epochs):
                 self.ctx.hold_epoch(epoch)
@@ -406,6 +407,7 @@ class Simulator:
                         slots[i] = exc
         finally:
             self.ctx.release_held_epoch()
+            self.plan_cache.release(preps)
         out: list[SimulationResult | PolicyError] = []
         for slot, epoch_results in zip(slots, epoch_lists):
             if isinstance(slot, PolicyError):

@@ -19,11 +19,12 @@ A :class:`PlanCache` hoists all of it: scalars are computed once per
 :class:`~repro.sim.policies.base.PreparedPolicy` (keyed on the prepared
 instance), the size matrix once per epoch (held in a one-epoch slot
 that the engine's epoch-major loop shares across every policy it
-runs), and the cold class template once per scenario. Only the
-genuinely per-epoch work — the id permutation, warm cache-tier lookups,
-warm-up availability, the noise stream states (one vectorized
-derivation per tile, :meth:`PlanCache.noise_stream_states`) and the
-noise draws — is recomputed each epoch.
+runs), and the cold class template once per scenario. The first two
+last one pass: :meth:`PlanCache.release` drops them when the loop
+ends. Only the genuinely per-epoch work — the id permutation, warm
+cache-tier lookups, warm-up availability, the noise stream states (one
+vectorized derivation per tile, :meth:`PlanCache.noise_stream_states`)
+and the noise draws — is recomputed each epoch.
 
 Everything cached here is a value the per-epoch code used to recompute
 from the same inputs, so reuse is bitwise-neutral by construction; the
@@ -182,6 +183,19 @@ class PlanCache:
             pfs_share_mbps=pfs_share / p0 if prep.overlap else pfs_share,
             pfs_latency_s=pfs_latency,
         )
+
+    def release(self, preps: "list[PreparedPolicy]") -> None:
+        """End an epoch-major pass: drop its policies' scalars and the size slot.
+
+        Every pass prepares fresh policies, so nothing cached for them
+        is read again. Without this, a simulator kept across passes
+        (the base of a multi-seed batch) would hold each finished
+        pass's prepared policies, placements included, alongside the
+        next pass's.
+        """
+        for prep in preps:
+            self._scalars.pop(id(prep), None)
+        self._held_sizes = None
 
     # -- shared epoch matrices ----------------------------------------------
 

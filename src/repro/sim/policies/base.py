@@ -48,34 +48,38 @@ class PolicyCapabilities:
 
 
 class WorkerLookup:
-    """One worker's cached ``ids`` and their tier ``labels``, unsorted.
+    """One worker's cached ids per tier, shared with its placement.
 
-    :meth:`PreparedPolicy.classes_matrix` scatters them into a scratch
-    map; :meth:`classes_of` binary-searches, sorting on first use.
+    ``class_ids[k]`` holds the ids cached in tier ``k`` (fastest first):
+    the placement's own arrays, not copies, so a prepared policy holds
+    each cached id once. :meth:`PreparedPolicy.classes_matrix` scatters
+    them tier by tier into a scratch map; :meth:`classes_of`
+    binary-searches a sorted copy it builds on first use.
     """
 
     def __init__(self, class_ids: tuple[np.ndarray, ...]) -> None:
-        parts = [np.asarray(ids, dtype=np.int64) for ids in class_ids]
-        self.ids = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        self.labels = np.repeat(
-            np.arange(len(parts), dtype=np.int8), [part.size for part in parts]
-        )
+        self.class_ids = tuple(np.asarray(ids, dtype=np.int64) for ids in class_ids)
         self._sorted: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def num_cached(self) -> int:
         """How many samples this worker caches."""
-        return int(self.ids.size)
+        return sum(int(ids.size) for ids in self.class_ids)
 
     def classes_of(self, query_ids: np.ndarray) -> np.ndarray:
         """Cache tier of each queried id (``-1`` when not cached)."""
         query = np.asarray(query_ids)
-        if self.ids.size == 0:
-            return np.full(query.shape, -1, dtype=np.int8)
         if self._sorted is None:
-            order = np.argsort(self.ids, kind="stable")
-            self._sorted = (self.ids[order], self.labels[order])
+            ids = np.concatenate(self.class_ids or (np.empty(0, dtype=np.int64),))
+            labels = np.repeat(
+                np.arange(len(self.class_ids), dtype=np.int8),
+                [part.size for part in self.class_ids],
+            )
+            order = np.argsort(ids, kind="stable")
+            self._sorted = (ids[order], labels[order])
         ids, labels = self._sorted
+        if ids.size == 0:
+            return np.full(query.shape, -1, dtype=np.int8)
         pos = np.searchsorted(ids, query)
         pos_clipped = np.minimum(pos, ids.size - 1)
         hit = ids[pos_clipped] == query
@@ -154,9 +158,10 @@ class PreparedPolicy:
         """Local cache tier for every sample of a worker-major id matrix.
 
         Row ``i`` equals ``lookups[worker_offset + i].classes_of(row)``
-        (``-1`` = not cached): the worker's labels are scattered into a
-        per-call int8 scratch map of length ``F`` (unique ids per worker),
-        the row gathered, the map reset — O(cached + L) per row.
+        (``-1`` = not cached): the worker's tiers are scattered into a
+        per-call int8 scratch map of length ``F``, tier by tier in
+        order (placement ids are unique per worker), the row gathered,
+        the map reset — O(cached + L) per row.
 
         ``worker_offset`` lets the engine's streaming tiles (a
         contiguous row band of the full ``(N, L)`` matrix) resolve
@@ -169,9 +174,11 @@ class PreparedPolicy:
         scratch = np.full(self.plan.num_samples, -1, dtype=np.int8)
         lookups = self.lookups[worker_offset : worker_offset + ids.shape[0]]
         for row, row_ids, lookup in zip(out, ids, lookups, strict=True):
-            scratch[lookup.ids] = lookup.labels
+            for label, class_ids in enumerate(lookup.class_ids):
+                scratch[class_ids] = label
             np.take(scratch, row_ids, out=row)
-            scratch[lookup.ids] = -1
+            for class_ids in lookup.class_ids:
+                scratch[class_ids] = -1
         return out
 
     def remote_classes_matrix(self, ids_matrix: np.ndarray) -> np.ndarray:

@@ -127,13 +127,6 @@ class EpochResult:
     # durations explicitly (np.array_equal) when they matter.
     batch_durations: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    def fetch_fraction_bytes(self, source: Source) -> float:
-        """Share of this epoch's fetched bytes served by ``source``."""
-        total = sum(self.fetch_bytes[:3])
-        if total <= 0:
-            return 0.0
-        return self.fetch_bytes[int(source)] / total
-
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict form; ``batch_durations`` becomes a list (or None)."""
         durations = self.batch_durations

@@ -5,11 +5,11 @@ cache misses get simulated — it hands the pending cells to an executor
 and records whatever comes back. Three implementations ship:
 
 ``serial`` (:class:`SerialExecutor`)
-    In-process — easiest to debug/profile. One shared
-    :class:`~repro.sim.engine.Simulator` per scenario reuses the
-    expensive access streams across consecutive cells on the same
-    config (Fig 8's nine policies on one scenario build their streams
-    once), keeping only the *current* scenario's streams alive.
+    In-process — easiest to debug/profile. Runs each scenario batch
+    (below) on one :class:`~repro.sim.engine.Simulator`, so every
+    policy of a scenario shares one epoch-major pass (Fig 10's seven
+    policies on one scenario build each epoch's permutation once),
+    keeping only the *current* batch's simulator alive.
 
 ``process`` (:class:`ProcessExecutor`)
     One cell per :class:`~concurrent.futures.ProcessPoolExecutor`
@@ -18,22 +18,28 @@ and records whatever comes back. Three implementations ship:
 
 ``batched`` (:class:`BatchedExecutor`) — **the default when
 ``n_jobs > 1``**
-    Groups cells by their *seed-invariant* scenario fingerprint (the
-    canonical serialized config minus ``seed``) into *scenario
-    batches*, then cuts any batch longer than an even share of the
-    sweep (``ceil(cells / max_workers)``) into contiguous chunks, so a
+    Cuts any scenario batch longer than an even share of the sweep
+    (``ceil(cells / max_workers)``) into contiguous chunks, so a
     one-scenario multi-seed sweep still fills every worker. Each chunk
     is one pool task: the worker rebuilds one ``Simulator`` and runs
     the chunk's cells on it. This amortizes spawn/pickle overhead and
-    restores the serial path's stream reuse under parallelism; seed
+    keeps the serial path's stream reuse under parallelism; seed
     replicas of one scenario (the paper's Sec 7 multi-seed
     replications) run on sibling simulators that share the dataset's
     size table.
 
+One grouping rule serves both: a *scenario batch*
+(:func:`_scenario_batches`) is every cell with the same seed-invariant
+scenario fingerprint — the canonical serialized config minus ``seed``
+— and the same ``tile_rows``, in first-seen order. Equal configs held
+as distinct objects (one per :class:`~repro.api.Scenario`, as
+``Session.sweep`` and ``sweep run --scenarios`` build them) share a
+batch, and so do cells that differ only in their noise seed.
+
 Every executor runs its cells through one batch step,
 :func:`_run_batch` (each run of cells sharing a seed is one
 :meth:`~repro.sim.engine.Simulator.run_many_seed` call): the serial
-executor in-process per scenario group, the pool executors inside one
+executor in-process per scenario batch, the pool executors inside one
 worker function (:func:`_simulate_batch`; the ``process`` executor with
 one-cell batches) fed by one dispatch loop.
 
@@ -170,6 +176,33 @@ def _consecutive_groups(items: Sequence, key: Callable) -> Iterator[list]:
         yield group
 
 
+def _scenario_batches(tasks: Sequence[CellTask]) -> list[list[CellTask]]:
+    """``tasks`` grouped into scenario batches, in first-seen order.
+
+    A batch holds every task whose config serializes to the same
+    canonical JSON once ``seed`` is stripped, at the same ``tile_rows``
+    (a batch shares one Simulator, so it must be uniform in its tile
+    height). Tasks keep their relative order within a batch.
+    """
+    # The serialization memo keys on the config *object* (kept alive by
+    # its cell, so ids cannot be recycled mid-loop), while batches key
+    # on the canonical seed-stripped JSON.
+    scenario_keys: dict[int, str] = {}  # id(cell.config) -> seedless JSON
+    batches: dict[tuple[str, int | None], list[CellTask]] = {}
+    for task in tasks:
+        config_id = id(task.cell.config)
+        scenario_key = scenario_keys.get(config_id)
+        if scenario_key is None:
+            config_dict = _task_config_dict(task)
+            scenario_key = scenario_keys[config_id] = json.dumps(
+                {k: v for k, v in config_dict.items() if k != "seed"},
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+        batches.setdefault((scenario_key, task.tile_rows), []).append(task)
+    return list(batches.values())
+
+
 #: One completed cell on the wire: ``(index, result_dict, error, elapsed_s)``.
 Done = tuple[int, dict[str, Any] | None, str | None, float]
 
@@ -253,35 +286,35 @@ def _yield_done(
 
 
 class SerialExecutor:
-    """In-process execution with per-scenario Simulator reuse.
+    """In-process execution, one Simulator per scenario batch.
 
-    Consecutive cells on one scenario (Fig 8's nine policies on one
-    config) run together through :func:`_run_batch`, so the scenario's
+    Cells are grouped by :func:`_scenario_batches` — the rule the
+    ``batched`` executor uses, without its cut — so every cell of a
+    scenario runs through one :func:`_run_batch`, however the grid
+    spelled it: cells sharing a config object, equal configs built one
+    per :class:`~repro.api.Scenario`, or seed replicas. The scenario's
     permutations, size gathers and noise RNG states are materialized
-    once per epoch for the whole group — bitwise identical to per-cell
-    runs. Finished cells of a group hit by an unexpected error still
-    yield before the error propagates.
+    once per epoch for every policy of a seed — bitwise identical to
+    per-cell runs. Finished cells of a batch hit by an unexpected error
+    still yield before the error propagates.
     """
 
     name = "serial"
     in_process = True
 
     def execute(self, tasks: Sequence[CellTask], emit: Emit) -> Iterator[CellResult]:
-        """Simulate each task in order, yielding results as they finish."""
-        # Share one Simulator across consecutive cells on the same
-        # config — but keep only the *current* one alive (grids are
-        # config-major; retaining every scenario's streams would
-        # balloon peak memory on many-config sweeps).
-        for group in _consecutive_groups(
-            tasks, key=lambda t: (id(t.cell.config), t.tile_rows)
-        ):
-            sim = Simulator(group[0].cell.config, tile_rows=group[0].tile_rows)
-            for task in group:
+        """Simulate each scenario batch in turn, yielding results as they finish."""
+        # Keep only the *current* batch's Simulator alive: retaining
+        # every scenario's streams would balloon peak memory on
+        # many-scenario sweeps.
+        for batch in _scenario_batches(tasks):
+            sim = Simulator(batch[0].cell.config, tile_rows=batch[0].tile_rows)
+            for task in batch:
                 emit(CellStarted(tag=task.cell.tag, index=task.index))
             done, failure = _run_batch(
-                sim, [(t.index, t.cell.policy, t.cell.config.seed) for t in group]
+                sim, [(t.index, t.cell.policy, t.cell.config.seed) for t in batch]
             )
-            yield from _yield_done(done, {t.index: t for t in group}, emit)
+            yield from _yield_done(done, {t.index: t for t in batch}, emit)
             if failure is not None:
                 raise failure
 
@@ -361,14 +394,14 @@ class ProcessExecutor(_PoolExecutorBase):
 class BatchedExecutor(_PoolExecutorBase):
     """Scenario-batched dispatch: one Simulator per pool task.
 
-    Cells are grouped by their *seed-invariant* scenario fingerprint —
-    the canonical serialized config minus ``seed`` — in first-seen
-    order, so two equal-but-distinct config objects still share one
-    batch, and so do cells that differ only in their noise seed. A
-    batch longer than ``ceil(len(tasks) / max_workers)`` cells is cut
-    into contiguous chunks of at most that many, so a sweep with fewer
-    scenarios than workers (Sec 7's one-scenario seed replications)
-    still keeps every worker busy; batches that already fit stay whole.
+    Cells are grouped into scenario batches by :func:`_scenario_batches`
+    (the serial executor's rule), so two equal-but-distinct config
+    objects still share one batch, and so do cells that differ only in
+    their noise seed. A batch longer than ``ceil(len(tasks) /
+    max_workers)`` cells is cut into contiguous chunks of at most that
+    many, so a sweep with fewer scenarios than workers (Sec 7's
+    one-scenario seed replications) still keeps every worker busy;
+    batches that already fit stay whole.
     Each batch or chunk is one pool task: the worker rebuilds the
     scenario's ``Simulator`` once and runs every (policy, seed) cell in
     it through :func:`_run_batch`.
@@ -385,32 +418,10 @@ class BatchedExecutor(_PoolExecutorBase):
         ``ceil(len(tasks) / parts)`` cells is cut into contiguous chunks
         of at most that many (``parts=1`` keeps every batch whole).
         """
-        # The serialization memo keys on the config *object* (kept
-        # alive by its cell, so ids cannot be recycled mid-loop), while
-        # batches key on the canonical seed-stripped JSON — equal-but-
-        # distinct configs still share one batch, as do seed replicas
-        # of the same scenario (the worker re-seeds per run of cells
-        # through Simulator.run_many_seed).
-        group_keys: dict[int, str] = {}  # id(cell.config) -> seedless JSON
-        batches: dict[tuple[str, int | None], list[CellTask]] = {}
-        for task in tasks:
-            config_id = id(task.cell.config)
-            group_key = group_keys.get(config_id)
-            if group_key is None:
-                config_dict = _task_config_dict(task)
-                group_key = group_keys[config_id] = json.dumps(
-                    {k: v for k, v in config_dict.items() if k != "seed"},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            # tile_rows rides along in the key (not the scenario JSON):
-            # a batch shares one Simulator, so it must be uniform in its
-            # tile height.
-            batches.setdefault((group_key, task.tile_rows), []).append(task)
         size = -(-len(tasks) // parts)
         return [
             batch[start : start + size]
-            for batch in batches.values()
+            for batch in _scenario_batches(tasks)
             for start in range(0, len(batch), size)
         ]
 

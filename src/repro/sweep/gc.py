@@ -192,9 +192,20 @@ class CacheStatsReport:
         return "\n".join(lines)
 
 
+def _existing_store(store: "str | Path | CacheBackend", what: str = "cache") -> CacheBackend:
+    """``store`` as a backend; a directory must already exist.
+
+    A mistyped path would otherwise read as an empty cache.
+    """
+    backend = as_backend(store)
+    if isinstance(backend, LocalDirBackend) and not backend.root.is_dir():
+        raise ConfigurationError(f"{what} {backend.root} is not a directory")
+    return backend
+
+
 def cache_stats(store: "str | Path | CacheBackend") -> CacheStatsReport:
     """Aggregate entry count/bytes/hits/age for one cache store."""
-    backend = as_backend(store)
+    backend = _existing_store(store)
     entries = scan_entries(backend)
     return CacheStatsReport(
         root=_store_label(backend),
@@ -259,7 +270,7 @@ def collect_garbage(
         raise ConfigurationError("max_bytes must be >= 0")
     if max_age_s is not None and max_age_s < 0:
         raise ConfigurationError("max_age_s must be >= 0")
-    backend = as_backend(store)
+    backend = _existing_store(store)
     entries = scan_entries(backend)  # LRU order: oldest mtime first
     now = time.time() if now is None else now
 
@@ -361,7 +372,7 @@ def verify_cache(
     sees a miss and re-simulates the cell — unless ``quarantine=False``,
     which only reports.
     """
-    backend = as_backend(store)
+    backend = _existing_store(store)
     checked = ok = 0
     corrupt: list[tuple[str, str]] = []
     for key in list(backend.keys()):
@@ -429,9 +440,7 @@ def merge_caches(
     merged_index = CacheIndex(dest_backend)
     source_backends: list[CacheBackend] = []
     for source in sources:
-        backend = as_backend(source)
-        if isinstance(backend, LocalDirBackend) and not backend.root.is_dir():
-            raise ConfigurationError(f"source cache {backend.root} is not a directory")
+        backend = _existing_store(source, "source cache")
         source_backends.append(backend)
         if backend.same_store(dest_backend):
             continue

@@ -164,6 +164,19 @@ class TestSweepAndCache:
         assert main(["cache", "stats", "--cache-dir", cache]) == 0
         assert "entries: 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "command", [["stats"], ["verify"], ["gc", "--max-bytes", "1"]],
+        ids=["stats", "verify", "gc"],
+    )
+    def test_lifecycle_rejects_a_missing_directory(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        """A mistyped path exits 2 instead of reading as an empty cache."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["cache", command[0], "--cache-dir", "typo-dir", *command[1:]]) == 2
+        assert "typo-dir is not a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRemovedSpellings:
     """``--cache SPEC`` is gone, and no flag is matched by its prefix."""
@@ -219,10 +232,23 @@ class TestExperimentsDispatch:
         assert main(["experiments", "--figures", "fig99"]) == 2
         assert "unknown figures" in capsys.readouterr().err
 
+    def test_experiments_usage_names_the_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiments", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: python -m repro experiments ")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiments", "--bogus"])
+        assert exit_info.value.code == 2
+        assert "python -m repro experiments: error: unrecognized arguments: --bogus" in (
+            capsys.readouterr().err
+        )
+
 
 class TestEntryPoint:
     def test_new_cli_does_not_warn(self, tmp_path):
         """``python -m repro`` runs as a real process without warnings."""
+        (tmp_path / "c").mkdir()
         env = dict(os.environ)
         src = str(REPO_ROOT / "src")
         env["PYTHONPATH"] = src + (

@@ -181,6 +181,28 @@ class TestExecutors:
         for tag, result in serial.results.items():
             assert batched[tag].to_json() == result.to_json()
 
+    def test_serial_sweep_runs_a_scenario_in_one_pass(self, tmp_path, monkeypatch):
+        """Distinct Scenario objects of one scenario share one epoch-major pass."""
+        passes = []
+        run_many_seed = Simulator.run_many_seed
+
+        def spy(sim, policies, seed):
+            passes.append([policy.name for policy in policies])
+            return run_many_seed(sim, policies, seed)
+
+        monkeypatch.setattr(Simulator, "run_many_seed", spy)
+        Session(cache_dir=tmp_path / "serial").sweep(SCENARIOS)
+        assert passes == [["naive", "staging_buffer", "nopfs"]]
+        monkeypatch.undo()
+        Session(jobs=2, executor="batched", cache_dir=tmp_path / "batched").sweep(SCENARIOS)
+
+        def entries(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        serial, batched = entries(tmp_path / "serial"), entries(tmp_path / "batched")
+        assert len(serial) >= len(SCENARIOS)
+        assert serial == batched
+
     def test_cache_and_cache_dir_conflict(self, tmp_path):
         with pytest.raises(ConfigurationError, match="not both"):
             Session(cache_dir=tmp_path, cache=InMemoryBackend())

@@ -1,12 +1,15 @@
 """ScenarioContext caching and stream-helper tests."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.datasets import DatasetModel
 from repro.errors import ConfigurationError
 from repro.perfmodel import sec6_cluster
-from repro.sim import ScenarioContext, SimulationConfig
+from repro.sim import NoPFSPolicy, ScenarioContext, SimulationConfig, Simulator
 
 
 def ctx(n_samples=2_000, epochs=3, batch=8):
@@ -86,9 +89,34 @@ class TestFrequencies:
             rebuilt[ids] = counts
             np.testing.assert_array_equal(rebuilt, dense)
 
-    def test_cached(self):
+    def test_rebuilt_per_call(self):
+        """The context keeps no table: a second call reads all E epochs again."""
         c = ctx()
-        assert c.worker_frequencies_sparse() is c.worker_frequencies_sparse()
+        first = c.worker_frequencies_sparse()
+        builds = c.perm_builds  # E: epoch E-1 is left resident
+        second = c.worker_frequencies_sparse()
+        assert second is not first
+        assert c.perm_builds == builds + c.config.num_epochs
+        for (ids, counts), (ids_again, counts_again) in zip(first, second, strict=True):
+            np.testing.assert_array_equal(ids_again, ids)
+            np.testing.assert_array_equal(counts_again, counts)
+
+    def test_nopfs_run_keeps_no_table(self):
+        """The table NoPFS's prepare reads is freed once its placement exists."""
+        sim = Simulator(ctx().config)
+        build = sim.ctx.worker_frequencies_sparse
+        arrays = []
+
+        def spy():
+            table = build()
+            arrays.extend(weakref.ref(a) for pair in table for a in pair)
+            return table
+
+        sim.ctx.worker_frequencies_sparse = spy
+        sim.run(NoPFSPolicy())
+        gc.collect()
+        assert len(arrays) == 2 * sim.ctx.num_workers
+        assert all(ref() is None for ref in arrays)
 
 
 class TestTiledStream:

@@ -77,6 +77,19 @@ def test_placement_ids_unique_and_in_range(prepared):
     }
 
 
+def test_lookups_share_placement_arrays(prepared):
+    """A prepared policy holds each cached id once: lookups view the placement."""
+    shared = 0
+    for key, spec, _, prep in _placed(prepared):
+        for lookup, placement in zip(prep.lookups, prep.plan.placements, strict=True):
+            assert len(lookup.class_ids) == len(placement.class_ids), (key, spec)
+            for ids, placed in zip(lookup.class_ids, placement.class_ids):
+                if len(placed):
+                    assert np.shares_memory(ids, placed), (key, spec, placement.worker)
+                    shared += 1
+    assert shared >= 100
+
+
 @pytest.mark.parametrize("tile_rows", [1, 3, None])
 def test_classes_matrix_equals_classes_of(prepared, tile_rows):
     rng = np.random.default_rng(3)

@@ -15,7 +15,9 @@ gathers shared across a ``run_many`` comparison, and the cold-class
 template staying read-only.
 """
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -157,6 +159,24 @@ def test_plan_scalars_match_per_epoch_values():
             assert phase.gamma == float(
                 system.pfs.effective_gamma(ctx.num_workers, fraction)
             )
+
+
+def test_finished_pass_releases_its_prepared_policies():
+    """A simulator kept across passes (a multi-seed batch's base) holds none."""
+    from repro.sim import NoPFSPolicy
+
+    sim = Simulator(SCENARIOS["default"])
+    preps = []
+
+    class Recording(NoPFSPolicy):
+        def prepare(self, ctx):
+            prep = super().prepare(ctx)
+            preps.append(weakref.ref(prep))
+            return prep
+
+    sim.run_many([Recording(), make_policy("naive")])
+    gc.collect()
+    assert len(preps) == 1 and preps[0]() is None
 
 
 def test_run_many_shares_epoch_size_gathers():
