@@ -10,7 +10,8 @@ Benchmarks the innermost hot path under every sweep cell — one
 * **N=1024** (the paper-scale tier): a Sec 7-sized scenario —
   1024 workers over a multi-million-sample stream — must complete
   with streaming tiles (``tile_rows=PAPER_SCALE_TILE_ROWS``) under the
-  documented peak-memory bound, bitwise-identical to the untiled run;
+  documented peak-memory bound, bitwise-identical to one whole-epoch
+  band (``tile_rows=PAPER_SCALE_WORKERS``);
   and Fig 10's seven-policy Lassen lineup at 1024 GPUs must run as one
   epoch-major pass under its own peak-memory bound.
 
@@ -50,13 +51,13 @@ NUM_WORKERS = 64
 #: The paper's headline scale (Sec 7: up to 1024 workers).
 PAPER_SCALE_WORKERS = 1024
 #: Streaming tile height for the paper-scale runs: 64-worker bands keep
-#: every per-sample float matrix at ~1.5 MB while the untiled run
+#: every per-sample float matrix at ~1.5 MB while one whole-epoch band
 #: materializes ~25 MB per temporary.
 PAPER_SCALE_TILE_ROWS = 64
 #: Documented peak-allocation bound (tracemalloc, MB) for the tiled
 #: N=1024 run. Measured ~192 MB, set by NoPFS's prepare (its transient
 #: frequency table over both epochs and the placement built from it),
-#: not by per-sample floats; the untiled run peaks ~271 MB. The bound
+#: not by per-sample floats; one whole-epoch band peaks ~271 MB. The bound
 #: carries slack for allocator variance across numpy versions, not for
 #: regressions.
 PAPER_SCALE_TILED_PEAK_MB = 256.0
@@ -160,7 +161,8 @@ def _traced_run(sim, policy):
 
 
 def test_engine_paper_scale(report):
-    """N=1024: tiled run is bitwise-equal to untiled and memory-bounded.
+    """N=1024: 64-row bands are bitwise-equal to one whole-epoch band and
+    memory-bounded.
 
     Peak memory is measured with ``tracemalloc`` (it traces every numpy
     buffer and, unlike RSS, is deterministic across allocator reuse).
@@ -172,16 +174,17 @@ def test_engine_paper_scale(report):
     config = _paper_scenario()
     ctx = ScenarioContext(config)
 
-    untiled, untiled_s, untiled_mb = _traced_run(
-        Simulator(config, ctx=ctx), NoPFSPolicy()
+    # tile_rows=None derives a band height; pass N for one whole-epoch band.
+    whole, whole_s, whole_mb = _traced_run(
+        Simulator(config, tile_rows=PAPER_SCALE_WORKERS, ctx=ctx), NoPFSPolicy()
     )
     tiled, tiled_s, tiled_mb = _traced_run(
         Simulator(config, tile_rows=PAPER_SCALE_TILE_ROWS, ctx=ctx), NoPFSPolicy()
     )
 
     assert json.dumps(tiled.to_dict(), sort_keys=True) == json.dumps(
-        untiled.to_dict(), sort_keys=True
-    ), "tiled paper-scale run diverges from untiled execution"
+        whole.to_dict(), sort_keys=True
+    ), "tiled paper-scale run diverges from whole-epoch execution"
     assert tiled_mb < PAPER_SCALE_TILED_PEAK_MB, (
         f"tiled N={PAPER_SCALE_WORKERS} run peaked at {tiled_mb:.1f} MB; "
         f"documented bound is {PAPER_SCALE_TILED_PEAK_MB:.0f} MB"
@@ -195,7 +198,8 @@ def test_engine_paper_scale(report):
                 f"scenario: N={PAPER_SCALE_WORKERS} workers, "
                 f"F={config.dataset.num_samples:,} samples, "
                 f"E={config.num_epochs} epochs, B={config.batch_size}",
-                f"untiled:              {untiled_s:6.2f}s  peak {untiled_mb:7.1f} MB",
+                f"one band (tile_rows={PAPER_SCALE_WORKERS}): "
+                f"{whole_s:6.2f}s  peak {whole_mb:7.1f} MB",
                 f"tiled (tile_rows={PAPER_SCALE_TILE_ROWS}):  "
                 f"{tiled_s:6.2f}s  peak {tiled_mb:7.1f} MB",
                 f"matrix cells/s (tiled): {cells / tiled_s:,.0f}",
@@ -401,10 +405,11 @@ def _pr9_noise_sim(config, ctx):
     return sim
 
 
-def _frozen_noise_kernel(fetch_times, sources, noise, rngs, counts=None):
-    """The frozen kernel above behind the engine's call signature (the
-    engine also passes the tile's per-source counts, which it ignores)."""
-    return _pr9_apply_noise_matrix(fetch_times, sources, noise, rngs)
+def _frozen_noise_kernel(fetch_times, sources, noise, band, counts=None):
+    """The frozen kernel above behind the engine's call signature: the
+    engine's band carries the fresh generators as its ``states`` (and
+    passes the band's per-source counts, which the kernel ignores)."""
+    return _pr9_apply_noise_matrix(fetch_times, sources, noise, band.states)
 
 
 def test_engine_noise_fast_path(report, ab_timer):
@@ -472,10 +477,12 @@ def test_engine_noise_fast_path_throughput(benchmark):
 # -- epoch-major run_many at paper scale ------------------------------------
 
 #: Peak-allocation bound (tracemalloc, MB) for the N=1024 ``run_many``:
-#: ~one epoch's matrices (a 24 MB id permutation plus the rolling size
-#: gather and band floats), NOT per-policy copies; noise stream states
-#: live only for the tile that draws from them. Measured ~75 MB;
-#: the bound carries allocator slack only.
+#: ~one epoch's matrices (a 24 MB id permutation plus the band slot's
+#: size gather and band floats), NOT per-policy copies; a band's noise
+#: stream states and memoized draws live only while that band executes.
+#: Measured ~78 MB (~75 MB before band-major execution kept each
+#: policy's per-batch totals alive across the epoch's bands); the bound
+#: carries allocator slack only.
 RUN_MANY_UNCACHED_PEAK_MB = 160.0
 
 #: Clairvoyant-stream lineup for the run_many tier: policies whose
@@ -562,8 +569,10 @@ FIG10_LINEUP = (
     "locality_aware",
 )
 #: Peak-allocation bound (tracemalloc, MB) for the lineup's one pass.
-#: Measured ~127 MB: the seven prepared policies held together (~86 MB;
-#: NoPFS's placement is ~41 MB of it) plus one epoch's working set.
+#: Measured ~117 MB: the seven prepared policies held together (~86 MB;
+#: NoPFS's placement is ~41 MB of it) plus one epoch's working set
+#: (~126 MB before band-major execution shared each band's gather and
+#: noise draws across the lineup).
 #: When the context kept NoPFS's frequency table and every worker lookup
 #: copied its placement ids, the same pass peaked at ~252 MB. The bound
 #: carries slack for allocator variance across numpy versions, not for

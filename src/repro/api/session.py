@@ -71,9 +71,10 @@ class Session:
         share its entries.
     tile_rows:
         Engine streaming tile height (worker rows per execute-phase
-        band) to bound peak memory on paper-scale scenarios; ``None``
-        executes whole epochs at once. Results and cache entries are
-        bitwise identical for every value.
+        band); ``None`` lets the engine derive it from the epoch's
+        per-worker stream length (:func:`repro.sim.engine.band_rows`).
+        Results and cache entries are bitwise identical for every
+        value.
     """
 
     def __init__(

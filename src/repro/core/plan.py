@@ -176,10 +176,6 @@ class CachePlan:
         """Fraction of the dataset cached by at least one worker."""
         return float((self.holder_counts() > 0).mean())
 
-    def cached_bytes_per_worker(self, sizes_mb: np.ndarray) -> list[float]:
-        """MB cached by each worker under ``sizes_mb``."""
-        return [p.cached_bytes(sizes_mb) for p in self._placements]
-
 
 def frequency_placement(
     frequencies: np.ndarray,

@@ -19,8 +19,9 @@ Both produce a :class:`WorldReport` of per-epoch
 comparison exact rather than statistical: the runtime world *records*
 which tier actually served every sample (an observed ``(N, L)`` class
 matrix) and then prices those observations through the very same engine
-method (:meth:`~repro.sim.engine.Simulator.execute_epoch`) the analytic
-world uses — identical kernels, identical accumulation order. Whenever
+method (:meth:`~repro.sim.engine.Simulator.execute_epoch`, as a lineup
+of one) the analytic world uses — identical kernels, identical
+accumulation order. Whenever
 the runtime serves a sample the way the policy's plan modelled it, the
 two worlds agree bit for bit.
 
@@ -44,11 +45,11 @@ per-thread read bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
-from ..errors import ConfigurationError, RuntimeIOError
+from ..errors import ConfigurationError, PolicyError, RuntimeIOError
 from ..perfmodel import (
     PFSModel,
     StagingBufferModel,
@@ -138,7 +139,7 @@ class SimWorld:
         sim = self.sim
         prep = policy.prepare(sim.ctx)
         epochs = tuple(
-            sim.execute_epoch(policy, prep, sim.plan_epoch(prep, epoch))
+            _execute(sim, policy, prep, sim.plan_epoch(prep, epoch))
             for epoch in range(self.config.num_epochs)
         )
         return WorldReport(
@@ -150,6 +151,14 @@ class SimWorld:
         )
 
 
+def _execute(sim: Simulator, policy: Policy, prep: PreparedPolicy, plan) -> EpochResult:
+    """Price one planned epoch as a lineup of one; raise its PolicyError."""
+    (outcome,) = sim.execute_epoch([(policy, prep, plan)])
+    if isinstance(outcome, PolicyError):
+        raise outcome
+    return outcome
+
+
 # -- the runtime world -----------------------------------------------------
 
 
@@ -158,8 +167,8 @@ class _RecordedPlan:
     """An :class:`~repro.sim.engine.EpochPlan` stand-in carrying observations.
 
     Instead of deriving class matrices from the policy's placement, its
-    single tile holds the tiers the runtime *actually served from* —
-    which is what :meth:`Simulator.execute_epoch` then prices.
+    tiles are row bands of the tiers the runtime *actually served
+    from* — which is what :meth:`Simulator.execute_epoch` then prices.
     """
 
     epoch: int
@@ -170,8 +179,20 @@ class _RecordedPlan:
     pfs_latency_s: float
     observed: EpochTile = field(repr=False)
 
-    def tiles(self, tile_rows: int | None) -> Iterator[EpochTile]:
-        yield self.observed
+    def tile(self, rows: slice) -> EpochTile:
+        """The observed matrices' rows ``rows``."""
+        observed = self.observed
+
+        def band(matrix: np.ndarray | None) -> np.ndarray | None:
+            return None if matrix is None else matrix[rows]
+
+        return EpochTile(
+            rows=rows,
+            ids=observed.ids[rows],
+            sizes_mb=observed.sizes_mb[rows],
+            local_classes=band(observed.local_classes),
+            remote_classes=band(observed.remote_classes),
+        )
 
 
 class RuntimeWorld:
@@ -339,17 +360,18 @@ class RuntimeWorld:
             plan = sim.plan_epoch(prep, epoch)
             if prep.plan is not None and epoch == prep.warm_epochs:
                 self._fill_from_plan(prep, tiers, metas)
-            observed = self._serve_epoch(prep, plan.ids, epoch, group, tiers, metas, holder_of)
+            ids = plan.ids  # a rewritten stream stacks its rows on each access
+            observed = self._serve_epoch(prep, ids, epoch, group, tiers, metas, holder_of)
             recorded = _RecordedPlan(
                 epoch=plan.epoch,
                 warm=plan.warm,
-                ids=plan.ids,
+                ids=ids,
                 gamma=plan.gamma,
                 pfs_share_mbps=plan.pfs_share_mbps,
                 pfs_latency_s=plan.pfs_latency_s,
                 observed=observed,
             )
-            epochs.append(sim.execute_epoch(policy, prep, recorded))
+            epochs.append(_execute(sim, policy, prep, recorded))
 
         return WorldReport(
             world="runtime",

@@ -1,8 +1,9 @@
 """The Sec 6 I/O performance simulator: engine, policies, results.
 
-The engine evaluates whole epochs as ``(N, L)`` matrices through the
-pure array kernels in :mod:`repro.sim.kernels`; see
-``docs/performance.md`` for the layout and the equivalence guarantees.
+The engine evaluates epochs as ``(N, L)`` matrices, priced in row
+bands for a whole policy lineup at once, through the pure array kernels
+in :mod:`repro.sim.kernels`; see ``docs/performance.md`` for the layout
+and the equivalence guarantees.
 """
 
 from . import kernels
@@ -11,7 +12,7 @@ from .config import SimulationConfig
 from .context import ScenarioContext
 from .engine import EpochPlan, EpochTile, Simulator, analytic_lower_bound
 from .lockstep import LockstepResult, lockstep_epoch
-from .noise import NoiseConfig, apply_noise, apply_noise_matrix
+from .noise import NoiseBand, NoiseConfig, apply_noise, apply_noise_matrix
 from .plancache import PhasePlan, PlanCache, PlanScalars
 from .policies import (
     DeepIOPolicy,
@@ -44,6 +45,7 @@ __all__ = [
     "kernels",
     "LockstepResult",
     "lockstep_epoch",
+    "NoiseBand",
     "NoiseConfig",
     "apply_noise",
     "apply_noise_matrix",

@@ -6,8 +6,8 @@ arbitrary dataset, system, and I/O strategy configurations. We do not
 aim for a precise simulation of training, but rather to capture the
 relative performance of different I/O strategies."
 
-The engine evaluates whole epochs as ``(N, L)`` matrices — ``N``
-workers by ``L = T * B`` samples — in two phases:
+The engine evaluates epochs as ``(N, L)`` matrices — ``N`` workers by
+``L = T * B`` samples — in two phases:
 
 1. **Plan** (:meth:`Simulator.plan_epoch`): the policy's
    :class:`~repro.sim.policies.base.PreparedPolicy` fixes the cache
@@ -17,36 +17,49 @@ workers by ``L = T * B`` samples — in two phases:
    the staging lookahead — is computed once per prepared policy by the
    simulator's :class:`~repro.sim.plancache.PlanCache` and reused for
    every epoch (and across the policies of :meth:`Simulator.run_many`).
-   Per epoch only the id permutation is resolved, yielding an
-   :class:`EpochPlan`.
-2. **Execute** (:meth:`Simulator.execute_epoch`): the plan is
-   materialized tile by tile (:meth:`EpochPlan.tiles`) — contiguous
-   worker-row bands of configurable height ``tile_rows`` — and pure
-   array kernels (:mod:`repro.sim.kernels`) gather each band's fetch
-   sources from the epoch's :class:`FetchTable` (local tier / fastest
-   remote tier / PFS — Sec 4's three cases), apply seeded per-worker
-   noise, and aggregate per-batch read/compute times. The assembled ``(N, T)`` totals feed
-   the bulk-synchronous lockstep scan (:mod:`repro.sim.lockstep`),
-   which turns them into global batch completion times under the
-   allreduce barrier and the staging-buffer lookahead window.
+   Per epoch only the id stream is resolved — the context's resident
+   permutation, or a rewritten stream built band by band when executed
+   — yielding an :class:`EpochPlan`.
+2. **Execute** (:meth:`Simulator.execute_epoch`): the epoch's whole
+   lineup of planned policies is priced **band-major** — contiguous
+   worker-row bands outermost, the policies inside. For each band every
+   policy's plan materializes its tile (:meth:`EpochPlan.tile`), and
+   pure array kernels (:mod:`repro.sim.kernels`) gather each band's
+   fetch sources from the policy's :class:`FetchTable` (local tier /
+   fastest remote tier / PFS — Sec 4's three cases), apply seeded
+   per-worker noise, and aggregate per-batch read/compute times. The
+   assembled ``(N, T)`` totals feed the bulk-synchronous lockstep scan
+   (:mod:`repro.sim.lockstep`), which turns them into global batch
+   completion times under the allreduce barrier and the staging-buffer
+   lookahead window.
 
-With ``tile_rows=None`` (the default) an epoch is one full-height tile
-— the PR-5 behaviour. With a finite ``tile_rows`` the float
-``(N, L)`` working set (sizes, fetch times, noise draws, read times)
-exists only ``tile_rows`` rows at a time, so paper-scale scenarios
-(N=1024 over multi-million-sample streams) execute in bounded memory.
-Every per-element float operation is row-local and the cross-worker
-reductions run after the loop in strict worker order, so results are
-**bitwise identical for every tile height** — pinned, along with the
-equivalence to the seed scalar engine, by
-``tests/sim/test_engine_equivalence.py`` and ``tests/sim/test_tiling.py``
-against the reference copy kept in ``tests/sim/reference_engine.py``.
+A band's inputs that do not depend on the policy are built once for
+the whole lineup: the clairvoyant stream's size gather with its compute
+totals and write times (the plan cache's band slot), the per-worker
+noise stream states, and every distinct noise multiplier matrix — the
+draws are keyed ``("noise", epoch, worker)``, never by policy, so
+policies whose band reads every sample from the same sources share one
+draw (:class:`~repro.sim.noise.NoiseBand`).
+
+Bands are ``tile_rows`` workers high; with ``tile_rows=None`` (the
+default) the height is derived as ``BAND_ELEMENTS // L`` rows (at least
+one), so the float working set — sizes, fetch times, noise
+multipliers, read times — exists only one band at a time, and
+paper-scale scenarios (N=1024 over multi-million-sample streams)
+execute in bounded memory. Every per-element float operation is
+row-local and the cross-worker reductions run after the loop in strict
+worker order, so results are **bitwise identical for every band
+height** — pinned, along with the equivalence to the seed scalar
+engine, by ``tests/sim/test_engine_equivalence.py`` and
+``tests/sim/test_tiling.py`` against the reference copy kept in
+``tests/sim/reference_engine.py``.
 
 Every entry point — :meth:`Simulator.run`, :meth:`Simulator.run_seed`,
 :meth:`Simulator.run_many_outcomes` and :meth:`Simulator.run_many_seed`
 — prepares its policies and then drives them through one epoch-major
 loop: epochs outermost, each epoch's permutation materialized once and
-shared by every policy of the call. The two ``*_seed`` entry points run
+shared by every policy of the call, whose plans are then executed as
+one band-major lineup. The two ``*_seed`` entry points run
 that loop on a sibling simulator for the reseeded config — the seed
 alone fixes a run (Sec 2), so another seed needs nothing more.
 
@@ -66,23 +79,45 @@ from typing import Iterator
 import numpy as np
 
 from ..errors import ConfigurationError, PolicyError
-from ..perfmodel import Source, SystemModel, resolve_fetch, write_times
+from ..perfmodel import Source, SystemModel, resolve_fetch
 from . import kernels
 from .config import SimulationConfig
 from .context import ScenarioContext
 from .lockstep import lockstep_epoch
-from .noise import apply_noise_matrix
-from .plancache import PlanCache
+from .noise import NoiseBand, apply_noise_matrix
+from .plancache import PlanCache, SizeBand
 from .policies.base import Policy, PreparedPolicy
 from .result import BatchTimeStats, EpochResult, SimulationResult
 
 __all__ = [
+    "BAND_ELEMENTS",
     "Simulator",
     "EpochPlan",
     "EpochTile",
     "FetchTable",
     "analytic_lower_bound",
+    "band_rows",
 ]
+
+#: Per-sample elements (rows x L) of one row band when ``tile_rows`` is
+#: None: each band-sized float temporary is 512 KiB. On the 1024-GPU
+#: Fig 10 lineup (L = 1248) bands of 2**14 to 2**18 elements ran within
+#: run-to-run noise of each other, while the traced peak read ~117 MB
+#: at 2**14 and 2**16, 127 MB at 2**18 and 228 MB for whole-epoch bands
+#: (where every band temporary and memoized multiplier matrix is
+#: epoch-sized); 2**16 is the largest flat-peak size measured.
+BAND_ELEMENTS = 2**16
+
+
+def band_rows(num_workers: int, length: int, tile_rows: int | None) -> int:
+    """Height of the engine's row bands over ``num_workers`` x ``length``.
+
+    ``tile_rows`` when given, else ``BAND_ELEMENTS // length`` rows;
+    at least one row and at most ``num_workers``.
+    """
+    if tile_rows is None:
+        tile_rows = BAND_ELEMENTS // max(length, 1)
+    return max(1, min(int(tile_rows), num_workers))
 
 
 def analytic_lower_bound(
@@ -162,6 +197,11 @@ class EpochTile:
     local_classes / remote_classes:
         ``(rows, L)`` int8 cache-tier matrices (``-1`` = unavailable);
         ``None`` for the ideal (no-I/O) policy, which skips fetching.
+    shared:
+        The plan cache's band slot when ``sizes_mb`` is the canonical
+        stream's shared gather: its compute totals and write times are
+        then computed once for every policy of the band. ``None`` for
+        sizes of the tile's own (rewritten or recorded) streams.
     """
 
     rows: slice
@@ -169,6 +209,7 @@ class EpochTile:
     sizes_mb: np.ndarray
     local_classes: np.ndarray | None
     remote_classes: np.ndarray | None
+    shared: SizeBand | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -176,10 +217,11 @@ class EpochPlan:
     """One epoch's inputs to the execute-phase kernels.
 
     Everything the policy and contention model decide about an epoch.
-    Only the integer id permutation is held in full; the float
-    size/class matrices are materialized on demand, tile by tile, via
-    :meth:`tile` / :meth:`tiles` — so a plan's resident cost stays at
-    one ``(N, L)`` integer matrix even at paper scale.
+    No per-sample matrix is held: the size/class matrices are
+    materialized on demand, band by band, via :meth:`tile` /
+    :meth:`tiles`, and so are a rewritten stream's ids — a plan holds
+    at most a reference to the context's one resident epoch
+    permutation, even at paper scale.
 
     Attributes
     ----------
@@ -187,8 +229,6 @@ class EpochPlan:
         Epoch index.
     warm:
         Whether the policy's cache placement is active this epoch.
-    ids:
-        ``(N, L)`` sample ids, row ``w`` = worker ``w``'s stream order.
     gamma:
         Effective PFS contention level for the epoch.
     pfs_share_mbps:
@@ -197,40 +237,65 @@ class EpochPlan:
         policy overlaps I/O with compute).
     pfs_latency_s:
         Per-request PFS latency under ``gamma``.
+    canonical:
+        The context's ``(N, L)`` clairvoyant epoch matrix when the
+        policy reads it (its bands' size gathers are then shared across
+        policies); ``None`` when the policy rewrites this epoch's
+        streams through ``prep.stream_fn``.
     """
 
     epoch: int
     warm: bool
-    ids: np.ndarray
     gamma: float
     pfs_share_mbps: float
     pfs_latency_s: float
     prep: PreparedPolicy = field(repr=False)
     cache: PlanCache = field(repr=False)
-    #: True when ``ids`` is the context's canonical (clairvoyant) epoch
-    #: matrix, making the size gather shareable across policies.
-    shared_ids: bool = field(repr=False, default=False)
+    canonical: np.ndarray | None = field(repr=False, default=None)
+
+    @property
+    def ids(self) -> np.ndarray:
+        """``(N, L)`` sample ids, row ``w`` = worker ``w``'s stream order.
+
+        The canonical matrix itself, or a rewritten stream's rows
+        stacked afresh on every access (the execute phase builds them a
+        band at a time instead).
+        """
+        return self.band_ids(slice(0, self.cache.ctx.num_workers))
+
+    def band_ids(self, rows: slice) -> np.ndarray:
+        """``(rows, L)`` sample ids of one row band.
+
+        A rewritten stream stacks the band's per-worker ``stream_fn``
+        rows — each one deterministic per-worker shuffle, so a band is
+        O(rows) RNG setups, not O(rows*L) Python work.
+        """
+        if self.canonical is not None:
+            return self.canonical[rows]
+        stream_fn = self.prep.stream_fn
+        return np.stack(
+            [stream_fn(worker, self.epoch) for worker in range(rows.start, rows.stop)]
+        )
 
     def tile(self, rows: slice) -> EpochTile:
-        """Materialize the size/class matrices for one row band.
+        """Materialize the ids and size/class matrices of one row band.
 
-        Whole-epoch tiles over the canonical stream reuse the plan
-        cache's shared per-epoch size gather; partial tiles gather just
-        their band. Class resolution is row-local by construction —
-        local tiers via the band's workers' lookups
+        A canonical-stream band reuses the plan cache's band slot
+        (:meth:`PlanCache.size_band`), shared by every policy of the
+        lineup that reads the same band; a rewritten stream gathers its
+        own. Class resolution is row-local by construction — local
+        tiers via the band's workers' lookups
         (``worker_offset=rows.start``), remote tiers via the placement
         gather, warm-up availability via the column-indexed progress
         hash — so a band's matrices are bitwise equal to the same rows
         of the full-epoch materialization.
         """
         prep = self.prep
-        ids = self.ids[rows]
-        if self.shared_ids and ids.shape[0] == self.ids.shape[0]:
-            sizes = self.cache.sizes_matrix(self.epoch, self.ids)
-        elif self.shared_ids:
-            # A canonical-stream band can slice an epoch gather that
-            # already exists; otherwise it gathers just its own rows.
-            sizes = self.cache.sizes_band(self.epoch, ids, rows)
+        ids = self.band_ids(rows)
+        shared: SizeBand | None = None
+        if self.canonical is not None:
+            shared = self.cache.size_band(self.epoch, ids, rows)
+            sizes = shared.sizes_mb
         else:
             sizes = self.cache.ctx.sizes_mb[ids]
 
@@ -252,19 +317,37 @@ class EpochPlan:
             sizes_mb=sizes,
             local_classes=local_cls,
             remote_classes=remote_cls,
+            shared=shared,
         )
 
     def tiles(self, tile_rows: int | None) -> Iterator[EpochTile]:
-        """Iterate the epoch as row bands of height ``tile_rows``.
+        """Iterate the epoch as row bands, the last band ragged.
 
-        ``None`` yields the epoch as a single full-height tile (the
-        untiled fast path); otherwise bands of ``tile_rows`` workers
-        (the last band ragged) are materialized lazily, one at a time.
+        Bands are :func:`band_rows` high — ``tile_rows`` workers, or the
+        engine's derived height for ``None`` — and materialized lazily,
+        one at a time.
         """
-        n = self.ids.shape[0]
-        step = n if tile_rows is None else max(1, min(int(tile_rows), n))
+        ctx = self.cache.ctx
+        n = ctx.num_workers
+        step = band_rows(n, ctx.samples_per_worker_per_epoch, tile_rows)
         for start in range(0, n, step):
             yield self.tile(slice(start, min(start + step, n)))
+
+
+@dataclass
+class _Pricing:
+    """One lineup entry's execute-phase state for one epoch."""
+
+    policy: Policy
+    prep: PreparedPolicy
+    plan: EpochPlan
+    table: FetchTable | None
+    batch_comps: np.ndarray
+    batch_reads: np.ndarray
+    seconds_by_source: np.ndarray
+    bytes_by_source: np.ndarray
+    counts_by_source: np.ndarray
+    error: PolicyError | None = None
 
 
 class Simulator:
@@ -280,10 +363,10 @@ class Simulator:
     config:
         The scenario to simulate.
     tile_rows:
-        Execute epochs in row bands of this many workers to bound peak
-        memory (``None`` = whole epochs at once). Any value yields
-        bitwise-identical results; see :mod:`docs/performance.md` for
-        the memory/speed trade-off.
+        Execute epochs in row bands of this many workers (``None`` =
+        bands of ``BAND_ELEMENTS // L`` rows, see :func:`band_rows`).
+        Any value yields bitwise-identical results; see
+        :mod:`docs/performance.md` for the memory/speed trade-off.
     ctx:
         Reuse an existing :class:`ScenarioContext` built from the same
         ``config`` (e.g. to share its sample sizes and per-epoch worker
@@ -343,17 +426,19 @@ class Simulator:
         this prepares every policy up front and then iterates **epochs
         outermost**: each epoch's ``(N, L)`` permutation is the
         context's resident epoch (:meth:`ScenarioContext.epoch_matrix`),
-        its size gather lands in the plan cache's one-epoch slot, and
-        every surviving policy's plan/execute for that epoch runs
-        against them. The shared work is materialized once per epoch
-        (``E`` builds, not ``E x P``; :attr:`ScenarioContext.perm_builds`
-        proves it) while memory stays bounded to ~one epoch's matrices.
+        every surviving policy plans against it, and the epoch's plans
+        execute as one band-major lineup (:meth:`execute_epoch`), each
+        band's size gather, noise streams and noise draws shared by
+        every policy that reads them. The permutation is materialized
+        once per epoch (``E`` builds, not ``E x P``;
+        :attr:`ScenarioContext.perm_builds` proves it) while memory
+        stays bounded to ~one epoch's permutation plus one band.
 
         Per-policy results are bitwise identical to :meth:`run`: every
-        shared value is a pure function of ``(epoch, scenario)`` and
-        every tile derives its noise streams' initial states afresh, so
-        iteration order cannot change a bit (pinned by
-        ``tests/sim/test_run_many.py``). A policy raising
+        shared value is a pure function of ``(epoch, band, scenario)``
+        and a noise multiplier matrix is reused only for an exactly
+        equal source matrix, so iteration order cannot change a bit
+        (pinned by ``tests/sim/test_run_many.py``). A policy raising
         :class:`~repro.errors.PolicyError` — at prepare time or
         mid-epoch — yields that error in its slot (the same error the
         per-policy run would raise) without disturbing its siblings.
@@ -388,23 +473,28 @@ class Simulator:
     def _run_epoch_major(
         self, slots: "list[tuple[Policy, PreparedPolicy] | PolicyError]"
     ) -> "list[SimulationResult | PolicyError]":
-        """Drive prepared per-policy slots through the epoch-major loop."""
+        """Drive prepared per-policy slots through the epoch-major loop.
+
+        Each epoch plans every surviving policy, then executes them as
+        one band-major lineup (:meth:`execute_epoch`); a policy whose
+        epoch fails keeps its :class:`~repro.errors.PolicyError`.
+        """
         epoch_lists: list[list[EpochResult]] = [[] for _ in slots]
         preps = [slot[1] for slot in slots if not isinstance(slot, PolicyError)]
         try:
             for epoch in range(self.config.num_epochs):
                 self.ctx.hold_epoch(epoch)
-                for i, slot in enumerate(slots):
-                    if isinstance(slot, PolicyError):
-                        continue
-                    policy, prep = slot
-                    try:
-                        plan = self.plan_epoch(prep, epoch)
-                        epoch_lists[i].append(
-                            self.execute_epoch(policy, prep, plan)
-                        )
-                    except PolicyError as exc:
-                        slots[i] = exc
+                live = [
+                    (i, slot) for i, slot in enumerate(slots) if not isinstance(slot, PolicyError)
+                ]
+                lineup = [
+                    (policy, prep, self.plan_epoch(prep, epoch)) for _, (policy, prep) in live
+                ]
+                for (i, _), outcome in zip(live, self.execute_epoch(lineup)):
+                    if isinstance(outcome, PolicyError):
+                        slots[i] = outcome
+                    else:
+                        epoch_lists[i].append(outcome)
         finally:
             self.ctx.release_held_epoch()
             self.plan_cache.release(preps)
@@ -473,158 +563,190 @@ class Simulator:
 
     # -- plan phase ----------------------------------------------------------
 
-    def _epoch_ids(
-        self, prep: PreparedPolicy, epoch: int, warm: bool
-    ) -> tuple[np.ndarray, bool]:
-        """The epoch's ``(N, L)`` id matrix, honouring stream rewrites.
-
-        Clairvoyant policies get the context's resident epoch matrix
-        (zero copies; flagged shared so the size gather can be reused
-        across policies); order-changing policies (sharding, DeepIO
-        opportunistic) have their per-worker ``stream_fn`` rows stacked
-        — each row is one deterministic per-worker shuffle, so the loop
-        is O(N) RNG setups, not O(N*L) Python work.
-        """
-        ctx = self.ctx
-        if prep.stream_fn is None or not (warm or prep.warm_epochs == 0):
-            return ctx.epoch_matrix(epoch), True
-        stacked = np.stack(
-            [prep.stream_fn(worker, epoch) for worker in range(ctx.num_workers)]
-        )
-        return stacked, False
-
     def plan_epoch(self, prep: PreparedPolicy, epoch: int) -> EpochPlan:
-        """Resolve one epoch's ids and (cached) contention scalars.
+        """Resolve one epoch's stream and (cached) contention scalars.
 
         Public because the plan is the sim/runtime seam: the parity
         harness (:mod:`repro.ports.worlds`) replays ``plan.ids`` — the
         exact per-worker stream, honouring policy stream rewrites —
         through the threaded runtime, so both worlds consume
         bitwise-identical access streams.
+
+        Clairvoyant policies get the context's resident epoch matrix
+        (zero copies; its band gathers are shared across policies).
+        Order-changing policies (sharding, DeepIO opportunistic,
+        locality-aware) rewrite their warm epochs' streams; their rows
+        are built a band at a time by :meth:`EpochPlan.tile`, inside the
+        execute phase.
         """
         warm = prep.plan is not None and epoch >= prep.warm_epochs
         phase = self.plan_cache.scalars(prep).phase(epoch < prep.warm_epochs)
-        ids, shared = self._epoch_ids(prep, epoch, warm)
+        rewritten = prep.stream_fn is not None and (warm or prep.warm_epochs == 0)
         return EpochPlan(
             epoch=epoch,
             warm=warm,
-            ids=ids,
             gamma=phase.gamma,
             pfs_share_mbps=phase.pfs_share_mbps,
             pfs_latency_s=phase.pfs_latency_s,
             prep=prep,
             cache=self.plan_cache,
-            shared_ids=shared,
+            canonical=None if rewritten else self.ctx.epoch_matrix(epoch),
         )
 
     # -- execute phase -------------------------------------------------------
 
     def execute_epoch(
-        self, policy: Policy, prep: PreparedPolicy, plan: EpochPlan
-    ) -> EpochResult:
-        """Run one planned epoch through the array kernels, tile by tile.
+        self, lineup: "list[tuple[Policy, PreparedPolicy, EpochPlan]]"
+    ) -> "list[EpochResult | PolicyError]":
+        """Price one epoch for a lineup of planned policies, band-major.
+
+        ``lineup`` holds ``(policy, prep, plan)`` entries for one epoch;
+        the result holds one :class:`EpochResult`, or the
+        :class:`~repro.errors.PolicyError` that entry raised, per entry
+        in order. A failing entry names its lowest failing worker — the
+        bands run in worker order — and leaves its siblings untouched.
 
         Public because it is the pricing half of the sim/runtime seam:
         the parity harness (:mod:`repro.ports.worlds`) replays the tier
         assignments the *threaded runtime* actually served through this
-        very method (via a recorded plan whose tiles carry the observed
-        class matrices), so both worlds are timed by identical kernels.
+        very method (as a lineup of one recorded plan whose tiles carry
+        the observed class matrices), so both worlds are timed by
+        identical kernels. A plan may be any object with the
+        :class:`EpochPlan` surface (``epoch`` / ``gamma`` /
+        ``pfs_share_mbps`` / ``pfs_latency_s`` and ``tile(rows)``).
 
-        ``plan`` may be any object with the :class:`EpochPlan` surface
-        (``epoch`` / ``gamma`` / ``pfs_share_mbps`` / ``pfs_latency_s``
-        and a ``tiles(tile_rows)`` iterator).
-
-        Per-sample float work (:class:`FetchTable` gathers, noise, write
-        times, per-batch totals) happens inside the tile loop on
-        ``(rows, L)`` bands; only the small ``(N, T)`` batch totals and
-        ``(N, 4)`` per-source aggregates persist across tiles. The
-        cross-worker reductions (:func:`kernels.accumulate_rows`) run
-        after the loop over the assembled rows in strict worker order —
-        exactly the seed engine's accumulation order — so the tile
-        height never changes a single bit of the result.
+        Row bands (:func:`band_rows`) run outermost, the lineup inside,
+        so each band's policy-independent inputs are built once: the
+        canonical stream's size gather with its compute totals and write
+        times (:meth:`PlanCache.size_band`), the band's noise stream
+        states (:meth:`PlanCache.noise_stream_states`) and, through the
+        band's :class:`~repro.sim.noise.NoiseBand`, one multiplier
+        matrix per distinct source matrix. Per-sample float work happens
+        on ``(rows, L)`` bands; only the small ``(N, T)`` batch totals
+        and ``(N, 4)`` per-source aggregates of each entry persist
+        across bands. The cross-worker reductions
+        (:func:`kernels.accumulate_rows`) run after the loop over the
+        assembled rows in strict worker order — exactly the seed
+        engine's accumulation order — so neither the band height nor
+        the lineup ever changes a single bit of a result.
         """
+        if not lineup:
+            return []
+        epoch = lineup[0][2].epoch
+        if any(plan.epoch != epoch for _, _, plan in lineup):
+            raise ConfigurationError("execute_epoch prices one epoch's lineup at a time")
         cfg = self.config
         system = cfg.system
         n = self.ctx.num_workers
         t_iters = cfg.iterations_per_epoch
-        batch = cfg.batch_size
-        p0 = system.staging.threads
-        divisor = float(p0) if prep.overlap else 1.0
-
-        batch_comps = np.empty((n, t_iters))
-        batch_reads = np.zeros((n, t_iters))
-        seconds_by_source = np.zeros((n, kernels.NUM_SOURCES))
-        bytes_by_source = np.zeros((n, kernels.NUM_SOURCES))
-        counts_by_source = np.zeros((n, kernels.NUM_SOURCES), dtype=np.int64)
-
-        if not prep.ideal:
-            table = FetchTable.build(system, plan.pfs_share_mbps, plan.pfs_latency_s)
-        for tile in plan.tiles(self.tile_rows):
-            rows = tile.rows
-            comps = tile.sizes_mb / system.compute_mbps
-            tile_comps = kernels.batch_totals(comps, t_iters, batch)
-            if prep.ideal:
-                batch_comps[rows] = tile_comps
-                continue
-
-            fetch, sources = table.resolve(
-                tile.sizes_mb, tile.local_classes, tile.remote_classes
-            )
-            if int(Source.NONE) in table.sources:
-                unsourced = sources == int(Source.NONE)
-                if unsourced.any():
-                    worker = rows.start + int(np.argmax(unsourced.any(axis=1)))
-                    raise PolicyError(
-                        f"policy {policy.name!r} scheduled a sample with no "
-                        f"available source (epoch {plan.epoch}, worker {worker})"
-                    )
-            index = kernels.source_index(sources)
-            counts = kernels.source_totals(index)
-            if cfg.noise.enabled:
-                # The band's per-worker stream states, derived in one
-                # vectorized pass — bitwise identical to fresh
-                # generator() calls. Disabled noise skips the call
-                # outright (it would only copy).
-                states = self.plan_cache.noise_stream_states(plan.epoch, rows)
-                fetch = apply_noise_matrix(fetch, sources, cfg.noise, states, counts)
-            reads = fetch + write_times(tile.sizes_mb, system)
-
-            tile_bytes = kernels.source_totals(index, tile.sizes_mb)
-            seconds_by_source[rows] = kernels.source_totals(index, fetch) / divisor
-            bytes_by_source[rows] = tile_bytes
-            counts_by_source[rows] = counts
-
-            # I/O noise on the allreduce path (Sec 7.1): non-local
-            # traffic (PFS + remote) shares the network/cores with
-            # communication and slows the compute step down.
-            if cfg.network_interference > 0:
-                factors = kernels.interference_factors(
-                    tile_bytes, cfg.network_interference
+        runs: list[_Pricing] = []
+        for policy, prep, plan in lineup:
+            table = None
+            if not prep.ideal:
+                table = FetchTable.build(system, plan.pfs_share_mbps, plan.pfs_latency_s)
+            runs.append(
+                _Pricing(
+                    policy=policy,
+                    prep=prep,
+                    plan=plan,
+                    table=table,
+                    batch_comps=np.empty((n, t_iters)),
+                    batch_reads=np.zeros((n, t_iters)),
+                    seconds_by_source=np.zeros((n, kernels.NUM_SOURCES)),
+                    bytes_by_source=np.zeros((n, kernels.NUM_SOURCES)),
+                    counts_by_source=np.zeros((n, kernels.NUM_SOURCES), dtype=np.int64),
                 )
-                tile_comps *= factors[:, np.newaxis]
+            )
+        step = band_rows(n, self.ctx.samples_per_worker_per_epoch, self.tile_rows)
+        for start in range(0, n, step):
+            rows = slice(start, min(start + step, n))
+            live = [run for run in runs if run.error is None]
+            noise: NoiseBand | None = None
+            if cfg.noise.enabled and any(not run.prep.ideal for run in live):
+                # The band's per-worker stream states, derived once for
+                # the lineup in one vectorized pass — bitwise identical
+                # to fresh generator() calls. Disabled noise skips the
+                # derivation outright.
+                noise = NoiseBand(self.plan_cache.noise_stream_states(epoch, rows))
+            for run in live:
+                try:
+                    self._price_band(run, rows, noise)
+                except PolicyError as exc:
+                    run.error = exc
+        return [run.error if run.error is not None else self._finish(run) for run in runs]
 
-            per_batch_read = kernels.batch_totals(reads, t_iters, batch)
-            if prep.overlap:
-                batch_reads[rows] = per_batch_read / p0
-            else:
-                # Synchronous loader: reads serialize with compute.
-                tile_comps += per_batch_read
-            batch_comps[rows] = tile_comps
+    def _price_band(self, run: _Pricing, rows: slice, noise: NoiseBand | None) -> None:
+        """Price one entry's row band into its accumulators."""
+        cfg = self.config
+        system = cfg.system
+        prep = run.prep
+        tile = run.plan.tile(rows)
+        size_band = tile.shared if tile.shared is not None else SizeBand(tile.sizes_mb, cfg)
+        comps = size_band.comp_totals
+        if prep.ideal:
+            run.batch_comps[rows] = comps
+            return
 
-        fetch_seconds = kernels.accumulate_rows(seconds_by_source)
-        fetch_bytes = kernels.accumulate_rows(bytes_by_source)
-        fetch_counts = counts_by_source.sum(axis=0)
+        table = run.table
+        fetch, sources = table.resolve(
+            tile.sizes_mb, tile.local_classes, tile.remote_classes
+        )
+        if int(Source.NONE) in table.sources:
+            unsourced = sources == int(Source.NONE)
+            if unsourced.any():
+                worker = rows.start + int(np.argmax(unsourced.any(axis=1)))
+                raise PolicyError(
+                    f"policy {run.policy.name!r} scheduled a sample with no "
+                    f"available source (epoch {run.plan.epoch}, worker {worker})"
+                )
+        index = kernels.source_index(sources)
+        counts = kernels.source_totals(index)
+        if noise is not None:
+            fetch = apply_noise_matrix(fetch, sources, cfg.noise, noise, counts)
+        reads = fetch + size_band.write_s
 
+        p0 = system.staging.threads
+        tile_bytes = kernels.source_totals(index, tile.sizes_mb)
+        run.seconds_by_source[rows] = kernels.source_totals(index, fetch) / (
+            float(p0) if prep.overlap else 1.0
+        )
+        run.bytes_by_source[rows] = tile_bytes
+        run.counts_by_source[rows] = counts
+
+        # I/O noise on the allreduce path (Sec 7.1): non-local
+        # traffic (PFS + remote) shares the network/cores with
+        # communication and slows the compute step down.
+        if cfg.network_interference > 0:
+            factors = kernels.interference_factors(tile_bytes, cfg.network_interference)
+            comps = comps * factors[:, np.newaxis]
+
+        per_batch_read = kernels.batch_totals(reads, cfg.iterations_per_epoch, cfg.batch_size)
+        if prep.overlap:
+            run.batch_reads[rows] = per_batch_read / p0
+        else:
+            # Synchronous loader: reads serialize with compute.
+            comps = comps + per_batch_read
+        run.batch_comps[rows] = comps
+
+    def _finish(self, run: _Pricing) -> EpochResult:
+        """Reduce one entry's assembled rows into its :class:`EpochResult`."""
+        cfg = self.config
+        n = self.ctx.num_workers
+        fetch_seconds = kernels.accumulate_rows(run.seconds_by_source)
+        fetch_bytes = kernels.accumulate_rows(run.bytes_by_source)
+        fetch_counts = run.counts_by_source.sum(axis=0)
+
+        prep = run.prep
         lookahead = self.plan_cache.scalars(prep).lookahead_batches
         step = lockstep_epoch(
-            batch_reads,
-            batch_comps,
+            run.batch_reads,
+            run.batch_comps,
             lookahead if prep.overlap else None,
             barrier=cfg.barrier,
         )
         durations = step.batch_durations
         return EpochResult(
-            epoch=plan.epoch,
+            epoch=run.plan.epoch,
             time_s=step.epoch_time,
             stall_mean_s=float(step.worker_stalls.mean()),
             stall_max_s=float(step.worker_stalls.max()),
@@ -632,7 +754,7 @@ class Simulator:
             fetch_bytes=tuple(fetch_bytes.tolist()),
             fetch_counts=tuple(int(c) for c in fetch_counts),
             batch_stats=BatchTimeStats.from_durations(durations),
-            gamma=plan.gamma,
+            gamma=run.plan.gamma,
             batch_durations=durations if cfg.record_batch_times else None,
         )
 

@@ -1,7 +1,7 @@
 """Pure array kernels for the epoch-matrix simulation engine.
 
-The engine (:mod:`repro.sim.engine`) evaluates one whole epoch at a
-time as ``(N, L)`` matrices — ``N`` workers by ``L = T * B`` samples —
+The engine (:mod:`repro.sim.engine`) evaluates each epoch as ``(N, L)``
+matrices — ``N`` workers by ``L = T * B`` samples — in row bands,
 instead of looping over workers in Python. Every kernel here is a pure
 function from matrices to matrices (or to per-worker/per-source
 reductions), with no policy or config knowledge; the engine's plan

@@ -26,7 +26,13 @@ from ..errors import ConfigurationError
 from ..perfmodel import Source
 from . import kernels
 
-__all__ = ["NoiseConfig", "apply_noise", "apply_noise_matrix"]
+__all__ = [
+    "NoiseBand",
+    "NoiseConfig",
+    "apply_noise",
+    "apply_noise_matrix",
+    "noise_multipliers",
+]
 
 
 @dataclass(frozen=True)
@@ -118,25 +124,84 @@ def apply_noise(
     return out
 
 
+class NoiseBand:
+    """One row band's noise streams and the multipliers drawn from them.
+
+    ``states`` holds each band worker's initial PCG64 state (as
+    :func:`repro.rng.generator_states` returns them, one per worker in
+    band order). A multiplier matrix is a pure function of those states,
+    the noise config and the band's ``(rows, L)`` source matrix: the
+    draws are keyed ``("noise", epoch, worker)``, never by policy. So
+    :func:`apply_noise_matrix` keeps every matrix it draws on the band,
+    and a later call whose source matrix is exactly equal
+    (:func:`numpy.array_equal`) under the same config reuses it instead
+    of drawing again. The memo lives and dies with the states it was
+    drawn from.
+    """
+
+    def __init__(self, states: Sequence[dict]) -> None:
+        self.states = states
+        #: ``(noise config, source matrix, read-only multipliers)`` per draw.
+        self._drawn: list[tuple[NoiseConfig, np.ndarray, np.ndarray]] = []
+
+    def multipliers(
+        self, sources: np.ndarray, noise: NoiseConfig, counts: np.ndarray | None
+    ) -> np.ndarray:
+        """The band's multipliers for ``sources``: drawn once, then reused."""
+        for drawn_noise, drawn_sources, mult in self._drawn:
+            if drawn_noise == noise and np.array_equal(drawn_sources, sources):
+                return mult
+        mult = noise_multipliers(sources, noise, self.states, counts)
+        mult.setflags(write=False)
+        self._drawn.append((noise, np.array(sources), mult))
+        return mult
+
+
 def apply_noise_matrix(
     fetch_times: np.ndarray,
+    sources: np.ndarray,
+    noise: NoiseConfig,
+    band: NoiseBand,
+    counts: np.ndarray | None = None,
+) -> np.ndarray:
+    """Noise for a row band: ``(rows, L)`` fetch/source matrices at once.
+
+    Returns a new array: ``fetch_times`` times the band's multiplier
+    matrix for ``sources`` (:meth:`NoiseBand.multipliers`), drawn by
+    :func:`noise_multipliers` on the first call with that source matrix
+    and reused on every later one. Results are bitwise identical to
+    applying :func:`apply_noise` row by row with each worker's fresh
+    ``generator(seed, "noise", epoch, worker)``.
+    """
+    times = np.asarray(fetch_times, dtype=np.float64)
+    if not noise.enabled or times.size == 0:
+        return times.copy()
+    if len(band.states) != times.shape[0]:
+        raise ConfigurationError(
+            f"apply_noise_matrix needs one stream state per worker "
+            f"({times.shape[0]} workers, {len(band.states)} states)"
+        )
+    # asanyarray: tests probe the lazy-mask contract with an ndarray
+    # subclass that forbids comparisons against absent source codes.
+    return times * band.multipliers(np.asanyarray(sources), noise, counts)
+
+
+def noise_multipliers(
     sources: np.ndarray,
     noise: NoiseConfig,
     states: Sequence[dict],
     counts: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Noise for a whole epoch: ``(N, L)`` fetch/source matrices at once.
+    """Draw a band's ``(rows, L)`` multiplier matrix from its streams.
 
     Reproducibility pins noise to *per-worker* RNG streams
     (``generator(seed, "noise", epoch, worker)``), so the random draws
     cannot be batched across workers without changing every simulated
-    number. ``states`` holds each worker's initial PCG64 state (as
-    :func:`repro.rng.generator_states` returns them); one scratch
-    generator is re-stated to each in turn and draws exactly what
-    :func:`apply_noise` drew from that worker's generator, in the same
-    order (PFS lognormal, PFS tail uniforms, remote, local) and through
-    the same scalar-parameter ``Generator`` calls. Results are bitwise
-    identical to applying :func:`apply_noise` row by row.
+    number. ``states`` holds each worker's initial PCG64 state; one
+    scratch generator is re-stated to each in turn and draws exactly
+    what :func:`apply_noise` drew from that worker's generator, in the
+    same order (PFS lognormal, PFS tail uniforms, remote, local) and
+    through the same scalar-parameter ``Generator`` calls.
 
     The per-worker loop only draws. Everything else runs once per
     source after it: the workers' draws are concatenated in worker
@@ -147,24 +212,13 @@ def apply_noise_matrix(
     ``counts`` come from one offset bincount
     (:func:`~repro.sim.kernels.source_totals`, or the caller's), and a
     source's mask is built only if some worker drew for it (all-PFS
-    cold epochs never scan for remote/local).
-    ``sigma == 0`` sources draw nothing: :func:`_lognormal_mean_one`
-    consumes nothing and multiplies by exactly 1.0, so skipping them is
-    bitwise neutral (PFS tail events still draw their uniforms).
+    cold epochs never scan for remote/local). ``Source.NONE`` entries
+    get exactly 1.0. ``sigma == 0`` sources draw nothing:
+    :func:`_lognormal_mean_one` consumes nothing and multiplies by
+    exactly 1.0, so skipping them is bitwise neutral (PFS tail events
+    still draw their uniforms).
     """
-    times = np.asarray(fetch_times, dtype=np.float64)
-    if not noise.enabled or times.size == 0:
-        return times.copy()
-    # asanyarray: tests probe the lazy-mask contract with an ndarray
-    # subclass that forbids comparisons against absent source codes.
     src = np.asanyarray(sources)
-    n = times.shape[0]
-    if len(states) != n:
-        raise ConfigurationError(
-            f"apply_noise_matrix needs one stream state per worker "
-            f"({n} workers, {len(states)} states)"
-        )
-
     if counts is None:
         counts = kernels.source_totals(kernels.source_index(src))
     pfs_code = int(Source.PFS)
@@ -209,7 +263,7 @@ def apply_noise_matrix(
         if n_local and local_sigma > 0:
             local_draws.append(lognormal(local_mean, local_sigma, n_local))
 
-    mult = np.ones_like(times)
+    mult = np.ones(src.shape)
     if pfs_draws or tail_uniforms.size:
         if pfs_draws:
             pfs_mult = np.concatenate(pfs_draws)
@@ -230,4 +284,4 @@ def apply_noise_matrix(
         mult[src == remote_code] = np.concatenate(remote_draws)
     if local_draws:
         mult[src == local_code] = np.concatenate(local_draws)
-    return np.multiply(times, mult, out=mult)
+    return mult

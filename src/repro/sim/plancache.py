@@ -1,32 +1,34 @@
-"""Cross-epoch and cross-policy plan reuse for the epoch-matrix engine.
+"""Cross-epoch, cross-policy and per-band plan reuse for the engine.
 
 The plan phase of :class:`~repro.sim.engine.Simulator` decides, per
 epoch, the contention scalars (``gamma``, the per-worker PFS share and
-latency), the staging lookahead, and the ``(N, L)`` size/class
-matrices the execute kernels consume. Most of that work is *not*
-epoch-dependent:
+latency), the staging lookahead, and the size/class matrices the
+execute kernels consume, one row band at a time. Most of that work is
+*not* policy-dependent:
 
 * the PFS byte fraction — and therefore ``gamma`` and everything
   derived from it — takes exactly two values per policy: the cold
   value (epochs before ``warm_epochs``) and the warm value;
 * the uncovered-placement byte fraction and the lookahead depth are
   pure functions of the prepared policy;
-* the per-sample size gather ``sizes_mb[ids]`` and the cold-epoch
-  "nothing cached locally" class template are identical for every
-  policy that consumes the scenario's clairvoyant stream.
+* a band's size gather ``sizes_mb[ids]``, and the per-batch compute
+  totals and staging write times derived from it alone, are identical
+  for every policy that consumes the scenario's clairvoyant stream;
+  so is the cold-epoch "nothing cached locally" class template.
 
 A :class:`PlanCache` hoists all of it: scalars are computed once per
 :class:`~repro.sim.policies.base.PreparedPolicy` (keyed on the prepared
-instance), the size matrix once per epoch (held in a one-epoch slot
-that the engine's epoch-major loop shares across every policy it
-runs), and the cold class template once per scenario. The first two
-last one pass: :meth:`PlanCache.release` drops them when the loop
-ends. Only the genuinely per-epoch work — the id permutation, warm
-cache-tier lookups, warm-up availability, the noise stream states (one
-vectorized derivation per tile, :meth:`PlanCache.noise_stream_states`)
-and the noise draws — is recomputed each epoch.
+instance), the clairvoyant stream's sizes once per ``(epoch, band)``
+(held in one band slot, :meth:`PlanCache.size_band`, that the engine's
+band-major loop shares across every policy of a lineup), and the cold
+class template once per scenario. The first two last one pass:
+:meth:`PlanCache.release` drops them when the loop ends. Each band's
+noise stream states are derived once for the whole lineup
+(:meth:`PlanCache.noise_stream_states`, one vectorized call); the
+noise draws themselves are memoized on the engine's per-band
+:class:`~repro.sim.noise.NoiseBand`.
 
-Everything cached here is a value the per-epoch code used to recompute
+Everything cached here is a value the per-policy code used to recompute
 from the same inputs, so reuse is bitwise-neutral by construction; the
 reference-engine equivalence suite pins it.
 """
@@ -38,11 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..perfmodel import write_times
 from ..rng import generator_states
+from . import kernels
+from .config import SimulationConfig
 from .context import ScenarioContext
 from .policies.base import PreparedPolicy
 
-__all__ = ["PhasePlan", "PlanCache", "PlanScalars"]
+__all__ = ["PhasePlan", "PlanCache", "PlanScalars", "SizeBand"]
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,33 @@ class PlanScalars:
         return self.cold if cold else self.warm
 
 
+class SizeBand:
+    """One row band's sample sizes and the terms derived from them alone.
+
+    Per-batch compute totals and staging write times depend on nothing
+    but the sizes, so every policy sharing a band's size gather (the
+    plan cache's band slot, :meth:`PlanCache.size_band`) shares them
+    too. Both are computed with the gather, so the slot's long-lived
+    arrays are allocated before the band's per-policy temporaries: a
+    slot computed after them sat at the top of the heap, and freeing it
+    at the next band let the allocator return that memory, only to
+    page it back in (~100 page faults per epoch on a 64-worker cell).
+    """
+
+    def __init__(self, sizes_mb: np.ndarray, config: SimulationConfig) -> None:
+        self.sizes_mb = sizes_mb
+        #: ``(rows, T)`` per-batch compute seconds (read-only).
+        self.comp_totals = kernels.batch_totals(
+            sizes_mb / config.system.compute_mbps,
+            config.iterations_per_epoch,
+            config.batch_size,
+        )
+        #: ``(rows, L)`` per-sample staging write seconds (read-only).
+        self.write_s = write_times(sizes_mb, config.system)
+        self.comp_totals.setflags(write=False)
+        self.write_s.setflags(write=False)
+
+
 class PlanCache:
     """Planning state shared across the epochs and policies of one scenario.
 
@@ -96,8 +128,9 @@ class PlanCache:
     simulator — pays the epoch-invariant planning work once instead of
     once per epoch per policy.
 
-    ``hits`` / ``misses`` count epoch-size-matrix cache traffic (the
-    dominant shared allocation); they exist for tests and profiling.
+    ``hits`` / ``misses`` count band-slot traffic (:meth:`size_band`):
+    a miss gathers a band's sizes, a hit serves a later policy of the
+    same ``(epoch, band)``. They exist for tests and profiling.
     """
 
     def __init__(self, ctx: ScenarioContext) -> None:
@@ -105,10 +138,10 @@ class PlanCache:
         #: id(prep) -> (prep, scalars); the prep reference keeps the id
         #: stable for the cache's lifetime.
         self._scalars: dict[int, tuple[PreparedPolicy, PlanScalars]] = {}
-        #: Rolling ``(epoch, read-only sizes)`` slot: the epoch-major loop
-        #: shares each epoch's gather across policies, but only one
-        #: epoch's float matrix is ever alive.
-        self._held_sizes: tuple[int, np.ndarray] | None = None
+        #: Rolling ``((epoch, start, stop), band)`` slot: the band-major
+        #: loop shares each band's gather across a lineup's policies, and
+        #: a second band is alive only while it replaces the first.
+        self._band: tuple[tuple[int, int, int], SizeBand] | None = None
         self._cold_template: np.ndarray | None = None
         self.hits = 0
         self.misses = 0
@@ -185,7 +218,7 @@ class PlanCache:
         )
 
     def release(self, preps: "list[PreparedPolicy]") -> None:
-        """End an epoch-major pass: drop its policies' scalars and the size slot.
+        """End an epoch-major pass: drop its policies' scalars and the band slot.
 
         Every pass prepares fresh policies, so nothing cached for them
         is read again. Without this, a simulator kept across passes
@@ -195,52 +228,31 @@ class PlanCache:
         """
         for prep in preps:
             self._scalars.pop(id(prep), None)
-        self._held_sizes = None
+        self._band = None
 
-    # -- shared epoch matrices ----------------------------------------------
+    # -- shared band gathers ------------------------------------------------
 
-    def _lookup_sizes(self, epoch: int) -> np.ndarray | None:
-        """An already-materialized full sizes gather for ``epoch``, if any."""
-        held = self._held_sizes
-        if held is not None and held[0] == epoch:
-            return held[1]
-        return None
+    def size_band(self, epoch: int, ids: np.ndarray, rows: slice) -> SizeBand:
+        """The clairvoyant stream's sizes for one ``(epoch, band)``.
 
-    def sizes_matrix(self, epoch: int, ids: np.ndarray) -> np.ndarray:
-        """The full ``(N, L)`` sizes gather for a clairvoyant epoch.
-
-        Held in a rolling one-epoch slot and shared (read-only) across
-        every policy whose epoch ids are the context's canonical matrix,
-        so the epoch-major loop gathers each epoch once while memory
-        stays bounded to one epoch. Callers in tiled mode gather per
-        band (:meth:`sizes_band`) and only reuse a full gather that
-        already exists.
+        ``ids`` are the band's rows of the context's canonical epoch
+        matrix. The gather is held in a rolling one-band slot and shared
+        (read-only) by every policy whose band reads the canonical
+        stream, so the band-major loop gathers each band once while
+        memory stays bounded to one band. The old band is dropped only
+        once the new one exists (see :class:`SizeBand`).
         """
-        cached = self._lookup_sizes(epoch)
-        if cached is not None:
+        key = (epoch, rows.start, rows.stop)
+        held = self._band
+        if held is not None and held[0] == key:
             self.hits += 1
-            return cached
+            return held[1]
         self.misses += 1
         sizes = self.ctx.sizes_mb[ids]
         sizes.setflags(write=False)
-        self._held_sizes = (epoch, sizes)
-        return sizes
-
-    def sizes_band(self, epoch: int, ids: np.ndarray, rows: slice) -> np.ndarray:
-        """A tile band's sizes gather, sliced from a shared epoch gather.
-
-        Fancy-indexing is row-local, so ``full_gather[rows]`` is
-        bitwise equal to ``sizes_mb[ids]`` for the band's own ids; a
-        tile therefore reuses the epoch's shared gather whenever a
-        policy before it (or an untiled sibling) already materialized
-        it, and falls back to a plain band gather — never materializing
-        the full epoch itself, preserving tiled streaming memory.
-        """
-        cached = self._lookup_sizes(epoch)
-        if cached is not None:
-            self.hits += 1
-            return cached[rows]
-        return self.ctx.sizes_mb[ids]
+        band = SizeBand(sizes, self.ctx.config)
+        self._band = (key, band)
+        return band
 
     # -- per-worker noise streams --------------------------------------------
 
@@ -251,7 +263,8 @@ class PlanCache:
         ``generator(seed, "noise", epoch, worker)``'s — the engine's
         reproducibility contract — derived for the whole band in one
         vectorized :func:`~repro.rng.generator_states` call rather than
-        one ``SeedSequence`` expansion per worker.
+        one ``SeedSequence`` expansion per worker. The engine calls it
+        once per band for every policy of the lineup.
         """
         return generator_states(
             self.ctx.config.seed, "noise", epoch, last=range(rows.start, rows.stop)
@@ -262,7 +275,7 @@ class PlanCache:
 
         Cold epochs hand the fetch resolution an all ``-1`` class
         matrix; one full template is built lazily per scenario and
-        row-sliced for every tile of every policy's cold epochs.
+        row-sliced for every band of every policy's cold epochs.
         """
         if self._cold_template is None:
             shape = (self.ctx.num_workers, self.ctx.samples_per_worker_per_epoch)

@@ -61,11 +61,6 @@ class WorkerLookup:
         self.class_ids = tuple(np.asarray(ids, dtype=np.int64) for ids in class_ids)
         self._sorted: tuple[np.ndarray, np.ndarray] | None = None
 
-    @property
-    def num_cached(self) -> int:
-        """How many samples this worker caches."""
-        return sum(int(ids.size) for ids in self.class_ids)
-
     def classes_of(self, query_ids: np.ndarray) -> np.ndarray:
         """Cache tier of each queried id (``-1`` when not cached)."""
         query = np.asarray(query_ids)

@@ -337,9 +337,9 @@ def configure_run(sub) -> argparse.ArgumentParser:
     run.add_argument("--cache-dir", default=None, help="on-disk result cache")
     run.add_argument(
         "--tile-rows", type=int, default=None, metavar="N",
-        help="engine streaming tile height (worker rows per band) to bound "
-        "peak memory on paper-scale scenarios; results are bitwise-identical "
-        "for every value (default: whole epochs)",
+        help="engine streaming tile height (worker rows per band); results "
+        "are bitwise-identical for every value (default: derived from the "
+        "per-worker stream length)",
     )
     run.add_argument(
         "--progress", action="store_true",

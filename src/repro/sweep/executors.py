@@ -100,8 +100,8 @@ class CellTask:
     which must rebuild the config worker-side; in-process executors
     may receive None and use ``cell.config`` directly.
 
-    ``tile_rows`` (the engine's streaming tile height; ``None`` = whole
-    epochs) is an execution knob, not part of the scenario: results are
+    ``tile_rows`` (the engine's streaming tile height; ``None`` = the
+    engine's derived height) is an execution knob, not part of the scenario: results are
     bitwise identical for every value, so it deliberately stays out of
     the config dict and therefore out of the cache key.
     """

@@ -181,8 +181,8 @@ class SweepRunner:
         :class:`ResultCache`. Directories are named by ``cache_dir``.
     tile_rows:
         Engine streaming tile height: execute each epoch in bands of
-        this many worker rows to bound peak memory on paper-scale
-        scenarios (``None`` = whole epochs at once). Results — and
+        this many worker rows (``None`` = the engine's derived height,
+        :func:`repro.sim.engine.band_rows`). Results — and
         therefore cache keys and cached bytes — are bitwise identical
         for every value, so it is an execution knob, not part of any
         scenario fingerprint.
@@ -202,7 +202,9 @@ class SweepRunner:
         if n_jobs < 1:
             raise ConfigurationError("n_jobs must be >= 1 (or None for all cores)")
         if tile_rows is not None and int(tile_rows) < 1:
-            raise ConfigurationError("tile_rows must be >= 1 (or None for untiled)")
+            raise ConfigurationError(
+                "tile_rows must be >= 1 (or None for the derived band height)"
+            )
         self.n_jobs = int(n_jobs)
         self.tile_rows = None if tile_rows is None else int(tile_rows)
         self.cache = _resolve_cache(cache, cache_dir)

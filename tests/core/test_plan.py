@@ -130,8 +130,8 @@ class TestCachePlan:
 
     def test_cached_bytes(self):
         plan, sizes, _ = make_plan([10.0, 20.0])
-        for mb in plan.cached_bytes_per_worker(sizes):
-            assert mb <= 30.0 + 1e-9
+        for placement in plan.placements:
+            assert placement.cached_bytes(sizes) <= 30.0 + 1e-9
 
     def test_plan_validation(self):
         with pytest.raises(ConfigurationError):

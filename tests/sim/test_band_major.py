@@ -1,0 +1,228 @@
+"""Band-major lineup execution: each band's shared inputs are built once.
+
+:meth:`Simulator.execute_epoch` prices an epoch's whole lineup with the
+row bands outermost. Noise draws are keyed ``("noise", epoch, worker)``,
+never by policy, so policies whose band reads every sample from the
+same sources draw one multiplier matrix between them; the band's size
+gather and noise stream states are likewise built once. This suite
+pins those counts, the derived band height, the per-band rewritten
+streams and the error path — and that every result stays bitwise equal
+to the policy's solo run.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from repro.api import make_policy
+from repro.core import CachePlan, WorkerPlacement
+from repro.datasets import DatasetModel
+from repro.errors import ConfigurationError, PolicyError
+from repro.perfmodel import Source, sec6_cluster
+from repro.sim import SimulationConfig, Simulator
+from repro.sim import engine as engine_mod
+from repro.sim import noise as noise_mod
+from repro.sim.engine import BAND_ELEMENTS, band_rows
+from repro.sim.policies import Policy, PreparedPolicy
+
+from . import test_fetch_table
+
+#: Policies that read every sample from the PFS in every epoch.
+ALL_PFS = ("naive", "staging_buffer", "pytorch")
+
+N = 4
+
+
+def _config(num_samples=N * 8 * 16, batch=8, epochs=3, seed=5) -> SimulationConfig:
+    """Every sample is read exactly once per epoch (F = N * L)."""
+    return SimulationConfig(
+        dataset=DatasetModel("band-major", num_samples, 0.1, 0.02),
+        system=sec6_cluster(num_workers=N),
+        batch_size=batch,
+        num_epochs=epochs,
+        seed=seed,
+    )
+
+
+class _OneCached(Policy):
+    """Caches sample 0 on worker 0 from epoch 0 on.
+
+    Each epoch one worker reads sample 0, locally or from worker 0;
+    every other read goes to the PFS, so exactly one band per epoch
+    differs from an all-PFS band, in one sample's source.
+    """
+
+    name = "one_cached"
+
+    def prepare(self, ctx):
+        tiers = ctx.system.hierarchy.num_classes
+        empty = np.empty(0, dtype=np.int64)
+        placements = [
+            WorkerPlacement(
+                w, (np.array([0] if w == 0 else [], dtype=np.int64),) + (empty,) * (tiers - 1)
+            )
+            for w in range(ctx.num_workers)
+        ]
+        plan = CachePlan(placements, ctx.config.dataset.num_samples, tiers)
+        return PreparedPolicy(name=self.name, plan=plan, warm_epochs=0)
+
+
+def _canonical(outcome):
+    if isinstance(outcome, PolicyError):
+        return ("PolicyError", str(outcome))
+    return json.dumps(outcome.to_dict(), sort_keys=True)
+
+
+def _solo(config, policy, tile_rows=None):
+    try:
+        return _canonical(Simulator(config, tile_rows=tile_rows).run(policy))
+    except PolicyError as exc:
+        return _canonical(exc)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Every multiplier matrix the noise model draws, as its sources."""
+    calls = []
+    draw = noise_mod.noise_multipliers
+
+    def counting(sources, *args, **kwargs):
+        calls.append(np.array(sources))
+        return draw(sources, *args, **kwargs)
+
+    monkeypatch.setattr(noise_mod, "noise_multipliers", counting)
+    return calls
+
+
+@pytest.mark.parametrize("tile_rows", [None, 1])
+def test_all_pfs_lineup_draws_once_per_band(draws, tile_rows):
+    config = _config()
+    bands = N if tile_rows == 1 else 1
+    sim = Simulator(config, tile_rows=tile_rows)
+    outcomes = sim.run_many_outcomes([make_policy(spec) for spec in ALL_PFS])
+    assert len(draws) == config.num_epochs * bands
+    assert all((d == int(Source.PFS)).all() for d in draws)
+    for spec, outcome in zip(ALL_PFS, outcomes):
+        assert _canonical(outcome) == _solo(config, make_policy(spec))
+
+
+@pytest.mark.parametrize("tile_rows", [None, 1])
+def test_one_changed_source_adds_its_own_draw(draws, tile_rows):
+    config = _config()
+    bands = N if tile_rows == 1 else 1
+    sim = Simulator(config, tile_rows=tile_rows)
+    policies = [make_policy(spec) for spec in ALL_PFS] + [_OneCached()]
+    outcomes = sim.run_many_outcomes(policies)
+    one_cached = outcomes[-1]
+    reads = N * config.iterations_per_epoch * config.batch_size
+    for epoch in one_cached.epochs:
+        assert epoch.fetch_counts[int(Source.PFS)] == reads - 1
+    # One draw per (epoch, band) for the all-PFS bands, plus one per
+    # epoch for the band holding the read of sample 0.
+    assert len(draws) == config.num_epochs * (bands + 1)
+    differing = [d for d in draws if not (d == int(Source.PFS)).all()]
+    assert len(differing) == config.num_epochs
+    assert all(int((d != int(Source.PFS)).sum()) == 1 for d in differing)
+    for policy, outcome in zip(policies, outcomes):
+        assert _canonical(outcome) == _solo(config, policy)
+
+
+@pytest.mark.parametrize("tile_rows", [None, 1, 3])
+def test_failing_entry_keeps_its_solo_error_and_spares_its_siblings(tile_rows):
+    config = test_fetch_table._config()
+    placed = test_fetch_table._Placed
+    policies = [make_policy("naive"), placed(uncovered_from=2), make_policy("nopfs")]
+    outcomes = Simulator(config, tile_rows=tile_rows).run_many_outcomes(policies)
+    assert isinstance(outcomes[1], PolicyError)
+    with pytest.raises(PolicyError) as solo:
+        Simulator(config, tile_rows=tile_rows).run(placed(uncovered_from=2))
+    assert str(outcomes[1]) == str(solo.value)
+    assert "(epoch 1, worker 2)" in str(outcomes[1])
+    for index in (0, 2):
+        assert _canonical(outcomes[index]) == _solo(config, policies[index], tile_rows)
+
+
+@pytest.mark.parametrize("tile_rows", [None, 1])
+def test_shared_band_inputs_built_once_per_band(monkeypatch, tile_rows):
+    """One size gather and one stream derivation per band; one noise
+    call per non-ideal policy and band."""
+    config = _config()
+    bands = N if tile_rows == 1 else 1
+    sim = Simulator(config, tile_rows=tile_rows)
+    derive = sim.plan_cache.noise_stream_states
+    derived = []
+    sim.plan_cache.noise_stream_states = lambda epoch, rows: (
+        derived.append((epoch, rows.start, rows.stop)) or derive(epoch, rows)
+    )
+    noise_calls = []
+    apply = engine_mod.apply_noise_matrix
+    monkeypatch.setattr(
+        engine_mod,
+        "apply_noise_matrix",
+        lambda *args, **kwargs: noise_calls.append(1) or apply(*args, **kwargs),
+    )
+    specs = (*ALL_PFS, "perfect")
+    sim.run_many_outcomes([make_policy(spec) for spec in specs])
+    slots = config.num_epochs * bands
+    assert len(derived) == len(set(derived)) == slots
+    assert len(noise_calls) == len(ALL_PFS) * slots
+    assert sim.plan_cache.misses == slots
+    assert sim.plan_cache.hits == (len(specs) - 1) * slots
+
+
+def test_none_derives_the_band_height():
+    """``tile_rows=None`` cuts an epoch into BAND_ELEMENTS-element bands."""
+    length = BAND_ELEMENTS // 2  # two rows per band
+    config = _config(num_samples=N * length, batch=16, epochs=1)
+    assert config.iterations_per_epoch * config.batch_size == length
+    assert band_rows(N, length, None) == 2
+    sim = Simulator(config)
+    derive = sim.plan_cache.noise_stream_states
+    rows_seen = []
+    sim.plan_cache.noise_stream_states = lambda epoch, rows: (
+        rows_seen.append((rows.start, rows.stop)) or derive(epoch, rows)
+    )
+    derived = _canonical(sim.run(make_policy("naive")))
+    assert rows_seen == [(0, 2), (2, 4)]
+    assert derived == _solo(config, make_policy("naive"), tile_rows=N)
+
+
+def test_band_rows_bounds():
+    assert band_rows(1024, 1248, None) == BAND_ELEMENTS // 1248
+    assert band_rows(8, 10, None) == 8
+    assert band_rows(8, 10 * BAND_ELEMENTS, None) == 1
+    assert band_rows(8, 10, 3) == 3
+    assert band_rows(8, 10, 64) == 8
+
+
+def test_rewritten_streams_are_built_per_band():
+    """plan_epoch stacks no rewritten rows; each band builds its own."""
+    config = _config()
+    sim = Simulator(config, tile_rows=1)
+    prep = make_policy("parallel_staging").prepare(sim.ctx)
+    built = []
+    stream_fn = prep.stream_fn
+    prep.stream_fn = lambda worker, epoch: built.append(worker) or stream_fn(worker, epoch)
+    plan = sim.plan_epoch(prep, 1)
+    assert built == [] and plan.canonical is None
+    policy = make_policy("parallel_staging")
+    (result,) = sim.execute_epoch([(policy, prep, plan)])
+    assert built == list(range(N))
+    # The parity seam still sees the whole rewritten epoch.
+    np.testing.assert_array_equal(
+        plan.ids, np.stack([stream_fn(w, 1) for w in range(N)])
+    )
+    solo = Simulator(config).run(make_policy("parallel_staging"))
+    assert result.to_dict() == solo.epochs[1].to_dict()
+
+
+def test_execute_epoch_lineup_contract():
+    config = _config()
+    sim = Simulator(config)
+    assert sim.execute_epoch([]) == []
+    policy = make_policy("naive")
+    prep = policy.prepare(sim.ctx)
+    lineup = [(policy, prep, sim.plan_epoch(prep, 0)), (policy, prep, sim.plan_epoch(prep, 1))]
+    with pytest.raises(ConfigurationError, match="one epoch"):
+        sim.execute_epoch(lineup)

@@ -6,16 +6,17 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.perfmodel import Source
 from repro.rng import generator, generator_states
-from repro.sim import NoiseConfig, apply_noise, apply_noise_matrix
+from repro.sim import NoiseBand, NoiseConfig, apply_noise, apply_noise_matrix
+from repro.sim import noise as noise_mod
 
 
 def sources(n, kind):
     return np.full(n, int(kind), dtype=np.int8)
 
 
-def stream_states(n, offset=0):
-    """Initial states of ``generator(0, "noise", 1, w)`` for ``n`` workers."""
-    return generator_states(0, "noise", 1, last=range(offset, offset + n))
+def noise_band(n, offset=0):
+    """A fresh band over ``generator(0, "noise", 1, w)``'s initial states."""
+    return NoiseBand(generator_states(0, "noise", 1, last=range(offset, offset + n)))
 
 
 class TestConfig:
@@ -124,7 +125,7 @@ class TestApplyNoiseMatrix:
     def test_bitwise_matches_per_worker_apply_noise(self):
         times, src = self._matrices()
         cfg = NoiseConfig()
-        out = apply_noise_matrix(times, src, cfg, stream_states(times.shape[0]))
+        out = apply_noise_matrix(times, src, cfg, noise_band(times.shape[0]))
         self._assert_rows_replay(out, times, src, cfg)
 
     def test_band_at_worker_offset_mixes_every_source(self):
@@ -135,7 +136,7 @@ class TestApplyNoiseMatrix:
         for code in (Source.PFS, Source.REMOTE, Source.LOCAL):
             assert (src == int(code)).any(axis=1).all()
         offset = 37
-        out = apply_noise_matrix(times, src, cfg, stream_states(6, offset))
+        out = apply_noise_matrix(times, src, cfg, noise_band(6, offset))
         self._assert_rows_replay(out, times, src, cfg, offset=offset)
         pfs = src == int(Source.PFS)
         assert (out[pfs] / times[pfs] > 5.0).any()  # tail events fired
@@ -144,14 +145,14 @@ class TestApplyNoiseMatrix:
 
     def test_disabled_noise_is_a_copy(self):
         times, src = self._matrices()
-        out = apply_noise_matrix(times, src, NoiseConfig.disabled(), [])
+        out = apply_noise_matrix(times, src, NoiseConfig.disabled(), NoiseBand([]))
         assert out is not times
         np.testing.assert_array_equal(out, times)
 
     def test_generator_count_must_match_workers(self):
         times, src = self._matrices(n=3)
         with pytest.raises(ConfigurationError):
-            apply_noise_matrix(times, src, NoiseConfig(), stream_states(1))
+            apply_noise_matrix(times, src, NoiseConfig(), noise_band(1))
 
     #: Configs steering every short-circuit in the kernel: the default
     #: (tail uniforms between PFS and remote/local), no tails,
@@ -198,7 +199,7 @@ class TestApplyNoiseMatrix:
         cfg = self.CONFIGS[cfg_name]
         times, _ = self._matrices()
         for layout, src in self._source_layouts().items():
-            out = apply_noise_matrix(times, src, cfg, stream_states(times.shape[0]))
+            out = apply_noise_matrix(times, src, cfg, noise_band(times.shape[0]))
             self._assert_rows_replay(
                 out, times, src, cfg, label=f"{cfg_name} / {layout} /"
             )
@@ -218,7 +219,7 @@ class TestApplyNoiseMatrix:
         with pytest.raises(AssertionError):
             guarded == int(Source.REMOTE)  # the guard itself is live
         out = apply_noise_matrix(
-            times, guarded, NoiseConfig(), stream_states(times.shape[0])
+            times, guarded, NoiseConfig(), noise_band(times.shape[0])
         )
         assert out.shape == times.shape
 
@@ -231,10 +232,10 @@ class TestApplyNoiseMatrix:
         cfg = NoiseConfig(
             pfs_sigma=0.0, remote_sigma=0.0, local_sigma=0.0, pfs_tail_prob=0.0
         )
-        out = apply_noise_matrix(times, src, cfg, stream_states(times.shape[0]))
+        out = apply_noise_matrix(times, src, cfg, noise_band(times.shape[0]))
         np.testing.assert_array_equal(out, times)
         cfg = NoiseConfig(pfs_sigma=0.0, remote_sigma=0.0, pfs_tail_prob=0.0)
-        out = apply_noise_matrix(times, src, cfg, stream_states(times.shape[0]))
+        out = apply_noise_matrix(times, src, cfg, noise_band(times.shape[0]))
         self._assert_rows_replay(out, times, src, cfg)
         local = src == int(Source.LOCAL)
         assert not np.array_equal(out[local], times[local])
@@ -242,3 +243,66 @@ class TestApplyNoiseMatrix:
         assert out[0, first_local] / times[0, first_local] == (
             generator(0, "noise", 1, 0).lognormal(-0.5 * 0.03**2, 0.03)
         )
+
+
+class TestNoiseBandMemo:
+    """A band draws each distinct source matrix once."""
+
+    def _draws(self, monkeypatch):
+        calls = []
+        draw = noise_mod.noise_multipliers
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].copy())
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(noise_mod, "noise_multipliers", counting)
+        return calls
+
+    def _matrices(self, seed=3):
+        rng = np.random.default_rng(seed)
+        times = rng.random((4, 64)) + 1e-3
+        src = rng.integers(0, 3, size=(4, 64)).astype(np.int8)
+        return times, src
+
+    def test_equal_sources_reuse_the_draw(self, monkeypatch):
+        draws = self._draws(monkeypatch)
+        times, src = self._matrices()
+        band = noise_band(4)
+        first = apply_noise_matrix(times, src, NoiseConfig(), band)
+        other_times = times * 3.0
+        second = apply_noise_matrix(other_times, src.copy(), NoiseConfig(), band)
+        assert len(draws) == 1
+        for out, base in ((first, times), (second, other_times)):
+            fresh = apply_noise_matrix(base, src, NoiseConfig(), noise_band(4))
+            assert out.tobytes() == fresh.tobytes()
+
+    def test_one_changed_source_draws_again(self, monkeypatch):
+        draws = self._draws(monkeypatch)
+        times, src = self._matrices()
+        band = noise_band(4)
+        apply_noise_matrix(times, src, NoiseConfig(), band)
+        changed = src.copy()
+        changed[2, 5] = (changed[2, 5] + 1) % 3
+        out = apply_noise_matrix(times, changed, NoiseConfig(), band)
+        assert len(draws) == 2
+        fresh = apply_noise_matrix(times, changed, NoiseConfig(), noise_band(4))
+        assert out.tobytes() == fresh.tobytes()
+
+    def test_another_config_draws_again(self, monkeypatch):
+        draws = self._draws(monkeypatch)
+        times, src = self._matrices()
+        band = noise_band(4)
+        apply_noise_matrix(times, src, NoiseConfig(), band)
+        apply_noise_matrix(times, src, NoiseConfig(pfs_tail_prob=0.0), band)
+        assert len(draws) == 2
+
+    def test_memo_survives_caller_mutation(self):
+        """The band keeps its own copy of each drawn source matrix."""
+        times, src = self._matrices()
+        band = noise_band(4)
+        apply_noise_matrix(times, src, NoiseConfig(), band)
+        src[0, 0] = (src[0, 0] + 1) % 3
+        out = apply_noise_matrix(times, src, NoiseConfig(), band)
+        fresh = apply_noise_matrix(times, src, NoiseConfig(), noise_band(4))
+        assert out.tobytes() == fresh.tobytes()

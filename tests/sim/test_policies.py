@@ -41,7 +41,7 @@ class TestWorkerLookup:
     def test_empty(self):
         lk = WorkerLookup((np.empty(0, dtype=np.int64),))
         np.testing.assert_array_equal(lk.classes_of(np.array([1, 2])), [-1, -1])
-        assert lk.num_cached == 0
+        assert all(ids.size == 0 for ids in lk.class_ids)
 
 
 class TestSimplePolicies:

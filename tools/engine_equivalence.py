@@ -25,7 +25,10 @@ contract, so the byte-diff must stay empty for every combination,
 including ``--run-many --share-seeds``. ``--tile-rows N`` runs the
 production engine in row bands of ``N`` workers, so every band's row
 offsets (local-tier lookups, noise streams, per-source totals) are
-exercised; the reference engine has no tiles.
+exercised; the reference engine has no tiles. Every cell runs on two
+workers, so ``--run-many --tile-rows 1`` walks each scenario's lineup
+over two bands, each band's gather, noise streams and draws shared by
+the lineup.
 
 Usage::
 
@@ -34,6 +37,7 @@ Usage::
     python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR --run-many
     python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR --run-many --share-seeds
     python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR --tile-rows 1
+    python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR --run-many --tile-rows 1
     diff -r REFERENCE_DIR ENGINE_DIR
 """
 

@@ -10,7 +10,7 @@ by phase:
 ``resolve_fetch``
     The fetch-source resolution (:func:`repro.perfmodel.resolve_fetch`),
     which runs once per epoch to build the engine's
-    :class:`~repro.sim.engine.FetchTable`. Per tile, the pair index is
+    :class:`~repro.sim.engine.FetchTable`. Per band, the pair index is
     billed to ``accumulate`` and the table gathers to ``other``.
 ``rng``
     Noise stream seeding — the vectorized
@@ -196,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--fresh-rng", action="store_true",
         help="seed each worker's noise stream with a fresh generator() "
-        "instead of one vectorized generator_states() call per tile",
+        "instead of one vectorized generator_states() call per band",
     )
     parser.add_argument(
         "--json", action="store_true", help="emit the breakdown as JSON"
