@@ -386,8 +386,9 @@ def _pr9_apply_noise_matrix(fetch_times, sources, noise, rngs):
 def _pr9_noise_sim(config, ctx):
     """A simulator forced onto the baseline's fresh-generator noise path.
 
-    Its plan cache hands the engine one fresh ``generator()`` per worker
-    where the production path hands stream states; only
+    Its ``noise_stream_states`` hands the engine one fresh
+    ``generator()`` per worker where the production path hands stream
+    states; only
     :func:`_frozen_noise_kernel` consumes them.
     """
     from repro.rng import generator
@@ -401,7 +402,7 @@ def _pr9_noise_sim(config, ctx):
             for worker in range(rows.start, rows.stop)
         ]
 
-    sim.plan_cache.noise_stream_states = fresh_noise_generators
+    sim.noise_stream_states = fresh_noise_generators
     return sim
 
 
@@ -477,7 +478,7 @@ def test_engine_noise_fast_path_throughput(benchmark):
 # -- epoch-major run_many at paper scale ------------------------------------
 
 #: Peak-allocation bound (tracemalloc, MB) for the N=1024 ``run_many``:
-#: ~one epoch's matrices (a 24 MB id permutation plus the band slot's
+#: ~one epoch's matrices (a 24 MB id permutation plus the band's shared
 #: size gather and band floats), NOT per-policy copies; a band's noise
 #: stream states and memoized draws live only while that band executes.
 #: Measured ~78 MB (~75 MB before band-major execution kept each

@@ -94,10 +94,6 @@ class SystemModel(ConfigMixin):
         """A copy with fields replaced (workers, compute, tiers, ...)."""
         return dataclasses.replace(self, **changes)
 
-    def with_workers(self, num_workers: int) -> "SystemModel":
-        """A copy at a different scale (Sec 7 GPU-count sweeps)."""
-        return self.replace(num_workers=num_workers)
-
     def with_compute_factor(self, factor: float) -> "SystemModel":
         """Compute *and* preprocessing scaled by ``factor``.
 

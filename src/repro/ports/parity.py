@@ -355,9 +355,9 @@ def run_parity(
 ) -> ParityReport:
     """Run every policy through both worlds and diff the reports.
 
-    Both worlds share one :class:`Simulator` (same cached streams, same
-    plan scalars); each policy is instantiated fresh per world so no
-    prepared state leaks across.
+    Both worlds share one :class:`Simulator` (same cached streams); each
+    policy is instantiated and prepared fresh per world, so each world
+    plans its own prepared policy and no prepared state leaks across.
     """
     cfg = config if config is not None else default_config()
     tol = tolerance if tolerance is not None else ParityTolerance()

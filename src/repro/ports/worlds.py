@@ -125,9 +125,9 @@ def _cold_epochs(prep: PreparedPolicy, num_epochs: int) -> tuple[int, ...]:
 class SimWorld:
     """The analytic engine as a world: ``run(policy) -> WorldReport``.
 
-    Epoch results are exactly ``Simulator.run``'s (same plan cache, same
-    kernels); this wrapper only rephrases them as a :class:`WorldReport`
-    and classifies the cold epochs.
+    Epoch results are exactly ``Simulator.run``'s (same plan scalars,
+    same kernels); this wrapper only rephrases them as a
+    :class:`WorldReport` and classifies the cold epochs.
     """
 
     def __init__(self, config: SimulationConfig, sim: Simulator | None = None) -> None:
@@ -169,7 +169,11 @@ class _RecordedPlan:
     Instead of deriving class matrices from the policy's placement, its
     tiles are row bands of the tiers the runtime *actually served
     from* — which is what :meth:`Simulator.execute_epoch` then prices.
+    Its tiles carry their own observed sizes, so it reads no canonical
+    stream and the band loop gathers none for it.
     """
+
+    canonical = None
 
     epoch: int
     warm: bool
@@ -179,8 +183,8 @@ class _RecordedPlan:
     pfs_latency_s: float
     observed: EpochTile = field(repr=False)
 
-    def tile(self, rows: slice) -> EpochTile:
-        """The observed matrices' rows ``rows``."""
+    def tile(self, rows: slice, shared=None) -> EpochTile:
+        """The observed matrices' rows ``rows`` (``shared`` is ignored)."""
         observed = self.observed
 
         def band(matrix: np.ndarray | None) -> np.ndarray | None:
@@ -231,7 +235,7 @@ class RuntimeWorld:
         placement arithmetic before a single sample moved.
     sim:
         Share the sim world's :class:`Simulator` so both worlds consume
-        the same cached streams and plan scalars.
+        the same cached streams.
     sink:
         Optional :class:`~repro.ports.ports.MetricsSink` receiving one
         event per served sample.

@@ -13,7 +13,6 @@ from .context import ScenarioContext
 from .engine import EpochPlan, EpochTile, Simulator, analytic_lower_bound
 from .lockstep import LockstepResult, lockstep_epoch
 from .noise import NoiseBand, NoiseConfig, apply_noise, apply_noise_matrix
-from .plancache import PhasePlan, PlanCache, PlanScalars
 from .policies import (
     DeepIOPolicy,
     DoubleBufferPolicy,
@@ -30,6 +29,7 @@ from .policies import (
     WorkerLookup,
 )
 from .result import BatchTimeStats, EpochResult, SimulationResult
+from .scalars import PhasePlan, PlanScalars, plan_scalars
 
 __all__ = [
     "SimulationConfig",
@@ -38,8 +38,8 @@ __all__ = [
     "EpochPlan",
     "EpochTile",
     "PhasePlan",
-    "PlanCache",
     "PlanScalars",
+    "plan_scalars",
     "analytic_lower_bound",
     "policy_lower_bound",
     "kernels",

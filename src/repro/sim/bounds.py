@@ -12,9 +12,9 @@ search can discard them without simulating.
 floor it prices the epochs a prepared policy *provably* spends reading
 every byte from the PFS — epochs whose planned PFS byte fraction is
 1.0 for policies with no cache placement at all (no ``best_map``
-means the engine resolves every fetch against the all-cold class
-template, with no warm-up remote serving to fall back on) — using the
-very :class:`~repro.sim.plancache.PhasePlan` scalars the engine plans
+means the engine resolves every fetch against an all-cold class
+matrix, with no warm-up remote serving to fall back on) — using the
+very :class:`~repro.sim.scalars.PhasePlan` scalars the engine plans
 with.
 Admissibility rests on the lockstep guarantees (an epoch can end no
 earlier than the slowest worker's total read chain or its total
@@ -33,8 +33,8 @@ import math
 from ..errors import PolicyError
 from .config import SimulationConfig
 from .context import ScenarioContext
-from .plancache import PlanCache
 from .policies.base import Policy
+from .scalars import plan_scalars
 
 __all__ = ["policy_lower_bound"]
 
@@ -103,7 +103,7 @@ def policy_lower_bound(
     except PolicyError:
         return math.inf
 
-    scalars = PlanCache(ctx).scalars(prep)
+    scalars = plan_scalars(prep, ctx)
     system = config.system
     divisor = float(system.staging.threads) if prep.overlap else 1.0
     samples = ctx.samples_per_worker_per_epoch

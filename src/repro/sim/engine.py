@@ -14,12 +14,12 @@ The engine evaluates epochs as ``(N, L)`` matrices — ``N`` workers by
    placement, stream rewriting, prestaging cost and PFS usage. The
    epoch-invariant part — the PFS byte fraction, the contention level
    ``gamma`` and its derived share/latency, the placement coverage and
-   the staging lookahead — is computed once per prepared policy by the
-   simulator's :class:`~repro.sim.plancache.PlanCache` and reused for
-   every epoch (and across the policies of :meth:`Simulator.run_many`).
-   Per epoch only the id stream is resolved — the context's resident
-   permutation, or a rewritten stream built band by band when executed
-   — yielding an :class:`EpochPlan`.
+   the staging lookahead — is computed once per prepared policy
+   (:func:`~repro.sim.scalars.plan_scalars`), kept on the policy as
+   ``prep.scalars`` and reused for every epoch. Per epoch only the id
+   stream is resolved — the context's resident permutation, or a
+   rewritten stream built band by band when executed — yielding an
+   :class:`EpochPlan`.
 2. **Execute** (:meth:`Simulator.execute_epoch`): the epoch's whole
    lineup of planned policies is priced **band-major** — contiguous
    worker-row bands outermost, the policies inside. For each band every
@@ -35,11 +35,11 @@ The engine evaluates epochs as ``(N, L)`` matrices — ``N`` workers by
 
 A band's inputs that do not depend on the policy are built once for
 the whole lineup: the clairvoyant stream's size gather with its compute
-totals and write times (the plan cache's band slot), the per-worker
-noise stream states, and every distinct noise multiplier matrix — the
-draws are keyed ``("noise", epoch, worker)``, never by policy, so
-policies whose band reads every sample from the same sources share one
-draw (:class:`~repro.sim.noise.NoiseBand`).
+totals and write times (a :class:`SizeBand` the band loop hands to every
+tile), the per-worker noise stream states, and every distinct noise
+multiplier matrix — the draws are keyed ``("noise", epoch, worker)``,
+never by policy, so policies whose band reads every sample from the
+same sources share one draw (:class:`~repro.sim.noise.NoiseBand`).
 
 Bands are ``tile_rows`` workers high; with ``tile_rows=None`` (the
 default) the height is derived as ``BAND_ELEMENTS // L`` rows (at least
@@ -74,20 +74,20 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
 from ..errors import ConfigurationError, PolicyError
-from ..perfmodel import Source, SystemModel, resolve_fetch
+from ..perfmodel import Source, SystemModel, resolve_fetch, write_times
+from ..rng import generator_states
 from . import kernels
 from .config import SimulationConfig
 from .context import ScenarioContext
 from .lockstep import lockstep_epoch
 from .noise import NoiseBand, apply_noise_matrix
-from .plancache import PlanCache, SizeBand
 from .policies.base import Policy, PreparedPolicy
 from .result import BatchTimeStats, EpochResult, SimulationResult
+from .scalars import PlanScalars, plan_scalars
 
 __all__ = [
     "BAND_ELEMENTS",
@@ -95,6 +95,7 @@ __all__ = [
     "EpochPlan",
     "EpochTile",
     "FetchTable",
+    "SizeBand",
     "analytic_lower_bound",
     "band_rows",
 ]
@@ -176,6 +177,35 @@ class FetchTable:
         return fetch, self.sources[pairs]
 
 
+class SizeBand:
+    """One row band's sample sizes and the terms derived from them alone.
+
+    Per-batch compute totals and staging write times depend on nothing
+    but the sizes, so every policy sharing a band's size gather (the
+    clairvoyant stream's, built once per band by
+    :meth:`Simulator.execute_epoch`) shares them too; all three arrays
+    are read-only. Both terms are computed with the gather, so the
+    band's long-lived arrays are allocated before the band's per-policy
+    temporaries: a band computed after them sat at the top of the heap,
+    and freeing it at the next band let the allocator return that
+    memory, only to page it back in (~100 page faults per epoch on a
+    64-worker cell).
+    """
+
+    def __init__(self, sizes_mb: np.ndarray, config: SimulationConfig) -> None:
+        self.sizes_mb = sizes_mb
+        #: ``(rows, T)`` per-batch compute seconds.
+        self.comp_totals = kernels.batch_totals(
+            sizes_mb / config.system.compute_mbps,
+            config.iterations_per_epoch,
+            config.batch_size,
+        )
+        #: ``(rows, L)`` per-sample staging write seconds.
+        self.write_s = write_times(sizes_mb, config.system)
+        for array in (self.sizes_mb, self.comp_totals, self.write_s):
+            array.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class EpochTile:
     """One materialized row band of an :class:`EpochPlan`.
@@ -198,7 +228,7 @@ class EpochTile:
         ``(rows, L)`` int8 cache-tier matrices (``-1`` = unavailable);
         ``None`` for the ideal (no-I/O) policy, which skips fetching.
     shared:
-        The plan cache's band slot when ``sizes_mb`` is the canonical
+        The band's :class:`SizeBand` when ``sizes_mb`` is the canonical
         stream's shared gather: its compute totals and write times are
         then computed once for every policy of the band. ``None`` for
         sizes of the tile's own (rewritten or recorded) streams.
@@ -218,10 +248,9 @@ class EpochPlan:
 
     Everything the policy and contention model decide about an epoch.
     No per-sample matrix is held: the size/class matrices are
-    materialized on demand, band by band, via :meth:`tile` /
-    :meth:`tiles`, and so are a rewritten stream's ids — a plan holds
-    at most a reference to the context's one resident epoch
-    permutation, even at paper scale.
+    materialized on demand, band by band, via :meth:`tile`, and so are
+    a rewritten stream's ids — a plan holds at most a reference to the
+    context's one resident epoch permutation, even at paper scale.
 
     Attributes
     ----------
@@ -250,7 +279,7 @@ class EpochPlan:
     pfs_share_mbps: float
     pfs_latency_s: float
     prep: PreparedPolicy = field(repr=False)
-    cache: PlanCache = field(repr=False)
+    ctx: ScenarioContext = field(repr=False)
     canonical: np.ndarray | None = field(repr=False, default=None)
 
     @property
@@ -261,7 +290,7 @@ class EpochPlan:
         stacked afresh on every access (the execute phase builds them a
         band at a time instead).
         """
-        return self.band_ids(slice(0, self.cache.ctx.num_workers))
+        return self.band_ids(slice(0, self.ctx.num_workers))
 
     def band_ids(self, rows: slice) -> np.ndarray:
         """``(rows, L)`` sample ids of one row band.
@@ -277,27 +306,24 @@ class EpochPlan:
             [stream_fn(worker, self.epoch) for worker in range(rows.start, rows.stop)]
         )
 
-    def tile(self, rows: slice) -> EpochTile:
+    def tile(self, rows: slice, shared: SizeBand | None = None) -> EpochTile:
         """Materialize the ids and size/class matrices of one row band.
 
-        A canonical-stream band reuses the plan cache's band slot
-        (:meth:`PlanCache.size_band`), shared by every policy of the
-        lineup that reads the same band; a rewritten stream gathers its
-        own. Class resolution is row-local by construction — local
-        tiers via the band's workers' lookups
-        (``worker_offset=rows.start``), remote tiers via the placement
-        gather, warm-up availability via the column-indexed progress
-        hash — so a band's matrices are bitwise equal to the same rows
-        of the full-epoch materialization.
+        ``shared`` is the canonical stream's size gather for ``rows``,
+        which the band loop builds once for every policy of the lineup;
+        a canonical-stream tile reuses it, and a rewritten stream (or a
+        call without one) gathers its own sizes. Class resolution is
+        row-local by construction — local tiers via the band's workers'
+        lookups (``worker_offset=rows.start``), remote tiers via the
+        placement gather, warm-up availability via the column-indexed
+        progress hash — so a band's matrices are bitwise equal to the
+        same rows of the full-epoch materialization.
         """
         prep = self.prep
         ids = self.band_ids(rows)
-        shared: SizeBand | None = None
-        if self.canonical is not None:
-            shared = self.cache.size_band(self.epoch, ids, rows)
-            sizes = shared.sizes_mb
-        else:
-            sizes = self.cache.ctx.sizes_mb[ids]
+        if self.canonical is None:
+            shared = None
+        sizes = shared.sizes_mb if shared is not None else self.ctx.sizes_mb[ids]
 
         local_cls: np.ndarray | None = None
         remote_cls: np.ndarray | None = None
@@ -306,7 +332,8 @@ class EpochPlan:
                 local_cls = prep.classes_matrix(ids, worker_offset=rows.start)
                 remote_cls = prep.remote_classes_matrix(ids)
             else:
-                local_cls = self.cache.cold_classes(ids.shape[0])
+                # Cold: nothing is cached locally yet.
+                local_cls = np.full(ids.shape, -1, dtype=np.int8)
                 remote_cls = local_cls
                 if prep.plan is not None and prep.best_map is not None:
                     remote_cls = kernels.warmup_remote_classes(ids, prep.best_map)
@@ -319,19 +346,6 @@ class EpochPlan:
             remote_classes=remote_cls,
             shared=shared,
         )
-
-    def tiles(self, tile_rows: int | None) -> Iterator[EpochTile]:
-        """Iterate the epoch as row bands, the last band ragged.
-
-        Bands are :func:`band_rows` high — ``tile_rows`` workers, or the
-        engine's derived height for ``None`` — and materialized lazily,
-        one at a time.
-        """
-        ctx = self.cache.ctx
-        n = ctx.num_workers
-        step = band_rows(n, ctx.samples_per_worker_per_epoch, tile_rows)
-        for start in range(0, n, step):
-            yield self.tile(slice(start, min(start + step, n)))
 
 
 @dataclass
@@ -353,10 +367,9 @@ class _Pricing:
 class Simulator:
     """Evaluates I/O policies on one scenario (dataset x system x E x B).
 
-    A single instance caches the scenario's access streams and the
-    epoch-invariant planning state (:class:`~repro.sim.plancache.PlanCache`),
-    so comparing many policies (Fig 8's nine bars) reuses the expensive
-    state instead of re-planning per policy.
+    A single instance caches the scenario's access streams, so
+    comparing many policies (Fig 8's nine bars) reuses the expensive
+    state instead of rebuilding it per policy.
 
     Parameters
     ----------
@@ -386,7 +399,10 @@ class Simulator:
         self.config = config
         self.tile_rows = None if tile_rows is None else int(tile_rows)
         self.ctx = ctx if ctx is not None else ScenarioContext(config)
-        self.plan_cache = PlanCache(self.ctx)
+        #: The last canonical band's size gather, held until the next
+        #: band's exists so the heap keeps its order (see
+        #: :class:`SizeBand`); dropped when an epoch-major pass ends.
+        self._band: SizeBand | None = None
 
     # -- public API --------------------------------------------------------
 
@@ -402,11 +418,10 @@ class Simulator:
         """Simulate several policies, skipping unsupported ones.
 
         All policies share this simulator's :class:`ScenarioContext`
-        and :class:`~repro.sim.plancache.PlanCache`, so the scenario's
-        permutations, per-epoch size gathers and cold-class template
-        are materialized once for the whole comparison rather than once
-        per policy. Policies raising
-        :class:`~repro.errors.PolicyError` (the paper's "Does not
+        and run as one band-major lineup, so the scenario's
+        permutations and per-band size gathers are materialized once
+        for the whole comparison rather than once per policy. Policies
+        raising :class:`~repro.errors.PolicyError` (the paper's "Does not
         support" / LBANN-overflow cases) are omitted from the result
         dict rather than aborting the comparison.
         """
@@ -480,7 +495,6 @@ class Simulator:
         epoch fails keeps its :class:`~repro.errors.PolicyError`.
         """
         epoch_lists: list[list[EpochResult]] = [[] for _ in slots]
-        preps = [slot[1] for slot in slots if not isinstance(slot, PolicyError)]
         try:
             for epoch in range(self.config.num_epochs):
                 self.ctx.hold_epoch(epoch)
@@ -497,7 +511,7 @@ class Simulator:
                         epoch_lists[i].append(outcome)
         finally:
             self.ctx.release_held_epoch()
-            self.plan_cache.release(preps)
+            self._band = None
         out: list[SimulationResult | PolicyError] = []
         for slot, epoch_results in zip(slots, epoch_lists):
             if isinstance(slot, PolicyError):
@@ -564,7 +578,7 @@ class Simulator:
     # -- plan phase ----------------------------------------------------------
 
     def plan_epoch(self, prep: PreparedPolicy, epoch: int) -> EpochPlan:
-        """Resolve one epoch's stream and (cached) contention scalars.
+        """Resolve one epoch's stream and contention scalars.
 
         Public because the plan is the sim/runtime seam: the parity
         harness (:mod:`repro.ports.worlds`) replays ``plan.ids`` — the
@@ -577,10 +591,11 @@ class Simulator:
         Order-changing policies (sharding, DeepIO opportunistic,
         locality-aware) rewrite their warm epochs' streams; their rows
         are built a band at a time by :meth:`EpochPlan.tile`, inside the
-        execute phase.
+        execute phase. The policy's first plan stores its
+        epoch-invariant scalars on it (``prep.scalars``).
         """
         warm = prep.plan is not None and epoch >= prep.warm_epochs
-        phase = self.plan_cache.scalars(prep).phase(epoch < prep.warm_epochs)
+        phase = self._scalars(prep).phase(epoch < prep.warm_epochs)
         rewritten = prep.stream_fn is not None and (warm or prep.warm_epochs == 0)
         return EpochPlan(
             epoch=epoch,
@@ -589,9 +604,15 @@ class Simulator:
             pfs_share_mbps=phase.pfs_share_mbps,
             pfs_latency_s=phase.pfs_latency_s,
             prep=prep,
-            cache=self.plan_cache,
+            ctx=self.ctx,
             canonical=None if rewritten else self.ctx.epoch_matrix(epoch),
         )
+
+    def _scalars(self, prep: PreparedPolicy) -> PlanScalars:
+        """``prep``'s plan scalars, computed on first use and kept on it."""
+        if prep.scalars is None:
+            prep.scalars = plan_scalars(prep, self.ctx)
+        return prep.scalars
 
     # -- execute phase -------------------------------------------------------
 
@@ -613,13 +634,15 @@ class Simulator:
         the observed class matrices), so both worlds are timed by
         identical kernels. A plan may be any object with the
         :class:`EpochPlan` surface (``epoch`` / ``gamma`` /
-        ``pfs_share_mbps`` / ``pfs_latency_s`` and ``tile(rows)``).
+        ``pfs_share_mbps`` / ``pfs_latency_s`` / ``canonical`` and
+        ``tile(rows, shared)``).
 
         Row bands (:func:`band_rows`) run outermost, the lineup inside,
         so each band's policy-independent inputs are built once: the
         canonical stream's size gather with its compute totals and write
-        times (:meth:`PlanCache.size_band`), the band's noise stream
-        states (:meth:`PlanCache.noise_stream_states`) and, through the
+        times (a :class:`SizeBand`, gathered when any live entry reads
+        the canonical stream and handed to every tile), the band's noise
+        stream states (:meth:`noise_stream_states`) and, through the
         band's :class:`~repro.sim.noise.NoiseBand`, one multiplier
         matrix per distinct source matrix. Per-sample float work happens
         on ``(rows, L)`` bands; only the small ``(N, T)`` batch totals
@@ -667,20 +690,43 @@ class Simulator:
                 # the lineup in one vectorized pass — bitwise identical
                 # to fresh generator() calls. Disabled noise skips the
                 # derivation outright.
-                noise = NoiseBand(self.plan_cache.noise_stream_states(epoch, rows))
+                noise = NoiseBand(self.noise_stream_states(epoch, rows))
+            shared: SizeBand | None = None
+            canonical = next(
+                (run.plan.canonical for run in live if run.plan.canonical is not None), None
+            )
+            if canonical is not None:
+                # Replace the held band only once this one exists.
+                shared = self._band = SizeBand(self.ctx.sizes_mb[canonical[rows]], cfg)
             for run in live:
                 try:
-                    self._price_band(run, rows, noise)
+                    self._price_band(run, rows, noise, shared)
                 except PolicyError as exc:
                     run.error = exc
         return [run.error if run.error is not None else self._finish(run) for run in runs]
 
-    def _price_band(self, run: _Pricing, rows: slice, noise: NoiseBand | None) -> None:
+    def noise_stream_states(self, epoch: int, rows: slice) -> list[dict]:
+        """Initial PCG64 states of the band's per-worker noise streams.
+
+        One state per worker in ``rows``, each equal to a fresh
+        ``generator(seed, "noise", epoch, worker)``'s — the engine's
+        reproducibility contract — derived for the whole band in one
+        vectorized :func:`~repro.rng.generator_states` call rather than
+        one ``SeedSequence`` expansion per worker. :meth:`execute_epoch`
+        calls it once per band for every policy of the lineup.
+        """
+        return generator_states(
+            self.config.seed, "noise", epoch, last=range(rows.start, rows.stop)
+        )
+
+    def _price_band(
+        self, run: _Pricing, rows: slice, noise: NoiseBand | None, shared: SizeBand | None
+    ) -> None:
         """Price one entry's row band into its accumulators."""
         cfg = self.config
         system = cfg.system
         prep = run.prep
-        tile = run.plan.tile(rows)
+        tile = run.plan.tile(rows, shared)
         size_band = tile.shared if tile.shared is not None else SizeBand(tile.sizes_mb, cfg)
         comps = size_band.comp_totals
         if prep.ideal:
@@ -737,7 +783,7 @@ class Simulator:
         fetch_counts = run.counts_by_source.sum(axis=0)
 
         prep = run.prep
-        lookahead = self.plan_cache.scalars(prep).lookahead_batches
+        lookahead = self._scalars(prep).lookahead_batches
         step = lockstep_epoch(
             run.batch_reads,
             run.batch_comps,

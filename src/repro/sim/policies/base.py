@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from ...core import CachePlan
 from ..context import ScenarioContext
+
+if TYPE_CHECKING:
+    from ..scalars import PlanScalars
 
 __all__ = ["PolicyCapabilities", "PreparedPolicy", "Policy", "WorkerLookup"]
 
@@ -122,6 +125,11 @@ class PreparedPolicy:
         change the access order.
     ideal:
         Perfect/no-I/O baseline: skip fetching entirely.
+    scalars:
+        The policy's epoch-invariant plan scalars
+        (:func:`~repro.sim.scalars.plan_scalars`), filled by the engine
+        on the policy's first ``plan_epoch`` so they live exactly as
+        long as the policy.
     """
 
     name: str
@@ -137,6 +145,7 @@ class PreparedPolicy:
     ideal: bool = False
     lookups: list[WorkerLookup] = field(default_factory=list)
     best_map: np.ndarray | None = None
+    scalars: "PlanScalars | None" = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.plan is not None and not self.lookups:

@@ -7,7 +7,9 @@ byte-for-byte deterministic across runs.
 """
 
 import dataclasses
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -231,3 +233,28 @@ class TestParitySystem:
         sim_report = SimWorld(cfg, sim=sim).run(make_policy("naive"))
         runtime_report = RuntimeWorld(cfg, sim=sim).run(make_policy("naive"))
         assert compare_reports(sim_report, runtime_report).status == "ok"
+
+    def test_shared_simulator_keeps_no_prepared_policy(self):
+        """Both worlds on one simulator, as ``run_parity`` runs them, leave
+        no prepared policy (and so no placement) alive after their runs."""
+        cfg = default_config()
+        sim = Simulator(cfg)
+        worlds = (SimWorld(cfg, sim=sim), RuntimeWorld(cfg, sim=sim))
+        refs = []
+
+        def tracked(prepare):
+            def wrapper(ctx):
+                prep = prepare(ctx)
+                refs.append(weakref.ref(prep))
+                return prep
+
+            return wrapper
+
+        for spec in ("nopfs", "lbann:dynamic", "deepio:ordered"):
+            for world in worlds:
+                policy = make_policy(spec)
+                policy.prepare = tracked(policy.prepare)
+                world.run(policy)
+        gc.collect()
+        assert len(refs) == 6
+        assert sum(ref() is not None for ref in refs) == 0

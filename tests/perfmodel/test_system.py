@@ -70,9 +70,6 @@ class TestSec7Presets:
 
 
 class TestModifiers:
-    def test_with_workers(self):
-        assert sec6_cluster().with_workers(16).num_workers == 16
-
     def test_with_compute_factor(self):
         sys = sec6_cluster().with_compute_factor(5.0)
         assert sys.compute_mbps == 320.0

@@ -3,8 +3,9 @@
 :meth:`Simulator.execute_epoch` prices an epoch's whole lineup with the
 row bands outermost. Noise draws are keyed ``("noise", epoch, worker)``,
 never by policy, so policies whose band reads every sample from the
-same sources draw one multiplier matrix between them; the band's size
-gather and noise stream states are likewise built once. This suite
+same sources draw one multiplier matrix between them; the band's
+clairvoyant-stream size gather (made only when some entry reads that
+stream) and noise stream states are likewise built once. This suite
 pins those counts, the derived band height, the per-band rewritten
 streams and the error path — and that every result stays bitwise equal
 to the policy's solo run.
@@ -143,16 +144,22 @@ def test_failing_entry_keeps_its_solo_error_and_spares_its_siblings(tile_rows):
         assert _canonical(outcomes[index]) == _solo(config, policies[index], tile_rows)
 
 
+def _bands(tile_rows):
+    """The ``(start, stop)`` row bands of a ``_config()`` epoch."""
+    step = 1 if tile_rows == 1 else N
+    return [(start, start + step) for start in range(0, N, step)]
+
+
 @pytest.mark.parametrize("tile_rows", [None, 1])
-def test_shared_band_inputs_built_once_per_band(monkeypatch, tile_rows):
+def test_shared_band_inputs_built_once_per_band(monkeypatch, gathers, tile_rows):
     """One size gather and one stream derivation per band; one noise
     call per non-ideal policy and band."""
     config = _config()
     bands = N if tile_rows == 1 else 1
     sim = Simulator(config, tile_rows=tile_rows)
-    derive = sim.plan_cache.noise_stream_states
+    derive = sim.noise_stream_states
     derived = []
-    sim.plan_cache.noise_stream_states = lambda epoch, rows: (
+    sim.noise_stream_states = lambda epoch, rows: (
         derived.append((epoch, rows.start, rows.stop)) or derive(epoch, rows)
     )
     noise_calls = []
@@ -167,8 +174,32 @@ def test_shared_band_inputs_built_once_per_band(monkeypatch, tile_rows):
     slots = config.num_epochs * bands
     assert len(derived) == len(set(derived)) == slots
     assert len(noise_calls) == len(ALL_PFS) * slots
-    assert sim.plan_cache.misses == slots
-    assert sim.plan_cache.hits == (len(specs) - 1) * slots
+    # Every policy reads the clairvoyant stream: each (epoch, band) is
+    # gathered once and every policy's tile uses that gather.
+    assert gathers.shared() == [
+        (epoch, *band) for epoch in range(config.num_epochs) for band in _bands(tile_rows)
+    ]
+    assert len(gathers.built) == slots
+    assert len(gathers.tiles) == len(specs) * slots
+
+
+@pytest.mark.parametrize("tile_rows", [None, 1])
+def test_rewriter_lineup_gathers_only_canonical_epochs(gathers, tile_rows):
+    """A lineup of stream rewriters makes no shared gather.
+
+    Parallel staging rewrites every epoch, DeepIO opportunistic its warm
+    ones; only DeepIO's cold epoch 0 reads the clairvoyant stream. Every
+    rewritten tile gathers its own sizes, bitwise as in a solo run.
+    """
+    config = _config()
+    specs = ("parallel_staging", "deepio:opportunistic")
+    sim = Simulator(config, tile_rows=tile_rows)
+    outcomes = sim.run_many_outcomes([make_policy(spec) for spec in specs])
+    assert gathers.shared() == [(0, *band) for band in _bands(tile_rows)]
+    rewritten = config.num_epochs * len(specs) - 1
+    assert len(gathers.built) == (rewritten + 1) * len(_bands(tile_rows))
+    for spec, outcome in zip(specs, outcomes):
+        assert _canonical(outcome) == _solo(config, make_policy(spec), tile_rows)
 
 
 def test_none_derives_the_band_height():
@@ -178,9 +209,9 @@ def test_none_derives_the_band_height():
     assert config.iterations_per_epoch * config.batch_size == length
     assert band_rows(N, length, None) == 2
     sim = Simulator(config)
-    derive = sim.plan_cache.noise_stream_states
+    derive = sim.noise_stream_states
     rows_seen = []
-    sim.plan_cache.noise_stream_states = lambda epoch, rows: (
+    sim.noise_stream_states = lambda epoch, rows: (
         rows_seen.append((rows.start, rows.stop)) or derive(epoch, rows)
     )
     derived = _canonical(sim.run(make_policy("naive")))

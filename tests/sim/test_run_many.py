@@ -141,11 +141,15 @@ def test_rolling_slots_released(shared, scenario):
     assert shared[scenario]["sim"].ctx.held_epoch is None
 
 
-def test_size_gathers_shared_across_policies(shared):
-    """The rolling sizes slot misses once per epoch and serves the rest."""
-    sim = shared["default"]["sim"]
-    assert sim.plan_cache.misses == SCENARIOS["default"].num_epochs
-    assert sim.plan_cache.hits > 0
+def test_size_gathers_shared_across_policies(gathers):
+    """The band loop gathers each epoch's one band once for the lineup."""
+    config = SCENARIOS["default"]
+    sim = Simulator(config)
+    sim.run_many_outcomes([make_policy(spec) for spec in ALL_POLICY_SPECS])
+    n = sim.ctx.num_workers
+    assert gathers.shared() == [(epoch, 0, n) for epoch in range(config.num_epochs)]
+    used = sum(shared is not None for *_, shared in gathers.tiles)
+    assert used > config.num_epochs
 
 
 def test_run_many_dict_omits_unsupported():

@@ -9,10 +9,10 @@ that does not divide N, exactly N, and larger than N — the
 the PolicyError-parity cases (oversized LBANN) must raise the same
 message with the same epoch/worker indices.
 
-Also covers the :class:`~repro.sim.plancache.PlanCache` reuse the
-tiling rides on: per-policy scalars computed once, per-epoch size
-gathers shared across a ``run_many`` comparison, and the cold-class
-template staying read-only.
+Also covers the reuse the tiling rides on: per-policy plan scalars
+computed once and kept on the prepared policy, per-band size gathers
+shared across a ``run_many`` comparison, and a shared gather staying
+read-only.
 """
 
 import gc
@@ -26,7 +26,9 @@ from repro.api import FIG8_POLICIES, POLICIES, TABLE1_POLICIES, make_policy
 from repro.datasets import DatasetModel
 from repro.errors import ConfigurationError, PolicyError
 from repro.perfmodel import sec6_cluster
-from repro.sim import PlanCache, ScenarioContext, SimulationConfig, Simulator
+from repro.sim import ScenarioContext, SimulationConfig, Simulator, plan_scalars
+from repro.sim import engine as engine_mod
+from repro.sim.engine import SizeBand, band_rows
 from repro.sweep import ScenarioGrid, SweepRunner
 from repro.units import TB
 
@@ -116,7 +118,9 @@ def test_epoch_plan_tiles_cover_all_rows():
     sim = Simulator(config, tile_rows=3)
     prep = make_policy("staging_buffer").prepare(sim.ctx)
     plan = sim.plan_epoch(prep, 0)
-    tiles = list(plan.tiles(3))
+    n = sim.ctx.num_workers
+    step = band_rows(n, sim.ctx.samples_per_worker_per_epoch, 3)
+    tiles = [plan.tile(slice(start, min(start + step, n))) for start in range(0, n, step)]
     assert [(t.rows.start, t.rows.stop) for t in tiles] == [(0, 3), (3, 6), (6, 8)]
     stitched = np.vstack([t.ids for t in tiles])
     np.testing.assert_array_equal(stitched, plan.ids)
@@ -124,25 +128,34 @@ def test_epoch_plan_tiles_cover_all_rows():
     np.testing.assert_array_equal(sizes, sim.ctx.sizes_mb[plan.ids])
 
 
-# -- plan cache ------------------------------------------------------------
+# -- plan scalars and shared gathers ----------------------------------------
 
 
-def test_plan_scalars_computed_once_per_prepared_policy():
+def test_plan_scalars_computed_once_per_prepared_policy(monkeypatch):
+    """The first plan stores the scalars on the policy; later plans reuse them."""
     config = SCENARIOS["default"]
-    cache = PlanCache(ScenarioContext(config))
-    prep = make_policy("nopfs").prepare(cache.ctx)
-    assert cache.scalars(prep) is cache.scalars(prep)
+    computed = []
+    compute = engine_mod.plan_scalars
+    monkeypatch.setattr(
+        engine_mod, "plan_scalars", lambda prep, ctx: computed.append(prep) or compute(prep, ctx)
+    )
+    sim = Simulator(config)
+    prep = make_policy("nopfs").prepare(sim.ctx)
+    assert prep.scalars is None
+    for epoch in range(config.num_epochs):
+        sim.plan_epoch(prep, epoch)
+    assert len(computed) == 1 and computed[0] is prep
+    assert prep.scalars == plan_scalars(prep, sim.ctx)
 
 
 def test_plan_scalars_match_per_epoch_values():
-    """The cached cold/warm phases reproduce the per-epoch arithmetic."""
+    """The cold/warm phases reproduce the per-epoch arithmetic."""
     config = SCENARIOS["default"]
     ctx = ScenarioContext(config)
-    cache = PlanCache(ctx)
     system = config.system
     for spec in ("naive", "nopfs", "perfect", "locality_aware"):
         prep = make_policy(spec).prepare(ctx)
-        scalars = cache.scalars(prep)
+        scalars = plan_scalars(prep, ctx)
         for epoch in range(config.num_epochs):
             if prep.ideal:
                 fraction = 0.0
@@ -179,28 +192,33 @@ def test_finished_pass_releases_its_prepared_policies():
     assert len(preps) == 1 and preps[0]() is None
 
 
-def test_run_many_shares_epoch_size_gathers():
+def test_run_many_shares_epoch_size_gathers(gathers):
     """A multi-policy comparison gathers each epoch's sizes only once."""
     config = SCENARIOS["default"]
     sim = Simulator(config)
     policies = [make_policy(s) for s in ("naive", "staging_buffer", "nopfs")]
     results = sim.run_many(policies)
     assert len(results) == len(policies)
-    # One miss per epoch; every later (policy, epoch) visit is a hit.
-    assert sim.plan_cache.misses == config.num_epochs
-    assert sim.plan_cache.hits == (len(policies) - 1) * config.num_epochs
+    # Each epoch is one band here: one gather per epoch, used by every
+    # policy's tile.
+    n = sim.ctx.num_workers
+    assert gathers.shared() == [(epoch, 0, n) for epoch in range(config.num_epochs)]
+    assert len(gathers.tiles) == len(policies) * config.num_epochs
 
 
 def test_shared_matrices_are_read_only():
+    """A band's shared gather — sizes, compute totals, write times — is read-only."""
     config = SCENARIOS["default"]
     sim = Simulator(config)
     prep = make_policy("naive").prepare(sim.ctx)
     plan = sim.plan_epoch(prep, 0)
-    tile = plan.tile(slice(0, sim.ctx.num_workers))
-    with pytest.raises(ValueError):
-        tile.sizes_mb[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        tile.local_classes[0, 0] = 0
+    rows = slice(0, sim.ctx.num_workers)
+    shared = SizeBand(sim.ctx.sizes_mb[plan.canonical[rows]], config)
+    tile = plan.tile(rows, shared)
+    assert tile.shared is shared and tile.sizes_mb is shared.sizes_mb
+    for matrix in (tile.sizes_mb, shared.comp_totals, shared.write_s):
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.0
 
 
 def test_sweep_runner_tile_rows_matches_untiled():

@@ -14,7 +14,7 @@ by phase:
     billed to ``accumulate`` and the table gathers to ``other``.
 ``rng``
     Noise stream seeding — the vectorized
-    :meth:`~repro.sim.plancache.PlanCache.noise_stream_states` path, or
+    :meth:`~repro.sim.engine.Simulator.noise_stream_states` path, or
     (with ``--fresh-rng``) one fresh :func:`repro.rng.generator` per
     worker, so the seeding share is measurable both ways.
 ``noise``
@@ -121,11 +121,9 @@ def profile_cell(args: argparse.Namespace) -> dict:
                 for worker in range(rows.start, rows.stop)
             ]
 
-        sim.plan_cache.noise_stream_states = timed(fresh_noise_states, "rng")
+        sim.noise_stream_states = timed(fresh_noise_states, "rng")
     else:
-        sim.plan_cache.noise_stream_states = timed(
-            sim.plan_cache.noise_stream_states, "rng"
-        )
+        sim.noise_stream_states = timed(sim.noise_stream_states, "rng")
 
     policy = make_policy(args.policy)
     # (module, attribute, phase) for every module-level callable the
