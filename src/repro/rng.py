@@ -12,8 +12,9 @@ therefore flows through this module, which derives independent
 Two different callers asking for the same ``(seed, *key)`` always receive
 generators producing identical output; different keys give statistically
 independent streams. :func:`generator_states` derives the initial PCG64
-states of a whole family ``(seed, *key, w)`` at once, for callers that
-need one stream per worker.
+states of a whole family at once — one key word varying, e.g. the
+worker in ``(seed, "noise", epoch, w)`` — for callers that need one
+stream per worker.
 """
 
 from __future__ import annotations
@@ -99,28 +100,56 @@ def _hashmix(value, hash_const: int, mult: int = _MULT_A):
 
 
 def _mix(x, y):
-    """SeedSequence's ``mix`` of two uint32 words (or uint32 arrays)."""
-    result = (((_MIX_MULT_L * x) & _MASK32) - _MIX_MULT_R * y) & _MASK32
+    """SeedSequence's ``mix`` of two uint32 words (or uint32 arrays).
+
+    Either side may be a Python int or a uint32 array: both products
+    are reduced mod 2**32 before the subtraction, so a Python-int
+    product never meets an array out of uint32's range.
+    """
+    result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
     return result ^ (result >> 16)
 
 
-def generator_states(seed: int, *key: object, last: Iterable[int]) -> list[dict]:
-    """PCG64 states of ``generator(seed, *key, w)`` for every ``w`` in ``last``.
+def generator_states(seed: int, *key: object) -> list[dict]:
+    """PCG64 states of a stream family whose key varies in one word.
 
-    Entry ``i`` equals ``generator(seed, *key, last[i]).bit_generator.state``
-    — the same initial state, so a generator re-stated to it replays that
-    stream bitwise — without building one ``SeedSequence`` and ``PCG64``
-    per stream. It replays NumPy's entropy mixing word by word with the
-    last spawn-key word as a uint32 array, so the worker-independent
-    prefix ``(seed, *key)`` is mixed once in Python ints and only the
-    last word, the 8-word ``generate_state(4, uint64)`` output and
-    PCG64's two-step seeding run per entry. ``last`` holds integers
-    (int64 or uint64), masked to 32 bits as :func:`generator` masks key
-    parts.
+    Exactly one part of ``key`` is a 1-D sequence of integers (a
+    ``range``, list or int/uint array) — the family's varying word; the
+    other parts are ints and strings as for :func:`generator`. Entry
+    ``i`` equals ``generator(seed, *key_i).bit_generator.state``, where
+    ``key_i`` is ``key`` with the sequence replaced by its ``i``-th
+    element: ``generator_states(seed, "noise", epoch, range(n))`` gives
+    the states of ``generator(seed, "noise", epoch, w)`` for every
+    ``w < n``, and ``generator_states(seed, "policy", tag, range(n),
+    epoch)`` those of ``generator(seed, "policy", tag, w, epoch)``. A
+    generator re-stated to an entry replays that stream bitwise.
+
+    It replays NumPy's entropy mixing word by word without building one
+    ``SeedSequence`` and ``PCG64`` per stream: the words before the
+    varying one are mixed once in Python ints, and from the varying
+    word on the mixing, the 8-word ``generate_state(4, uint64)`` output
+    and PCG64's two-step seeding run per entry (the mixing vectorized as
+    uint32 arrays). The varying words are masked to 32 bits, as
+    :func:`generator` masks key parts.
     """
     seed = int(seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")
+    varying = [
+        i for i, part in enumerate(key) if not isinstance(part, (int, np.integer, str))
+    ]
+    if len(varying) != 1:
+        raise TypeError(
+            "generator_states needs exactly one key part that is a sequence of "
+            f"integers, got {len(varying)}"
+        )
+    (at,) = varying
+    family = np.asarray(key[at])
+    if family.ndim != 1 or (family.size and family.dtype.kind not in "iu"):
+        raise TypeError(
+            f"the varying key word must be a 1-D integer sequence, got {family.dtype} "
+            f"of shape {family.shape}"
+        )
     words: list = []
     while True:
         words.append(seed & _MASK32)
@@ -128,13 +157,11 @@ def generator_states(seed: int, *key: object, last: Iterable[int]) -> list[dict]
         if not seed:
             break
     # A spawned sequence zero-pads its run entropy to the pool size, so
-    # the last word always mixes in after the pool is full.
+    # every key word mixes in after the pool is full.
     words += [0] * (_POOL_SIZE - len(words))
-    words += _normalize_key(key)
-    last_words = np.asarray(last)
-    if last_words.size and last_words.dtype.kind not in "iu":
-        raise TypeError(f"last key words must be integers, got {last_words.dtype}")
-    words.append((last_words.astype(np.int64, copy=False) & _MASK32).astype(np.uint32))
+    words += _normalize_key(key[:at])
+    words.append((family.astype(np.int64, copy=False) & _MASK32).astype(np.uint32))
+    words += _normalize_key(key[at + 1 :])
 
     # SeedSequence.mix_entropy.
     hash_const = _INIT_A

@@ -12,7 +12,7 @@ from .config import SimulationConfig
 from .context import ScenarioContext
 from .engine import EpochPlan, EpochTile, Simulator, analytic_lower_bound
 from .lockstep import LockstepResult, lockstep_epoch
-from .noise import NoiseBand, NoiseConfig, apply_noise, apply_noise_matrix
+from .noise import NoiseConfig, SourceBand, apply_noise, apply_noise_matrix
 from .policies import (
     DeepIOPolicy,
     DoubleBufferPolicy,
@@ -45,8 +45,8 @@ __all__ = [
     "kernels",
     "LockstepResult",
     "lockstep_epoch",
-    "NoiseBand",
     "NoiseConfig",
+    "SourceBand",
     "apply_noise",
     "apply_noise_matrix",
     "BatchTimeStats",

@@ -15,16 +15,20 @@ Because the seed fixes every epoch's permutation, any epoch can be
 rebuilt from ``(seed, epoch)`` on demand, so the context keeps **at most
 one** epoch matrix resident: the one requested last. The engine's
 epoch-major loop requests each epoch once and serves every policy from
-that one materialization; requesting another epoch replaces it.
+that one materialization; requesting another epoch replaces it. The
+stream-rewriting policies' per-worker shuffle streams are seeded the
+same way: one epoch's families at a time (:meth:`tiled_epoch_stream`).
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 from ..core import AccessStream
 from ..errors import ConfigurationError
-from ..rng import generator
+from ..rng import generator_states
 from .config import SimulationConfig
 
 __all__ = ["ScenarioContext"]
@@ -54,6 +58,11 @@ class ScenarioContext:
         self.perm_builds = 0
         #: epoch -> read-only (N,) per-worker MB totals (:meth:`worker_mb`).
         self._worker_mb: dict[int, np.ndarray] = {}
+        #: The rewrite-stream families of one epoch:
+        #: ``(epoch, {tag: per-worker initial states})``, or ``None``.
+        self._families: tuple[int, dict[str, Sequence[dict]]] | None = None
+        #: The one generator :meth:`tiled_epoch_stream` re-states per stream.
+        self._scratch = np.random.Generator(np.random.PCG64(0))
 
     # -- stream access -----------------------------------------------------
 
@@ -74,14 +83,19 @@ class ScenarioContext:
         epoch so the previous epoch's matrix is freed *before* the next
         one is built — two epochs never overlap in memory. It builds
         nothing: an epoch no policy reads (e.g. one every policy
-        rewrites through ``stream_fn``) is never materialized.
+        rewrites through ``stream_fn``) is never materialized. Another
+        epoch's rewrite-stream families are dropped with it.
         """
         if self._held is not None and self._held[0] != epoch:
             self._held = None
+        if self._families is not None and self._families[0] != epoch:
+            self._families = None
 
     def release_held_epoch(self) -> None:
-        """Drop the resident epoch matrix (the epoch-major loop's cleanup)."""
+        """Drop the resident epoch matrix and the rewrite-stream families
+        (the epoch-major loop's cleanup)."""
         self._held = None
+        self._families = None
 
     @property
     def held_epoch(self) -> int | None:
@@ -143,11 +157,18 @@ class ScenarioContext:
 
         The sparse form keeps memory at O(samples actually accessed per
         worker) instead of O(N * F), which matters at Sec 7 scales
-        (N=1024). Built afresh on every call from the epoch matrices —
-        one horizontal stack plus one ``np.unique`` per worker row — and
+        (N=1024). Built afresh on every call from the epoch matrices and
         not kept: the table is ~62 MB at Lassen's 1024-GPU scale, and
         its one consumer (NoPFS's prepare) drops it once its placement
         exists, so a prepared lineup never holds it.
+
+        Row ``w`` equals ``np.unique(ids_w, return_counts=True)`` over
+        worker ``w``'s ``E * L`` ids, computed the way ``np.unique``
+        computes it but for every row at once: one in-place
+        ``sort(axis=1)`` of the stacked copy and one flag matrix marking
+        each row's first occurrence of an id, plus a closing flag past
+        its end; a row's ids are its flagged entries and its counts the
+        gaps between consecutive flags.
         """
         epochs = self.config.num_epochs
         n = self.num_workers
@@ -157,9 +178,25 @@ class ScenarioContext:
         all_ids[:, :length] = first
         for epoch in range(1, epochs):
             all_ids[:, epoch * length : (epoch + 1) * length] = self.epoch_matrix(epoch)
-        return [np.unique(all_ids[worker], return_counts=True) for worker in range(n)]
+        all_ids.sort(axis=1)
+        width = epochs * length
+        flags = np.empty((n, width + 1), dtype=bool)
+        flags[:, 0] = flags[:, width] = True
+        np.not_equal(all_ids[:, 1:], all_ids[:, :-1], out=flags[:, 1:width])
+        table = []
+        for row, row_flags in zip(all_ids, flags):
+            bounds = np.flatnonzero(row_flags)
+            table.append((row[bounds[:-1]], bounds[1:] - bounds[:-1]))
+        return table
 
     # -- stream length helpers ----------------------------------------------
+
+    def policy_stream_states(self, tag: str, epoch: int) -> Sequence[dict]:
+        """Initial PCG64 states of ``generator(seed, "policy", tag, w,
+        epoch)`` for every worker ``w``, in one vectorized
+        :func:`~repro.rng.generator_states` pass (the worker is a middle
+        key word)."""
+        return generator_states(self.config.seed, "policy", tag, range(self.num_workers), epoch)
 
     def tiled_epoch_stream(
         self, ids: np.ndarray, worker: int, epoch: int, tag: str
@@ -169,12 +206,28 @@ class ScenarioContext:
         Used by access-order-changing baselines (sharding, DeepIO
         opportunistic): the worker still performs ``T*B`` accesses per
         epoch, drawn (with wraparound) from its private set.
+
+        The shuffle is ``generator(seed, "policy", tag, worker,
+        epoch).permutation(ids)``, bitwise. The ``(tag, epoch)`` family's
+        initial states are derived once for all ``N`` workers
+        (:meth:`policy_stream_states`), and one scratch generator is
+        re-stated to the worker's state per call. The families live as
+        long as the resident epoch: :meth:`hold_epoch` of another epoch,
+        :meth:`release_held_epoch` or a request for another epoch drops
+        them. Not thread-safe: the scratch generator is shared.
         """
         if ids.size == 0:
             raise ConfigurationError(
                 f"worker {worker} has no samples to iterate ({tag})"
             )
-        rng = generator(self.config.seed, "policy", tag, worker, epoch)
+        if self._families is None or self._families[0] != epoch:
+            self._families = (epoch, {})
+        families = self._families[1]
+        states = families.get(tag)
+        if states is None:
+            states = families[tag] = self.policy_stream_states(tag, epoch)
+        rng = self._scratch
+        rng.bit_generator.state = states[worker]
         shuffled = rng.permutation(ids)
         length = self.samples_per_worker_per_epoch
         if shuffled.size >= length:

@@ -35,11 +35,13 @@ The engine evaluates epochs as ``(N, L)`` matrices — ``N`` workers by
 
 A band's inputs that do not depend on the policy are built once for
 the whole lineup: the clairvoyant stream's size gather with its compute
-totals and write times (a :class:`SizeBand` the band loop hands to every
-tile), the per-worker noise stream states, and every distinct noise
-multiplier matrix — the draws are keyed ``("noise", epoch, worker)``,
-never by policy, so policies whose band reads every sample from the
-same sources share one draw (:class:`~repro.sim.noise.NoiseBand`).
+totals, write times and (in a cold epoch) remote availability (a
+:class:`SizeBand` the band loop hands to every tile), the per-worker
+noise stream states, and for every distinct source matrix its index,
+counts, byte totals over the shared gather and noise multipliers — the
+draws are keyed ``("noise", epoch, worker)``, never by policy, so
+policies whose band reads every sample from the same sources share one
+entry (:class:`~repro.sim.noise.SourceBand`).
 
 Bands are ``tile_rows`` workers high; with ``tile_rows=None`` (the
 default) the height is derived as ``BAND_ELEMENTS // L`` rows (at least
@@ -84,7 +86,7 @@ from . import kernels
 from .config import SimulationConfig
 from .context import ScenarioContext
 from .lockstep import lockstep_epoch
-from .noise import NoiseBand, apply_noise_matrix
+from .noise import SourceBand, apply_noise_matrix
 from .policies.base import Policy, PreparedPolicy
 from .result import BatchTimeStats, EpochResult, SimulationResult
 from .scalars import PlanScalars, plan_scalars
@@ -183,16 +185,20 @@ class SizeBand:
     Per-batch compute totals and staging write times depend on nothing
     but the sizes, so every policy sharing a band's size gather (the
     clairvoyant stream's, built once per band by
-    :meth:`Simulator.execute_epoch`) shares them too; all three arrays
-    are read-only. Both terms are computed with the gather, so the
-    band's long-lived arrays are allocated before the band's per-policy
-    temporaries: a band computed after them sat at the top of the heap,
-    and freeing it at the next band let the allocator return that
-    memory, only to page it back in (~100 page faults per epoch on a
-    64-worker cell).
+    :meth:`Simulator.execute_epoch`) shares them too. Given the band's
+    ``ids``, it also holds their cold-epoch remote availability
+    (:func:`~repro.sim.kernels.warmup_available`), which depends on the
+    ids alone. Every array is read-only. All terms are computed with
+    the gather, so the band's long-lived arrays are allocated before the
+    band's per-policy temporaries: a band computed after them sat at the
+    top of the heap, and freeing it at the next band let the allocator
+    return that memory, only to page it back in (~100 page faults per
+    epoch on a 64-worker cell).
     """
 
-    def __init__(self, sizes_mb: np.ndarray, config: SimulationConfig) -> None:
+    def __init__(
+        self, sizes_mb: np.ndarray, config: SimulationConfig, ids: np.ndarray | None = None
+    ) -> None:
         self.sizes_mb = sizes_mb
         #: ``(rows, T)`` per-batch compute seconds.
         self.comp_totals = kernels.batch_totals(
@@ -202,8 +208,11 @@ class SizeBand:
         )
         #: ``(rows, L)`` per-sample staging write seconds.
         self.write_s = write_times(sizes_mb, config.system)
-        for array in (self.sizes_mb, self.comp_totals, self.write_s):
-            array.setflags(write=False)
+        #: ``(rows, L)`` cold-epoch remote availability, when ``ids`` given.
+        self.available = None if ids is None else kernels.warmup_available(ids)
+        for array in (self.sizes_mb, self.comp_totals, self.write_s, self.available):
+            if array is not None:
+                array.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -229,9 +238,10 @@ class EpochTile:
         ``None`` for the ideal (no-I/O) policy, which skips fetching.
     shared:
         The band's :class:`SizeBand` when ``sizes_mb`` is the canonical
-        stream's shared gather: its compute totals and write times are
-        then computed once for every policy of the band. ``None`` for
-        sizes of the tile's own (rewritten or recorded) streams.
+        stream's shared gather: its compute totals, write times and
+        per-source byte totals are then computed once for every policy
+        of the band. ``None`` for sizes of the tile's own (rewritten or
+        recorded) streams.
     """
 
     rows: slice
@@ -292,6 +302,14 @@ class EpochPlan:
         """
         return self.band_ids(slice(0, self.ctx.num_workers))
 
+    @property
+    def warmup(self) -> bool:
+        """Whether tiles resolve remote tiers through the cold-epoch
+        availability model (:func:`~repro.sim.kernels.warmup_remote_classes`)."""
+        prep = self.prep
+        cold = not (prep.ideal or self.warm)
+        return cold and prep.plan is not None and prep.best_map is not None
+
     def band_ids(self, rows: slice) -> np.ndarray:
         """``(rows, L)`` sample ids of one row band.
 
@@ -311,7 +329,8 @@ class EpochPlan:
 
         ``shared`` is the canonical stream's size gather for ``rows``,
         which the band loop builds once for every policy of the lineup;
-        a canonical-stream tile reuses it, and a rewritten stream (or a
+        a canonical-stream tile reuses it (and its cold-epoch
+        availability, when it holds one), and a rewritten stream (or a
         call without one) gathers its own sizes. Class resolution is
         row-local by construction — local tiers via the band's workers'
         lookups (``worker_offset=rows.start``), remote tiers via the
@@ -335,8 +354,9 @@ class EpochPlan:
                 # Cold: nothing is cached locally yet.
                 local_cls = np.full(ids.shape, -1, dtype=np.int8)
                 remote_cls = local_cls
-                if prep.plan is not None and prep.best_map is not None:
-                    remote_cls = kernels.warmup_remote_classes(ids, prep.best_map)
+                if self.warmup:
+                    available = None if shared is None else shared.available
+                    remote_cls = kernels.warmup_remote_classes(ids, prep.best_map, available)
 
         return EpochTile(
             rows=rows,
@@ -635,19 +655,22 @@ class Simulator:
         identical kernels. A plan may be any object with the
         :class:`EpochPlan` surface (``epoch`` / ``gamma`` /
         ``pfs_share_mbps`` / ``pfs_latency_s`` / ``canonical`` and
-        ``tile(rows, shared)``).
+        ``tile(rows, shared)``; a plan whose ``canonical`` is not
+        ``None`` also answers ``warmup``).
 
         Row bands (:func:`band_rows`) run outermost, the lineup inside,
         so each band's policy-independent inputs are built once: the
-        canonical stream's size gather with its compute totals and write
-        times (a :class:`SizeBand`, gathered when any live entry reads
-        the canonical stream and handed to every tile), the band's noise
-        stream states (:meth:`noise_stream_states`) and, through the
-        band's :class:`~repro.sim.noise.NoiseBand`, one multiplier
-        matrix per distinct source matrix. Per-sample float work happens
-        on ``(rows, L)`` bands; only the small ``(N, T)`` batch totals
-        and ``(N, 4)`` per-source aggregates of each entry persist
-        across bands. The cross-worker reductions
+        canonical stream's size gather with its compute totals, write
+        times and — when a live entry is in its cold epoch — remote
+        availability (a :class:`SizeBand`, gathered when any live entry
+        reads the canonical stream and handed to every tile), the
+        band's noise stream states (:meth:`noise_stream_states`) and,
+        through the band's :class:`~repro.sim.noise.SourceBand`, one
+        entry per distinct source matrix: its index, counts, byte totals
+        over the shared gather and noise multipliers. Per-sample float
+        work happens on ``(rows, L)`` bands; only the small ``(N, T)``
+        batch totals and ``(N, 4)`` per-source aggregates of each entry
+        persist across bands. The cross-worker reductions
         (:func:`kernels.accumulate_rows`) run after the loop over the
         assembled rows in strict worker order — exactly the seed
         engine's accumulation order — so neither the band height nor
@@ -684,23 +707,24 @@ class Simulator:
         for start in range(0, n, step):
             rows = slice(start, min(start + step, n))
             live = [run for run in runs if run.error is None]
-            noise: NoiseBand | None = None
+            states: list[dict] = []
             if cfg.noise.enabled and any(not run.prep.ideal for run in live):
                 # The band's per-worker stream states, derived once for
                 # the lineup in one vectorized pass — bitwise identical
                 # to fresh generator() calls. Disabled noise skips the
                 # derivation outright.
-                noise = NoiseBand(self.noise_stream_states(epoch, rows))
+                states = self.noise_stream_states(epoch, rows)
+            band = SourceBand(states)
             shared: SizeBand | None = None
-            canonical = next(
-                (run.plan.canonical for run in live if run.plan.canonical is not None), None
-            )
-            if canonical is not None:
+            readers = [run.plan for run in live if run.plan.canonical is not None]
+            if readers:
+                ids = readers[0].canonical[rows]
+                cold = any(plan.warmup for plan in readers)
                 # Replace the held band only once this one exists.
-                shared = self._band = SizeBand(self.ctx.sizes_mb[canonical[rows]], cfg)
+                shared = self._band = SizeBand(self.ctx.sizes_mb[ids], cfg, ids if cold else None)
             for run in live:
                 try:
-                    self._price_band(run, rows, noise, shared)
+                    self._price_band(run, rows, band, shared)
                 except PolicyError as exc:
                     run.error = exc
         return [run.error if run.error is not None else self._finish(run) for run in runs]
@@ -715,14 +739,20 @@ class Simulator:
         one ``SeedSequence`` expansion per worker. :meth:`execute_epoch`
         calls it once per band for every policy of the lineup.
         """
-        return generator_states(
-            self.config.seed, "noise", epoch, last=range(rows.start, rows.stop)
-        )
+        return generator_states(self.config.seed, "noise", epoch, range(rows.start, rows.stop))
 
     def _price_band(
-        self, run: _Pricing, rows: slice, noise: NoiseBand | None, shared: SizeBand | None
+        self, run: _Pricing, rows: slice, band: SourceBand, shared: SizeBand | None
     ) -> None:
-        """Price one entry's row band into its accumulators."""
+        """Price one entry's row band into its accumulators.
+
+        What the tile's source matrix alone determines comes from the
+        band's entry for it (:meth:`SourceBand.entry`): made by the
+        band's first policy with that matrix, reused by the rest. The
+        byte totals are shared only over the band's shared size gather;
+        a tile with its own sizes totals them itself. Seconds totals
+        weigh this policy's fetch times and stay its own.
+        """
         cfg = self.config
         system = cfg.system
         prep = run.prep
@@ -745,19 +775,23 @@ class Simulator:
                     f"policy {run.policy.name!r} scheduled a sample with no "
                     f"available source (epoch {run.plan.epoch}, worker {worker})"
                 )
-        index = kernels.source_index(sources)
-        counts = kernels.source_totals(index)
-        if noise is not None:
-            fetch = apply_noise_matrix(fetch, sources, cfg.noise, noise, counts)
+        entry = band.entry(sources)
+        if cfg.noise.enabled:
+            fetch = apply_noise_matrix(fetch, entry.sources, cfg.noise, band)
         reads = fetch + size_band.write_s
 
         p0 = system.staging.threads
-        tile_bytes = kernels.source_totals(index, tile.sizes_mb)
-        run.seconds_by_source[rows] = kernels.source_totals(index, fetch) / (
+        if tile.shared is None:
+            tile_bytes = kernels.source_totals(entry.index, tile.sizes_mb)
+        elif entry.shared_bytes is None:
+            tile_bytes = entry.shared_bytes = kernels.source_totals(entry.index, tile.sizes_mb)
+        else:
+            tile_bytes = entry.shared_bytes
+        run.seconds_by_source[rows] = kernels.source_totals(entry.index, fetch) / (
             float(p0) if prep.overlap else 1.0
         )
         run.bytes_by_source[rows] = tile_bytes
-        run.counts_by_source[rows] = counts
+        run.counts_by_source[rows] = entry.counts
 
         # I/O noise on the allreduce path (Sec 7.1): non-local
         # traffic (PFS + remote) shares the network/cores with

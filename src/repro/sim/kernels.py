@@ -25,6 +25,7 @@ from ..perfmodel import Source
 
 __all__ = [
     "hash01",
+    "warmup_available",
     "warmup_remote_classes",
     "batch_totals",
     "pair_index",
@@ -56,25 +57,40 @@ def hash01(ids: np.ndarray) -> np.ndarray:
     return x.astype(np.float64) / float(2**64)
 
 
-def warmup_remote_classes(ids: np.ndarray, best_map: np.ndarray) -> np.ndarray:
-    """Cold-epoch remote availability for an ``(N, L)`` id matrix.
+def warmup_available(ids: np.ndarray) -> np.ndarray:
+    """Cold-epoch remote availability of an ``(N, L)`` id matrix.
 
     Tier prefetchers run ahead of consumption, so a sample may already
     sit in its future holder's cache partway through the cold epoch
     ("NoPFS instead fetches samples from remote nodes that have already
     cached them", Sec 7.1). Modelled as: sample ``k`` at stream position
     ``h`` is remotely available once the epoch is ``u_k`` of the way
-    through, ``u_k`` a deterministic per-sample uniform. PFS contention
-    stays at full cold-epoch level — the holder still read the sample
-    from the PFS.
+    through, ``u_k`` a deterministic per-sample uniform (:func:`hash01`).
+    PFS contention stays at full cold-epoch level — the holder still
+    read the sample from the PFS.
 
-    Returns the ``(N, L)`` int8 class matrix (``-1`` = not yet remotely
-    available).
+    Returns the ``(N, L)`` bool matrix. It depends on the ids alone, so
+    the engine computes it once per band for every policy reading the
+    band's clairvoyant stream.
     """
     length = ids.shape[-1]
     progress = np.arange(1, length + 1, dtype=np.float64) / max(length, 1)
-    available = hash01(ids) < progress
-    return np.where(available, best_map[ids], np.int8(-1)).astype(np.int8)
+    return hash01(ids) < progress
+
+
+def warmup_remote_classes(
+    ids: np.ndarray, best_map: np.ndarray, available: np.ndarray | None = None
+) -> np.ndarray:
+    """Cold-epoch remote tiers for an ``(N, L)`` id matrix.
+
+    Each sample's fastest remote tier (``best_map``) where it is already
+    available (:func:`warmup_available`, or the caller's ``available``
+    matrix for the same ids), else ``-1``. Returns an ``(N, L)`` int8
+    class matrix.
+    """
+    if available is None:
+        available = warmup_available(ids)
+    return np.where(available, best_map[ids], np.int8(-1)).astype(np.int8, copy=False)
 
 
 def batch_totals(values: np.ndarray, iterations: int, batch_size: int) -> np.ndarray:

@@ -27,8 +27,9 @@ from ..perfmodel import Source
 from . import kernels
 
 __all__ = [
-    "NoiseBand",
     "NoiseConfig",
+    "SourceBand",
+    "SourceEntry",
     "apply_noise",
     "apply_noise_matrix",
     "noise_multipliers",
@@ -124,50 +125,102 @@ def apply_noise(
     return out
 
 
-class NoiseBand:
-    """One row band's noise streams and the multipliers drawn from them.
+class SourceEntry:
+    """One distinct source matrix of a row band and what it alone fixes.
+
+    ``sources`` is the band's own read-only copy of the ``(rows, L)``
+    source matrix, ``index`` its row-offset
+    :func:`~repro.sim.kernels.source_index` and ``counts`` its
+    ``(rows, NUM_SOURCES)`` per-worker, per-source counts, all built
+    once when the band first meets the matrix. ``shared_bytes`` holds
+    the per-worker byte totals over the band's shared size gather once
+    a tile reading that gather has needed them (the engine fills it; a
+    tile with sizes of its own totals them itself). Noise multipliers
+    are drawn per :class:`NoiseConfig` on first request
+    (:meth:`multipliers`) and kept.
+    """
+
+    def __init__(self, sources: np.ndarray) -> None:
+        self.sources = np.array(sources)
+        self.index = kernels.source_index(self.sources)
+        self.counts = kernels.source_totals(self.index)
+        for array in (self.sources, self.index, self.counts):
+            array.setflags(write=False)
+        self.shared_bytes: np.ndarray | None = None
+        #: ``(noise config, read-only multipliers)`` per draw.
+        self._drawn: list[tuple[NoiseConfig, np.ndarray]] = []
+
+    def multipliers(
+        self, sources: np.ndarray, noise: NoiseConfig, states: Sequence[dict]
+    ) -> np.ndarray:
+        """The multipliers under ``noise``: drawn once, then reused.
+
+        ``sources`` is the caller's matrix, equal to :attr:`sources`;
+        the draw reads it, so a caller's masks are built on its array.
+        """
+        for drawn_noise, mult in self._drawn:
+            if drawn_noise == noise:
+                return mult
+        mult = noise_multipliers(sources, noise, states, self.counts)
+        mult.setflags(write=False)
+        self._drawn.append((noise, mult))
+        return mult
+
+
+class SourceBand:
+    """One row band's source matrices, each with what it determines.
+
+    A band's ``(rows, L)`` source matrix alone fixes its row-offset
+    index, its per-worker counts and — with the band's noise stream
+    states — its noise multipliers: the draws are keyed ``("noise",
+    epoch, worker)``, never by policy. So the band keeps one
+    :class:`SourceEntry` per distinct source matrix, and every lineup
+    policy whose band reads each sample from the same source as an
+    earlier one (:func:`numpy.array_equal`) reuses that entry instead
+    of counting and drawing again. The memo exists with noise disabled
+    too; it lives and dies with the band.
 
     ``states`` holds each band worker's initial PCG64 state (as
     :func:`repro.rng.generator_states` returns them, one per worker in
-    band order). A multiplier matrix is a pure function of those states,
-    the noise config and the band's ``(rows, L)`` source matrix: the
-    draws are keyed ``("noise", epoch, worker)``, never by policy. So
-    :func:`apply_noise_matrix` keeps every matrix it draws on the band,
-    and a later call whose source matrix is exactly equal
-    (:func:`numpy.array_equal`) under the same config reuses it instead
-    of drawing again. The memo lives and dies with the states it was
-    drawn from.
+    band order); empty when nothing in the band draws noise.
     """
 
-    def __init__(self, states: Sequence[dict]) -> None:
+    def __init__(self, states: Sequence[dict] = ()) -> None:
         self.states = states
-        #: ``(noise config, source matrix, read-only multipliers)`` per draw.
-        self._drawn: list[tuple[NoiseConfig, np.ndarray, np.ndarray]] = []
+        self._entries: list[SourceEntry] = []
 
-    def multipliers(
-        self, sources: np.ndarray, noise: NoiseConfig, counts: np.ndarray | None
-    ) -> np.ndarray:
+    def entry(self, sources: np.ndarray) -> SourceEntry:
+        """The band's entry for ``sources``, made on first sight.
+
+        A matrix the band already holds (an entry's own
+        :attr:`~SourceEntry.sources`) is found by identity, so handing
+        an entry's matrix back costs no comparison.
+        """
+        for entry in self._entries:
+            if entry.sources is sources:
+                return entry
+        for entry in self._entries:
+            if np.array_equal(entry.sources, sources):
+                return entry
+        entry = SourceEntry(sources)
+        self._entries.append(entry)
+        return entry
+
+    def multipliers(self, sources: np.ndarray, noise: NoiseConfig) -> np.ndarray:
         """The band's multipliers for ``sources``: drawn once, then reused."""
-        for drawn_noise, drawn_sources, mult in self._drawn:
-            if drawn_noise == noise and np.array_equal(drawn_sources, sources):
-                return mult
-        mult = noise_multipliers(sources, noise, self.states, counts)
-        mult.setflags(write=False)
-        self._drawn.append((noise, np.array(sources), mult))
-        return mult
+        return self.entry(sources).multipliers(sources, noise, self.states)
 
 
 def apply_noise_matrix(
     fetch_times: np.ndarray,
     sources: np.ndarray,
     noise: NoiseConfig,
-    band: NoiseBand,
-    counts: np.ndarray | None = None,
+    band: SourceBand,
 ) -> np.ndarray:
     """Noise for a row band: ``(rows, L)`` fetch/source matrices at once.
 
     Returns a new array: ``fetch_times`` times the band's multiplier
-    matrix for ``sources`` (:meth:`NoiseBand.multipliers`), drawn by
+    matrix for ``sources`` (:meth:`SourceBand.multipliers`), drawn by
     :func:`noise_multipliers` on the first call with that source matrix
     and reused on every later one. Results are bitwise identical to
     applying :func:`apply_noise` row by row with each worker's fresh
@@ -183,14 +236,14 @@ def apply_noise_matrix(
         )
     # asanyarray: tests probe the lazy-mask contract with an ndarray
     # subclass that forbids comparisons against absent source codes.
-    return times * band.multipliers(np.asanyarray(sources), noise, counts)
+    return times * band.multipliers(np.asanyarray(sources), noise)
 
 
 def noise_multipliers(
     sources: np.ndarray,
     noise: NoiseConfig,
     states: Sequence[dict],
-    counts: np.ndarray | None = None,
+    counts: np.ndarray,
 ) -> np.ndarray:
     """Draw a band's ``(rows, L)`` multiplier matrix from its streams.
 
@@ -208,9 +261,9 @@ def noise_multipliers(
     order, the tail events scale the PFS multipliers in one masked
     in-place multiply, and one boolean-mask scatter writes the
     multipliers — a row-major mask visits workers in order, so it
-    writes exactly what per-row scatters wrote. Per-worker per-source
-    ``counts`` come from one offset bincount
-    (:func:`~repro.sim.kernels.source_totals`, or the caller's), and a
+    writes exactly what per-row scatters wrote. ``counts`` are the
+    matrix's per-worker per-source counts (its :class:`SourceEntry`'s
+    offset bincount, :func:`~repro.sim.kernels.source_totals`), and a
     source's mask is built only if some worker drew for it (all-PFS
     cold epochs never scan for remote/local). ``Source.NONE`` entries
     get exactly 1.0. ``sigma == 0`` sources draw nothing:
@@ -219,8 +272,6 @@ def noise_multipliers(
     still draw their uniforms).
     """
     src = np.asanyarray(sources)
-    if counts is None:
-        counts = kernels.source_totals(kernels.source_index(src))
     pfs_code = int(Source.PFS)
     remote_code = int(Source.REMOTE)
     local_code = int(Source.LOCAL)

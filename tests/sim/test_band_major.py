@@ -3,12 +3,13 @@
 :meth:`Simulator.execute_epoch` prices an epoch's whole lineup with the
 row bands outermost. Noise draws are keyed ``("noise", epoch, worker)``,
 never by policy, so policies whose band reads every sample from the
-same sources draw one multiplier matrix between them; the band's
-clairvoyant-stream size gather (made only when some entry reads that
-stream) and noise stream states are likewise built once. This suite
-pins those counts, the derived band height, the per-band rewritten
-streams and the error path — and that every result stays bitwise equal
-to the policy's solo run.
+same sources draw one multiplier matrix between them, and count those
+sources once; the band's clairvoyant-stream size gather (made only when
+some entry reads that stream), its cold-epoch availability, the byte
+totals over that gather and the noise stream states are likewise built
+once. This suite pins those counts, the derived band height, the
+per-band rewritten streams and the error path — and that every result
+stays bitwise equal to the policy's solo run.
 """
 
 import json
@@ -21,7 +22,7 @@ from repro.core import CachePlan, WorkerPlacement
 from repro.datasets import DatasetModel
 from repro.errors import ConfigurationError, PolicyError
 from repro.perfmodel import Source, sec6_cluster
-from repro.sim import SimulationConfig, Simulator
+from repro.sim import NoiseConfig, SimulationConfig, Simulator, kernels
 from repro.sim import engine as engine_mod
 from repro.sim import noise as noise_mod
 from repro.sim.engine import BAND_ELEMENTS, band_rows
@@ -35,7 +36,9 @@ ALL_PFS = ("naive", "staging_buffer", "pytorch")
 N = 4
 
 
-def _config(num_samples=N * 8 * 16, batch=8, epochs=3, seed=5) -> SimulationConfig:
+def _config(
+    num_samples=N * 8 * 16, batch=8, epochs=3, seed=5, noise=None
+) -> SimulationConfig:
     """Every sample is read exactly once per epoch (F = N * L)."""
     return SimulationConfig(
         dataset=DatasetModel("band-major", num_samples, 0.1, 0.02),
@@ -43,6 +46,7 @@ def _config(num_samples=N * 8 * 16, batch=8, epochs=3, seed=5) -> SimulationConf
         batch_size=batch,
         num_epochs=epochs,
         seed=seed,
+        noise=NoiseConfig() if noise is None else noise,
     )
 
 
@@ -257,3 +261,115 @@ def test_execute_epoch_lineup_contract():
     lineup = [(policy, prep, sim.plan_epoch(prep, 0)), (policy, prep, sim.plan_epoch(prep, 1))]
     with pytest.raises(ConfigurationError, match="one epoch"):
         sim.execute_epoch(lineup)
+
+
+class BandCalls:
+    """What the band loop computed per ``(epoch, start, stop)`` band.
+
+    ``tiles`` maps each band to its lineup entries' ``(sources, shared)``
+    in pricing order (``shared``: the tile read the band's shared size
+    gather); ``totals`` to its ``source_totals`` calls by kind — counts
+    (no weights), bytes (weighted by a size gather) or seconds (weighted
+    by fetch times); ``hashes`` counts availability hashes.
+    """
+
+    def __init__(self) -> None:
+        self.tiles: dict = {}
+        self.totals: dict = {}
+        self.hashes = 0
+
+    def kinds(self, band) -> dict:
+        kinds = {"counts": 0, "bytes": 0, "seconds": 0}
+        for kind in self.totals.get(band, []):
+            kinds[kind] += 1
+        return kinds
+
+
+@pytest.fixture
+def band_calls(monkeypatch, gathers) -> BandCalls:
+    """Record each band's fetch sources, source totals and hashes."""
+    log = BandCalls()
+
+    def band():
+        epoch, start, stop, _ = gathers.tiles[-1]
+        return (epoch, start, stop)
+
+    resolve = engine_mod.FetchTable.resolve
+
+    def recording_resolve(table, sizes_mb, local, remote):
+        fetch, sources = resolve(table, sizes_mb, local, remote)
+        shared = gathers.tiles[-1][3] is not None
+        log.tiles.setdefault(band(), []).append((sources.copy(), shared))
+        return fetch, sources
+
+    totals = kernels.source_totals
+
+    def counting_totals(index, weights=None):
+        if weights is None:
+            kind = "counts"
+        elif any(weights is built.sizes_mb for built in gathers.built):
+            kind = "bytes"
+        else:
+            kind = "seconds"
+        log.totals.setdefault(band(), []).append(kind)
+        return totals(index, weights)
+
+    hash01 = kernels.hash01
+
+    def counting_hash(ids):
+        log.hashes += 1
+        return hash01(ids)
+
+    monkeypatch.setattr(engine_mod.FetchTable, "resolve", recording_resolve)
+    monkeypatch.setattr(kernels, "source_totals", counting_totals)
+    monkeypatch.setattr(kernels, "hash01", counting_hash)
+    return log
+
+
+def _distinct(matrices) -> int:
+    seen: list = []
+    for matrix in matrices:
+        if not any(np.array_equal(matrix, other) for other in seen):
+            seen.append(matrix)
+    return len(seen)
+
+
+#: A lineup whose bands mix every case: three all-PFS policies sharing
+#: one source matrix, NoPFS and DeepIO opportunistic (both cold in epoch
+#: 0, so their canonical bands need the availability hash), and
+#: rewritten streams (DeepIO's warm epochs, parallel staging's every
+#: epoch) whose tiles gather their own sizes.
+MEMO_LINEUP = (*ALL_PFS, "nopfs", "deepio:opportunistic", "parallel_staging")
+
+
+@pytest.mark.parametrize("noisy", [True, False], ids=["noise", "no-noise"])
+@pytest.mark.parametrize("tile_rows", [None, 1])
+def test_band_memo_counts_each_source_matrix_once(band_calls, noisy, tile_rows):
+    """Per band: one counts call per distinct source matrix; one bytes
+    call per distinct matrix among shared-gather tiles plus one per
+    rewritten tile; one seconds call per entry; one availability hash
+    per cold canonical band — with noise on or off."""
+    config = _config(noise=None if noisy else NoiseConfig.disabled())
+    policies = [make_policy(spec) for spec in MEMO_LINEUP]
+    outcomes = Simulator(config, tile_rows=tile_rows).run_many_outcomes(policies)
+    bands = [
+        (epoch, *band) for epoch in range(config.num_epochs) for band in _bands(tile_rows)
+    ]
+    assert sorted(band_calls.tiles) == bands
+    for band in bands:
+        entries = band_calls.tiles[band]
+        assert len(entries) == len(MEMO_LINEUP)
+        shared = [sources for sources, is_shared in entries if is_shared]
+        own = [sources for sources, is_shared in entries if not is_shared]
+        assert band_calls.kinds(band) == {
+            "counts": _distinct(sources for sources, _ in entries),
+            "bytes": _distinct(shared) + len(own),
+            "seconds": len(entries),
+        }, band
+    # Every band shares: the all-PFS policies one matrix, and in warm
+    # epochs the rewritten all-local tiles NoPFS's all-local counts.
+    assert all(band_calls.kinds(band)["counts"] <= 3 for band in bands)
+    # Epoch 0 is cold for NoPFS and DeepIO: one hash per band for both.
+    assert band_calls.hashes == len(_bands(tile_rows))
+    for policy, outcome in zip(policies, outcomes):
+        assert _canonical(outcome) == _solo(config, policy, tile_rows)

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.perfmodel import Source
 from repro.rng import generator, generator_states
-from repro.sim import NoiseBand, NoiseConfig, apply_noise, apply_noise_matrix
+from repro.sim import NoiseConfig, SourceBand, apply_noise, apply_noise_matrix
 from repro.sim import noise as noise_mod
 
 
@@ -16,7 +16,7 @@ def sources(n, kind):
 
 def noise_band(n, offset=0):
     """A fresh band over ``generator(0, "noise", 1, w)``'s initial states."""
-    return NoiseBand(generator_states(0, "noise", 1, last=range(offset, offset + n)))
+    return SourceBand(generator_states(0, "noise", 1, range(offset, offset + n)))
 
 
 class TestConfig:
@@ -145,7 +145,7 @@ class TestApplyNoiseMatrix:
 
     def test_disabled_noise_is_a_copy(self):
         times, src = self._matrices()
-        out = apply_noise_matrix(times, src, NoiseConfig.disabled(), NoiseBand([]))
+        out = apply_noise_matrix(times, src, NoiseConfig.disabled(), SourceBand())
         assert out is not times
         np.testing.assert_array_equal(out, times)
 

@@ -13,10 +13,14 @@ by phase:
     :class:`~repro.sim.engine.FetchTable`. Per band, the pair index is
     billed to ``accumulate`` and the table gathers to ``other``.
 ``rng``
-    Noise stream seeding — the vectorized
-    :meth:`~repro.sim.engine.Simulator.noise_stream_states` path, or
+    Stream seeding — the noise streams' vectorized
+    :meth:`~repro.sim.engine.Simulator.noise_stream_states` path and,
+    for the stream-rewriting policies (``deepio:opportunistic``,
+    ``locality_aware``, ``parallel_staging``), the shuffle streams'
+    :meth:`~repro.sim.context.ScenarioContext.policy_stream_states`; or
     (with ``--fresh-rng``) one fresh :func:`repro.rng.generator` per
-    worker, so the seeding share is measurable both ways.
+    worker's noise stream and per worker's rewritten stream, so the
+    seeding share is measurable both ways.
 ``noise``
     :func:`~repro.sim.noise.apply_noise_matrix` — the draws and the
     multiplier scatter (stream seeding excluded; see ``rng``).
@@ -38,6 +42,7 @@ Usage::
 
     python tools/profile_cell.py --workers 64 --repeats 5
     python tools/profile_cell.py --fresh-rng --json
+    python tools/profile_cell.py --policy deepio:opportunistic --fresh-rng
 """
 
 from __future__ import annotations
@@ -121,9 +126,17 @@ def profile_cell(args: argparse.Namespace) -> dict:
                 for worker in range(rows.start, rows.stop)
             ]
 
+        def fresh_policy_states(tag: str, epoch: int) -> list[dict]:
+            return [
+                generator(seed, "policy", tag, worker, epoch).bit_generator.state
+                for worker in range(args.workers)
+            ]
+
         sim.noise_stream_states = timed(fresh_noise_states, "rng")
+        sim.ctx.policy_stream_states = timed(fresh_policy_states, "rng")
     else:
         sim.noise_stream_states = timed(sim.noise_stream_states, "rng")
+        sim.ctx.policy_stream_states = timed(sim.ctx.policy_stream_states, "rng")
 
     policy = make_policy(args.policy)
     # (module, attribute, phase) for every module-level callable the
@@ -193,8 +206,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--fresh-rng", action="store_true",
-        help="seed each worker's noise stream with a fresh generator() "
-        "instead of one vectorized generator_states() call per band",
+        help="seed each worker's noise stream and rewritten stream with a "
+        "fresh generator() instead of vectorized generator_states() families",
     )
     parser.add_argument(
         "--json", action="store_true", help="emit the breakdown as JSON"
