@@ -581,47 +581,57 @@ FIG10_LINEUP = (
 FIG10_LINEUP_PEAK_MB = 160.0
 
 
-def test_engine_fig10_lineup(report):
-    """Fig 10's lineup at 1024 GPUs in one epoch-major pass, memory-bounded.
-
-    ``run_many_outcomes`` prepares every policy before the first epoch,
-    so the pass holds all seven prepared policies at once — the state a
-    serial sweep of the scenario's seven cells holds, since it runs them
-    as one batch. The sample-size table is built before tracing.
-    """
-    config = Scenario(
-        dataset="imagenet1k", system="lassen:1024", policy="nopfs",
-        batch_size=32, num_epochs=3, scale=1.0, seed=1,
-    ).build_config()
-    sim = Simulator(config, tile_rows=PAPER_SCALE_TILE_ROWS)
+def _fig10_pass(config, helper):
+    """``(simulator, outcomes, wall s, tracemalloc peak MB)`` of one lineup pass."""
+    sim = Simulator(config, tile_rows=PAPER_SCALE_TILE_ROWS, helper=helper)
     policies = [make_policy(spec) for spec in FIG10_LINEUP]
-
     tracemalloc.start()
     start = time.perf_counter()
     outcomes = sim.run_many_outcomes(policies)
     wall = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    peak_mb = peak / 2**20
+    return sim, outcomes, wall, peak / 2**20
 
-    assert all(isinstance(outcome, SimulationResult) for outcome in outcomes)
-    # The prepares build E permutations (NoPFS's frequency scan reads
-    # every epoch), the shared loop E more: not E per policy.
-    assert sim.ctx.perm_builds == 2 * config.num_epochs
-    assert peak_mb < FIG10_LINEUP_PEAK_MB, (
-        f"N=1024 Fig 10 lineup peaked at {peak_mb:.1f} MB; "
-        f"documented bound is {FIG10_LINEUP_PEAK_MB:.0f} MB"
-    )
-    report(
-        "engine_fig10_lineup",
-        "\n".join(
-            [
-                f"scenario: lassen:1024, F={config.dataset.num_samples:,} samples, "
-                f"E={config.num_epochs} epochs, B={config.batch_size}, "
-                f"tile_rows={PAPER_SCALE_TILE_ROWS}",
-                f"lineup: {', '.join(FIG10_LINEUP)}",
-                f"one run_many_outcomes: {wall:6.2f}s (traced)  peak {peak_mb:7.1f} MB",
-                f"permutation builds: {sim.ctx.perm_builds}",
-            ]
-        ),
-    )
+
+def test_engine_fig10_lineup(report):
+    """Fig 10's lineup at 1024 GPUs in one epoch-major pass, memory-bounded.
+
+    ``run_many_outcomes`` prepares every policy before the first epoch,
+    so the pass holds all seven prepared policies at once — the state a
+    serial sweep of the scenario's seven cells holds, since it runs them
+    as one batch. The sample-size table is built before tracing. The
+    pass runs twice: serially and pipelined, as the serial sweep
+    executor runs it on two CPUs (a helper thread finishes each band's
+    items while the band loop stages the next); both stay under the
+    bound and agree bitwise.
+    """
+    config = Scenario(
+        dataset="imagenet1k", system="lassen:1024", policy="nopfs",
+        batch_size=32, num_epochs=3, scale=1.0, seed=1,
+    ).build_config()
+    lines = [
+        f"scenario: lassen:1024, F={config.dataset.num_samples:,} samples, "
+        f"E={config.num_epochs} epochs, B={config.batch_size}, "
+        f"tile_rows={PAPER_SCALE_TILE_ROWS}",
+        f"lineup: {', '.join(FIG10_LINEUP)}",
+    ]
+    results = {}
+    for helper in (False, True):
+        sim, outcomes, wall, peak_mb = _fig10_pass(config, helper)
+        assert all(isinstance(outcome, SimulationResult) for outcome in outcomes)
+        # The prepares build E permutations (NoPFS's frequency scan reads
+        # every epoch), the shared loop E more: not E per policy.
+        assert sim.ctx.perm_builds == 2 * config.num_epochs
+        assert peak_mb < FIG10_LINEUP_PEAK_MB, (
+            f"N=1024 Fig 10 lineup (helper={helper}) peaked at {peak_mb:.1f} MB; "
+            f"documented bound is {FIG10_LINEUP_PEAK_MB:.0f} MB"
+        )
+        results[helper] = [outcome.to_dict() for outcome in outcomes]
+        lines.append(
+            f"one run_many_outcomes, helper={helper!s:5}: {wall:6.2f}s (traced)  "
+            f"peak {peak_mb:7.1f} MB"
+        )
+    assert results[True] == results[False]
+    lines.append(f"permutation builds per pass: {2 * config.num_epochs}")
+    report("engine_fig10_lineup", "\n".join(lines))

@@ -56,6 +56,19 @@ engine, by ``tests/sim/test_engine_equivalence.py`` and
 ``tests/sim/test_tiling.py`` against the reference copy kept in
 ``tests/sim/reference_engine.py``.
 
+Pricing one lineup entry's band has two halves. The *staging* half
+(:meth:`Simulator._stage_band`: the tile, the fetch-table gather, the
+unsourced-sample :class:`~repro.errors.PolicyError` check and the
+band's memo entry for the tile's sources) always runs on the thread
+that runs the band loop, in worker order. The *finishing* half
+(:meth:`Simulator._finish_band`: noise, byte and seconds totals,
+per-batch read and compute totals) runs inline after it, or — when
+the simulator was built with ``helper=True`` and the epoch's lineup
+has at least two entries — on one helper thread that finishes items
+in staging order while the band loop stages the next. Both schedules
+call the same two halves in the same order on every band's state, so
+they are bitwise identical.
+
 Every entry point — :meth:`Simulator.run`, :meth:`Simulator.run_seed`,
 :meth:`Simulator.run_many_outcomes` and :meth:`Simulator.run_many_seed`
 — prepares its policies and then drives them through one epoch-major
@@ -75,7 +88,10 @@ cost.
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -86,7 +102,7 @@ from . import kernels
 from .config import SimulationConfig
 from .context import ScenarioContext
 from .lockstep import lockstep_epoch
-from .noise import SourceBand, apply_noise_matrix
+from .noise import SourceBand, SourceEntry, apply_noise_matrix
 from .policies.base import Policy, PreparedPolicy
 from .result import BatchTimeStats, EpochResult, SimulationResult
 from .scalars import PlanScalars, plan_scalars
@@ -110,6 +126,15 @@ __all__ = [
 #: (where every band temporary and memoized multiplier matrix is
 #: epoch-sized); 2**16 is the largest flat-peak size measured.
 BAND_ELEMENTS = 2**16
+
+#: Items a pipelined epoch keeps submitted to its helper thread while
+#: the band loop stages the next. A band's items alternate between
+#: heavy finishes (a first noise draw) and heavy stagings (rewritten
+#: streams, warm class lookups); on the 1024-GPU Fig 10 lineup four
+#: absorbed that (epoch-loop time on a 2-vCPU x86-64 VM, median of 4
+#: processes: 1.41 s, against 1.71 s at two and 1.85 s serially; 7 and
+#: 14 read the same as four).
+_HELPER_DEPTH = 4
 
 
 def band_rows(num_workers: int, length: int, tile_rows: int | None) -> int:
@@ -384,6 +409,25 @@ class _Pricing:
     error: PolicyError | None = None
 
 
+@dataclass(frozen=True)
+class _Staged:
+    """One (band, lineup entry) item after its staging half.
+
+    What :meth:`Simulator._finish_band` needs: the tile, the size
+    gather whose compute totals and write times it prices with (the
+    band's shared one, or the tile's own), the band's
+    :class:`~repro.sim.noise.SourceBand` and — unless the entry is
+    ideal — the tile's resolved ``(rows, L)`` fetch times and the
+    band's :class:`~repro.sim.noise.SourceEntry` for its sources.
+    """
+
+    tile: EpochTile
+    size_band: SizeBand
+    band: SourceBand
+    fetch: np.ndarray | None = None
+    entry: SourceEntry | None = None
+
+
 class Simulator:
     """Evaluates I/O policies on one scenario (dataset x system x E x B).
 
@@ -404,6 +448,15 @@ class Simulator:
         Reuse an existing :class:`ScenarioContext` built from the same
         ``config`` (e.g. to share its sample sizes and per-epoch worker
         totals between simulators) instead of constructing a fresh one.
+    helper:
+        Finish each epoch's band items on one helper thread while the
+        band loop stages the next, for epochs whose lineup has at least
+        two entries (:meth:`execute_epoch`); results are bitwise
+        identical either way. Whoever builds the simulator decides: the
+        serial sweep executor turns it on where two CPUs and the
+        scenario's size make it pay
+        (:func:`repro.sweep.executors._helper_pays`); pool workers and
+        direct construction keep it off.
     """
 
     def __init__(
@@ -411,6 +464,7 @@ class Simulator:
         config: SimulationConfig,
         tile_rows: int | None = None,
         ctx: ScenarioContext | None = None,
+        helper: bool = False,
     ) -> None:
         if tile_rows is not None and int(tile_rows) < 1:
             raise ConfigurationError(
@@ -418,6 +472,7 @@ class Simulator:
             )
         self.config = config
         self.tile_rows = None if tile_rows is None else int(tile_rows)
+        self.helper = bool(helper)
         self.ctx = ctx if ctx is not None else ScenarioContext(config)
         #: The last canonical band's size gather, held until the next
         #: band's exists so the heap keeps its order (see
@@ -569,7 +624,7 @@ class Simulator:
         if seed == self.config.seed:
             return self
         config = dataclasses.replace(self.config, seed=seed)
-        return Simulator(config, tile_rows=self.tile_rows)
+        return Simulator(config, tile_rows=self.tile_rows, helper=self.helper)
 
     def run_seed(self, policy: Policy, seed: int) -> SimulationResult:
         """:meth:`run` on this scenario under another noise seed.
@@ -675,6 +730,19 @@ class Simulator:
         assembled rows in strict worker order — exactly the seed
         engine's accumulation order — so neither the band height nor
         the lineup ever changes a single bit of a result.
+
+        Each (band, entry) item is staged on the calling thread
+        (:meth:`_stage_band`) and finished (:meth:`_finish_band`) either
+        inline or, on a ``helper=True`` simulator and for a lineup of
+        at least two entries, on one helper thread started and joined
+        inside this call: the helper finishes items in staging order,
+        at most four submitted at a time, while the calling thread
+        stages the next. An error raised while finishing propagates
+        from this call with its own type, after the queued items are
+        cancelled and the helper joined. Of the callables the
+        end-to-end tracer wraps (``e2ebench/tracing.py``), only
+        :func:`apply_noise_matrix` runs during the band loop, on the
+        finishing side, so the tracer's one span stack stays nested.
         """
         if not lineup:
             return []
@@ -704,8 +772,44 @@ class Simulator:
                 )
             )
         step = band_rows(n, self.ctx.samples_per_worker_per_epoch, self.tile_rows)
-        for start in range(0, n, step):
-            rows = slice(start, min(start + step, n))
+        bands = [slice(start, min(start + step, n)) for start in range(0, n, step)]
+        items = self._stage_epoch(runs, bands, epoch)
+        if self.helper and len(runs) > 1:
+            _finish_on_helper(self._finish_band, items)
+        else:
+            for run, staged in items:
+                self._finish_band(run, staged)
+                # Free the item's arrays before the next one is staged.
+                del run, staged
+        return [run.error if run.error is not None else self._finish(run) for run in runs]
+
+    def noise_stream_states(self, epoch: int, rows: slice) -> list[dict]:
+        """Initial PCG64 states of the band's per-worker noise streams.
+
+        One state per worker in ``rows``, each equal to a fresh
+        ``generator(seed, "noise", epoch, worker)``'s — the engine's
+        reproducibility contract — derived for the whole band in one
+        vectorized :func:`~repro.rng.generator_states` call rather than
+        one ``SeedSequence`` expansion per worker. :meth:`execute_epoch`
+        calls it once per band for every policy of the lineup.
+        """
+        return generator_states(self.config.seed, "noise", epoch, range(rows.start, rows.stop))
+
+    def _stage_epoch(
+        self, runs: list[_Pricing], bands: list[slice], epoch: int
+    ) -> Iterator[tuple[_Pricing, _Staged]]:
+        """Stage every (band, live entry) item, bands in worker order.
+
+        Runs on :meth:`execute_epoch`'s calling thread under both
+        schedules, so the band's shared state — its noise stream
+        states, :class:`~repro.sim.noise.SourceBand` and size gather
+        (held in :attr:`_band`), a rewritten stream's scratch generator
+        — is built here, and an entry's
+        :class:`~repro.errors.PolicyError` is recorded here before the
+        next band decides which entries are live.
+        """
+        cfg = self.config
+        for rows in bands:
             live = [run for run in runs if run.error is None]
             states: list[dict] = []
             if cfg.noise.enabled and any(not run.prep.ideal for run in live):
@@ -724,49 +828,35 @@ class Simulator:
                 shared = self._band = SizeBand(self.ctx.sizes_mb[ids], cfg, ids if cold else None)
             for run in live:
                 try:
-                    self._price_band(run, rows, band, shared)
+                    yield run, self._stage_band(run, rows, band, shared)
                 except PolicyError as exc:
                     run.error = exc
-        return [run.error if run.error is not None else self._finish(run) for run in runs]
 
-    def noise_stream_states(self, epoch: int, rows: slice) -> list[dict]:
-        """Initial PCG64 states of the band's per-worker noise streams.
-
-        One state per worker in ``rows``, each equal to a fresh
-        ``generator(seed, "noise", epoch, worker)``'s — the engine's
-        reproducibility contract — derived for the whole band in one
-        vectorized :func:`~repro.rng.generator_states` call rather than
-        one ``SeedSequence`` expansion per worker. :meth:`execute_epoch`
-        calls it once per band for every policy of the lineup.
-        """
-        return generator_states(self.config.seed, "noise", epoch, range(rows.start, rows.stop))
-
-    def _price_band(
+    def _stage_band(
         self, run: _Pricing, rows: slice, band: SourceBand, shared: SizeBand | None
-    ) -> None:
-        """Price one entry's row band into its accumulators.
+    ) -> _Staged:
+        """The staging half of pricing one entry's row band.
 
-        What the tile's source matrix alone determines comes from the
-        band's entry for it (:meth:`SourceBand.entry`): made by the
-        band's first policy with that matrix, reused by the rest. The
-        byte totals are shared only over the band's shared size gather;
-        a tile with its own sizes totals them itself. Seconds totals
-        weigh this policy's fetch times and stay its own.
+        Materializes the tile, picks its size gather (the band's shared
+        one, or a :class:`SizeBand` over the tile's own sizes) and, for
+        a non-ideal entry, resolves every sample's fetch time and
+        source through the entry's :class:`FetchTable` and finds the
+        band's :class:`~repro.sim.noise.SourceEntry` for the sources
+        (:meth:`SourceBand.entry`: made by the band's first policy with
+        that matrix, reused by the rest). Raises the entry's
+        :class:`~repro.errors.PolicyError` when a sample has no
+        available source, naming the band's lowest such worker.
+
+        The memo entry is made here, not in the finishing half, so its
+        source copy and index come from the calling thread's allocator
+        arena: a helper thread's arena keeps the pages it grew to.
         """
-        cfg = self.config
-        system = cfg.system
-        prep = run.prep
         tile = run.plan.tile(rows, shared)
-        size_band = tile.shared if tile.shared is not None else SizeBand(tile.sizes_mb, cfg)
-        comps = size_band.comp_totals
-        if prep.ideal:
-            run.batch_comps[rows] = comps
-            return
-
+        size_band = tile.shared if tile.shared is not None else SizeBand(tile.sizes_mb, self.config)
+        if run.prep.ideal:
+            return _Staged(tile, size_band, band)
         table = run.table
-        fetch, sources = table.resolve(
-            tile.sizes_mb, tile.local_classes, tile.remote_classes
-        )
+        fetch, sources = table.resolve(tile.sizes_mb, tile.local_classes, tile.remote_classes)
         if int(Source.NONE) in table.sources:
             unsourced = sources == int(Source.NONE)
             if unsourced.any():
@@ -775,10 +865,38 @@ class Simulator:
                     f"policy {run.policy.name!r} scheduled a sample with no "
                     f"available source (epoch {run.plan.epoch}, worker {worker})"
                 )
-        entry = band.entry(sources)
+        return _Staged(tile, size_band, band, fetch, band.entry(sources))
+
+    def _finish_band(self, run: _Pricing, staged: _Staged) -> None:
+        """The finishing half: price one staged item into its accumulators.
+
+        What the tile's source matrix alone determines — its counts,
+        its noise multipliers (drawn by the first item that needs them)
+        and its byte totals over the band's shared size gather — comes
+        from the staged memo entry; a tile with its own sizes totals
+        them itself. Seconds totals weigh this policy's fetch times and
+        stay its own.
+
+        It writes only the item's own fetch times (in place, into its
+        read times), the item's rows of the entry's accumulators and the
+        band's memo entries, whose items are finished one at a time in
+        staging order under either schedule.
+        """
+        cfg = self.config
+        system = cfg.system
+        prep = run.prep
+        tile = staged.tile
+        rows = tile.rows
+        comps = staged.size_band.comp_totals
+        if prep.ideal:
+            run.batch_comps[rows] = comps
+            return
+
+        band = staged.band
+        entry = staged.entry
+        fetch = staged.fetch
         if cfg.noise.enabled:
             fetch = apply_noise_matrix(fetch, entry.sources, cfg.noise, band)
-        reads = fetch + size_band.write_s
 
         p0 = system.staging.threads
         if tile.shared is None:
@@ -792,6 +910,8 @@ class Simulator:
         )
         run.bytes_by_source[rows] = tile_bytes
         run.counts_by_source[rows] = entry.counts
+        # The item's own fetch times become its read times in place.
+        reads = np.add(fetch, staged.size_band.write_s, out=fetch)
 
         # I/O noise on the allreduce path (Sec 7.1): non-local
         # traffic (PFS + remote) shares the network/cores with
@@ -837,6 +957,33 @@ class Simulator:
             gamma=run.plan.gamma,
             batch_durations=durations if cfg.record_batch_times else None,
         )
+
+
+def _finish_on_helper(
+    finish: Callable[[_Pricing, _Staged], None],
+    items: Iterator[tuple[_Pricing, _Staged]],
+) -> None:
+    """Call ``finish`` on every item on one helper thread, FIFO.
+
+    The calling thread draws (stages) each next item from ``items``
+    while the helper finishes the earlier ones, with at most
+    ``_HELPER_DEPTH`` submitted at a time. The helper is started and
+    joined here; the first error a finish raises is re-raised with its
+    own type once the queued items are cancelled and the helper joined.
+    """
+    helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-band")
+    pending: deque[Future] = deque()
+    try:
+        for item in items:
+            if len(pending) == _HELPER_DEPTH:
+                pending.popleft().result()
+            pending.append(helper.submit(finish, *item))
+            # Only the helper's queue holds a submitted item's arrays.
+            del item
+        while pending:
+            pending.popleft().result()
+    finally:
+        helper.shutdown(wait=True, cancel_futures=True)
 
 
 def _unwrap(outcome: "SimulationResult | PolicyError") -> SimulationResult:

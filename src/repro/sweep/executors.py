@@ -9,7 +9,9 @@ and records whatever comes back. Three implementations ship:
     (below) on one :class:`~repro.sim.engine.Simulator`, so every
     policy of a scenario shares one epoch-major pass (Fig 10's seven
     policies on one scenario build each epoch's permutation once),
-    keeping only the *current* batch's simulator alive.
+    keeping only the *current* batch's simulator alive. On two or more
+    CPUs a large scenario's simulator prices each epoch of several
+    policies on two threads (:func:`_helper_pays`).
 
 ``process`` (:class:`ProcessExecutor`)
     One cell per :class:`~concurrent.futures.ProcessPoolExecutor`
@@ -63,9 +65,12 @@ partial batch alongside the failure for the same reason.
 from __future__ import annotations
 
 import json
+import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable, Iterator, Protocol, Sequence, runtime_checkable
 
 from ..errors import ConfigurationError, PolicyError
@@ -265,8 +270,69 @@ def _simulate_batch(
     may differ only in ``seed``.
     """
     config_dict, items, tile_rows = payload
-    sim = Simulator(SimulationConfig.from_dict(config_dict), tile_rows=tile_rows)
+    # No helper thread: the pool's processes already fill the cores.
+    sim = Simulator(SimulationConfig.from_dict(config_dict), tile_rows=tile_rows, helper=False)
     return _run_batch(sim, items)
+
+
+#: The smallest scenario whose lineup epochs the serial executor
+#: finishes on a helper thread: every worker reads at least
+#: ``_HELPER_MIN_ROW`` samples per epoch and the epoch at least
+#: ``_HELPER_MIN_READS`` in all. Below either minimum most measured
+#: lineups ran slower on two threads than on one (2-vCPU x86-64 VM;
+#: docs/performance.md, "Two threads per epoch").
+_HELPER_MIN_ROW = 1024
+_HELPER_MIN_READS = 2**18
+
+#: The cgroup v2 CPU limit (``"<quota> <period>"`` or ``"max <period>"``)
+#: and the cgroup v1 CPU controller's directory.
+_CPU_MAX = Path("/sys/fs/cgroup/cpu.max")
+_CFS_DIR = Path("/sys/fs/cgroup/cpu")
+
+
+def _helper_pays(config: SimulationConfig) -> bool:
+    """Whether the serial executor's simulator for ``config`` gets a helper.
+
+    It needs a second CPU and a scenario of at least the
+    ``_HELPER_MIN_*`` size: with shorter rows the band loop's per-row
+    Python, which holds the interpreter lock, outweighs the NumPy work
+    that releases it, and a smaller epoch leaves too little work per
+    item to pay for the hand-offs.
+    """
+    row = config.stream_config.samples_per_worker_per_epoch
+    return (
+        row >= _HELPER_MIN_ROW
+        and row * config.system.num_workers >= _HELPER_MIN_READS
+        and _cpu_budget() > 1
+    )
+
+
+def _cpu_budget() -> int:
+    """CPUs this process may use: its affinity mask, capped by a cgroup quota."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    quota = _cpu_quota()
+    return cpus if quota is None else max(1, min(cpus, math.ceil(quota)))
+
+
+def _cpu_quota() -> float | None:
+    """The cgroup's CPU quota in CPUs (v2 ``cpu.max``, else v1), or None."""
+    try:
+        if _CPU_MAX.exists():
+            quota, period = _CPU_MAX.read_text().split()
+            if quota == "max":
+                return None
+        else:
+            quota = (_CFS_DIR / "cpu.cfs_quota_us").read_text()
+            period = (_CFS_DIR / "cpu.cfs_period_us").read_text()
+        quota_us, period_us = int(quota), int(period)
+    except (OSError, ValueError):
+        return None
+    if quota_us <= 0 or period_us <= 0:
+        return None
+    return quota_us / period_us
 
 
 def _yield_done(
@@ -296,7 +362,9 @@ class SerialExecutor:
     permutations, size gathers and noise RNG states are materialized
     once per epoch for every policy of a seed — bitwise identical to
     per-cell runs. Finished cells of a batch hit by an unexpected error
-    still yield before the error propagates.
+    still yield before the error propagates. A scenario's simulator
+    gets a helper thread (:class:`~repro.sim.engine.Simulator`'s
+    ``helper``) when :func:`_helper_pays` for its config.
     """
 
     name = "serial"
@@ -308,7 +376,10 @@ class SerialExecutor:
         # every scenario's streams would balloon peak memory on
         # many-scenario sweeps.
         for batch in _scenario_batches(tasks):
-            sim = Simulator(batch[0].cell.config, tile_rows=batch[0].tile_rows)
+            config = batch[0].cell.config
+            sim = Simulator(
+                config, tile_rows=batch[0].tile_rows, helper=_helper_pays(config)
+            )
             for task in batch:
                 emit(CellStarted(tag=task.cell.tag, index=task.index))
             done, failure = _run_batch(

@@ -13,6 +13,7 @@ stays bitwise equal to the policy's solo run.
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -150,8 +151,8 @@ def test_failing_entry_keeps_its_solo_error_and_spares_its_siblings(tile_rows):
 
 def _bands(tile_rows):
     """The ``(start, stop)`` row bands of a ``_config()`` epoch."""
-    step = 1 if tile_rows == 1 else N
-    return [(start, start + step) for start in range(0, N, step)]
+    step = tile_rows or N
+    return [(start, min(start + step, N)) for start in range(0, N, step)]
 
 
 @pytest.mark.parametrize("tile_rows", [None, 1])
@@ -287,13 +288,47 @@ class BandCalls:
 
 @pytest.fixture
 def band_calls(monkeypatch, gathers) -> BandCalls:
-    """Record each band's fetch sources, source totals and hashes."""
-    log = BandCalls()
+    """Record each band's fetch sources, source totals and hashes.
+
+    Each call is billed to the last tile built: the serial schedule
+    prices a tile right after building it.
+    """
+    return _record_band_calls(monkeypatch, gathers, lambda: tuple(gathers.tiles[-1][:3]))
+
+
+@pytest.fixture
+def item_calls(monkeypatch, gathers) -> BandCalls:
+    """:func:`band_calls`, billing each call to the item it serves.
+
+    On a pipelined epoch the band loop stages items ahead of the helper
+    that finishes them, so the last tile built need not be the one
+    being finished: a call made inside ``Simulator._finish_band`` is
+    billed to that item's band, and any other call (``resolve`` and the
+    memo's counts, in the staging half) to the last tile built.
+    """
+    finishing = threading.local()
+    finish = engine_mod.Simulator._finish_band
+
+    def recording_finish(sim, run, staged):
+        rows = staged.tile.rows
+        finishing.band = (run.plan.epoch, rows.start, rows.stop)
+        try:
+            return finish(sim, run, staged)
+        finally:
+            finishing.band = None
+
+    monkeypatch.setattr(engine_mod.Simulator, "_finish_band", recording_finish)
 
     def band():
-        epoch, start, stop, _ = gathers.tiles[-1]
-        return (epoch, start, stop)
+        current = getattr(finishing, "band", None)
+        return current if current is not None else tuple(gathers.tiles[-1][:3])
 
+    return _record_band_calls(monkeypatch, gathers, band)
+
+
+def _record_band_calls(monkeypatch, gathers, band) -> BandCalls:
+    """Wrap the memo's kernels, billing each call to ``band()``."""
+    log = BandCalls()
     resolve = engine_mod.FetchTable.resolve
 
     def recording_resolve(table, sizes_mb, local, remote):
@@ -349,9 +384,24 @@ def test_band_memo_counts_each_source_matrix_once(band_calls, noisy, tile_rows):
     call per distinct matrix among shared-gather tiles plus one per
     rewritten tile; one seconds call per entry; one availability hash
     per cold canonical band — with noise on or off."""
+    _assert_memo_counts(band_calls, noisy, tile_rows, helper=False)
+
+
+@pytest.mark.parametrize("noisy", [True, False], ids=["noise", "no-noise"])
+@pytest.mark.parametrize("tile_rows", [None, 1, 3])
+def test_band_memo_counts_each_source_matrix_once_pipelined(item_calls, noisy, tile_rows):
+    """The same counts with a helper thread finishing the items, each
+    call billed to the item it serves."""
+    _assert_memo_counts(item_calls, noisy, tile_rows, helper=True)
+
+
+def _assert_memo_counts(band_calls: BandCalls, noisy: bool, tile_rows, helper: bool) -> None:
+    """Run :data:`MEMO_LINEUP` (on a helper thread or not) and check the
+    per-band counts."""
     config = _config(noise=None if noisy else NoiseConfig.disabled())
     policies = [make_policy(spec) for spec in MEMO_LINEUP]
-    outcomes = Simulator(config, tile_rows=tile_rows).run_many_outcomes(policies)
+    sim = Simulator(config, tile_rows=tile_rows, helper=helper)
+    outcomes = sim.run_many_outcomes(policies)
     bands = [
         (epoch, *band) for epoch in range(config.num_epochs) for band in _bands(tile_rows)
     ]

@@ -1,15 +1,22 @@
 """Executor protocol: serial/process/batched equivalence, events, failures."""
 
 import dataclasses
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.datasets import imagenet22k, mnist
+from repro.datasets import DatasetModel, imagenet22k, mnist
 from repro.errors import ConfigurationError
 from repro.experiments.common import policy_cells, scaled_scenario
 from repro.perfmodel import sec6_cluster
-from repro.sim import LBANNPolicy, NaivePolicy, NoPFSPolicy, StagingBufferPolicy
+from repro.sim import (
+    LBANNPolicy,
+    NaivePolicy,
+    NoPFSPolicy,
+    SimulationConfig,
+    StagingBufferPolicy,
+)
 from repro.sweep import (
     BatchedExecutor,
     CellCached,
@@ -21,9 +28,10 @@ from repro.sweep import (
     SweepFinished,
     SweepRunner,
     SweepStarted,
+    executors,
     resolve_executor,
 )
-from repro.sweep.executors import CellTask
+from repro.sweep.executors import CellTask, SerialExecutor
 
 
 class ExplodingPolicy(NaivePolicy):
@@ -247,6 +255,101 @@ class TestBatching:
             SweepRunner(n_jobs=2, executor="batched", cache=backend).run(good + [bad])
         warm = SweepRunner(n_jobs=2, executor="batched", cache=backend).run(good)
         assert warm.stats.misses == 0
+
+
+class TestHelper:
+    """The executor that builds a simulator decides its helper thread."""
+
+    @pytest.fixture
+    def helpers(self, monkeypatch):
+        built = []
+
+        class Recording(executors.Simulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.helper)
+
+        monkeypatch.setattr(executors, "Simulator", Recording)
+        return built
+
+    @pytest.mark.parametrize(
+        ("cpus", "min_row", "min_reads", "expected"),
+        [(2, 1, 1, True), (1, 1, 1, False), (2, None, None, False)],
+        ids=["pays", "one-cpu", "too-small"],
+    )
+    def test_serial_asks_the_rule(
+        self, monkeypatch, multi_scenario_cells, helpers, cpus, min_row, min_reads, expected
+    ):
+        monkeypatch.setattr(executors, "_cpu_budget", lambda: cpus)
+        if min_row is not None:
+            monkeypatch.setattr(executors, "_HELPER_MIN_ROW", min_row)
+            monkeypatch.setattr(executors, "_HELPER_MIN_READS", min_reads)
+        list(SerialExecutor().execute(_tasks(multi_scenario_cells), lambda event: None))
+        assert helpers == [expected] * 2
+
+    def test_pool_worker_gets_none(self, monkeypatch, config, helpers):
+        monkeypatch.setattr(executors, "_cpu_budget", lambda: 2)
+        monkeypatch.setattr(executors, "_HELPER_MIN_ROW", 1)
+        monkeypatch.setattr(executors, "_HELPER_MIN_READS", 1)
+        tasks = _tasks(policy_cells(config, POLICIES))
+        items = [(t.index, t.cell.policy, t.cell.config.seed) for t in tasks]
+        done, failure = executors._simulate_batch((tasks[0].config_dict, items, None))
+        assert failure is None and len(done) == len(tasks)
+        assert helpers == [False]
+
+    @pytest.mark.parametrize(
+        ("workers", "row", "cpus", "expected"),
+        [
+            (256, 1024, 2, True),  # both minimums met exactly
+            (1024, 992, 2, False),  # rows too short, though 2**20 reads
+            (4, 32768, 2, False),  # long rows, too few reads per epoch
+            (8, 32768, 2, True),
+            (256, 1024, 1, False),  # no second CPU
+        ],
+    )
+    def test_size_rule(self, monkeypatch, workers, row, cpus, expected):
+        monkeypatch.setattr(executors, "_cpu_budget", lambda: cpus)
+        batch = 32
+        config = SimulationConfig(
+            dataset=DatasetModel("rule", workers * row, 0.15, 0.05),
+            system=sec6_cluster(num_workers=workers),
+            batch_size=batch,
+            num_epochs=1,
+        )
+        assert config.stream_config.samples_per_worker_per_epoch == row
+        assert executors._helper_pays(config) is expected
+
+
+class TestCpuBudget:
+    """The affinity mask, capped by a cgroup v2 or v1 CPU quota."""
+
+    @pytest.fixture
+    def cgroup(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(executors, "_CPU_MAX", tmp_path / "cpu.max")
+        monkeypatch.setattr(executors, "_CFS_DIR", tmp_path / "cpu")
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        ("cpu_max", "expected"),
+        [("max 100000\n", 4), ("150000 100000\n", 2), ("50000 100000\n", 1), ("junk", 4)],
+        ids=["unlimited", "one-and-a-half", "half", "unreadable"],
+    )
+    def test_v2_quota(self, cgroup, cpu_max, expected):
+        (cgroup / "cpu.max").write_text(cpu_max)
+        assert executors._cpu_budget() == expected
+
+    @pytest.mark.parametrize(
+        ("quota", "expected"), [("-1\n", 4), ("100000\n", 1)], ids=["unlimited", "one"]
+    )
+    def test_v1_quota(self, cgroup, quota, expected):
+        (cgroup / "cpu").mkdir()
+        (cgroup / "cpu" / "cpu.cfs_quota_us").write_text(quota)
+        (cgroup / "cpu" / "cpu.cfs_period_us").write_text("100000\n")
+        assert executors._cpu_budget() == expected
+
+    def test_no_cgroup_files(self, cgroup):
+        assert executors._cpu_budget() == 4
 
 
 class TestEvents:

@@ -28,7 +28,10 @@ offsets (local-tier lookups, noise streams, per-source totals) are
 exercised; the reference engine has no tiles. Every cell runs on two
 workers, so ``--run-many --tile-rows 1`` walks each scenario's lineup
 over two bands, each band's gather, noise streams and draws shared by
-the lineup.
+the lineup. ``--helper`` builds the production simulators with a
+helper thread: with ``--run-many --tile-rows 1 --helper`` every
+multi-policy lineup epoch is priced on two threads, its band loop
+staging each item while the helper finishes the earlier ones.
 
 Usage::
 
@@ -38,6 +41,7 @@ Usage::
     python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR --run-many --share-seeds
     python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR --tile-rows 1
     python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR --run-many --tile-rows 1
+    python tools/engine_equivalence.py REFERENCE_DIR ENGINE_DIR --run-many --tile-rows 1 --helper
     diff -r REFERENCE_DIR ENGINE_DIR
 """
 
@@ -104,6 +108,11 @@ def main(argv: list[str] | None = None) -> int:
         "--tile-rows", type=int, default=None, metavar="N",
         help="execute the production engine in row bands of N workers",
     )
+    parser.add_argument(
+        "--helper", action="store_true",
+        help="finish the production simulators' multi-policy lineup "
+        "epochs on a helper thread",
+    )
     args = parser.parse_args(argv)
     reference_cache = ResultCache(args.reference_dir)
     engine_cache = ResultCache(args.engine_dir)
@@ -125,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
                 engine_config = dataclasses.replace(config, seed=config.seed + 1)
             simulators[scenario] = (
                 ReferenceSimulator(config),
-                Simulator(engine_config, tile_rows=args.tile_rows),
+                Simulator(engine_config, tile_rows=args.tile_rows, helper=args.helper),
             )
         reference_sim, engine_sim = simulators[scenario]
 
