@@ -324,5 +324,13 @@ class Scenario(ConfigMixin):
         Identical to :func:`repro.sweep.cache.cell_key` over the
         materialized config and policy — the exact key the pre-API
         constructor path produced, so caches interoperate both ways.
+
+        Computed once per instance (a scenario is immutable) and kept
+        outside the dataclass fields, so equality, hashing, ``repr`` and
+        serialization never see it.
         """
-        return cell_key(self.build_config(), self.build_policy())
+        fingerprint = self.__dict__.get("_fingerprint")
+        if fingerprint is None:
+            fingerprint = cell_key(self.build_config(), self.build_policy())
+            object.__setattr__(self, "_fingerprint", fingerprint)
+        return fingerprint

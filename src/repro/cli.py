@@ -296,7 +296,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
             f"total={manifest.best.objective_s:.4f} s"
         )
     print(manifest.stats.render())
-    print(session.stats.render())
+    # A frontier batch prices each candidate once, so the cells swept
+    # beyond the recorded evaluations are the speculative ones.
+    speculative = session.stats.cells - manifest.stats.evaluations
+    print(f"{session.stats.render()} | {speculative} speculative")
     if args.manifest is not None:
         manifest.write(args.manifest)
         print(f"manifest: {args.manifest}")

@@ -19,6 +19,12 @@ Two drivers, one :class:`Searcher` protocol:
     Seeded uniform sampling without replacement — the honest baseline
     B&B must beat on evaluations-to-optimum.
 
+Both drivers price candidates through one trace method that batches
+the leaf being evaluated with the later leaves of the walk that share
+its scenario, then replays the sequential decisions leaf by leaf
+(frontier pricing; ``docs/search.md``), so batching never changes what
+a driver records.
+
 Determinism is a hard contract for every driver: time comes only from
 the injected ``clock``, randomness only from
 :func:`repro.rng.generator` keyed on the search seed, and candidate
@@ -29,10 +35,11 @@ evaluation sequence, byte-identical manifest.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
 from ..api.registry import Registry
 from ..api.scenario import Scenario
@@ -118,6 +125,8 @@ class _Trace:
     best: EvaluationRecord | None = None
     evaluations: list[EvaluationRecord] = field(default_factory=list)
     incumbents: list[IncumbentStep] = field(default_factory=list)
+    #: Objectives priced by a batch but not yet recorded, by fingerprint.
+    priced: dict[str, float | None] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.started_at = self.clock()
@@ -188,12 +197,52 @@ class _Trace:
             )
         return record
 
-    def evaluate(self, scenario: Scenario) -> EvaluationRecord:
-        """Price one candidate through the evaluator and record it."""
-        return self.record(scenario, self.evaluator.evaluate(scenario))
+    def evaluate(
+        self, scenario: Scenario, later: Iterable[Scenario] = ()
+    ) -> EvaluationRecord:
+        """Record one candidate, pricing it first unless a batch has.
+
+        Once the incumbent is finite, an unpriced candidate is priced in
+        one :meth:`Evaluator.evaluate_many` call together with every
+        leaf of ``later`` — the rest of the driver's walk, in order,
+        that its bounds cannot prune yet — that shares the candidate's
+        scenario (:meth:`Evaluator.context_key`): one epoch-major
+        lineup instead of one sweep per leaf. Under a budget only the
+        first ``remaining - 1`` leaves of ``later`` qualify: the walk
+        records nothing outside ``later``, so those are the only leaves
+        it can still reach, and the budget never skips a batched leaf.
+        The driver then replays its decisions leaf by leaf, and each
+        batched leaf it records reads its objective here. Before the
+        first finite incumbent a candidate is priced alone, since every
+        bound is unprunable then.
+        """
+        fingerprint = scenario.fingerprint()
+        if fingerprint not in self.priced:
+            batch = [scenario]
+            if math.isfinite(self.incumbent_s):
+                if self.budget is not None:
+                    later = itertools.islice(
+                        later, self.budget - self.stats.evaluations - 1
+                    )
+                key = self.evaluator.context_key(scenario)
+                batch += [
+                    leaf for leaf in later if self.evaluator.context_key(leaf) == key
+                ]
+            objectives = self.evaluator.evaluate_many(batch)
+            self.priced.update(
+                zip((leaf.fingerprint() for leaf in batch), objectives)
+            )
+        return self.record(scenario, self.priced.pop(fingerprint))
 
     def result(self) -> SearchResult:
-        """Freeze the trace into the driver's return value."""
+        """Freeze the trace into the driver's return value.
+
+        Batched leaves the driver never recorded — pruned by a later
+        incumbent, or skipped by a timeout — are speculative: they stay
+        out of the result (their objectives are in the cache) and
+        :attr:`Evaluator.speculative` counts them.
+        """
+        self.evaluator.speculative += len(self.priced)
         if self.stats.status in ("initialized", "solving"):
             self.stats.status = "solved"
         self.evaluator.emit(SearchFinished(stats=self.stats))
@@ -283,21 +332,30 @@ class BranchBoundSearcher:
         # a policy subtree's bound is its best leaf's.
         subtrees = []
         for policy in space.policies:
-            leaves = [
-                (space.candidate(policy, assignment), assignment)
-                for assignment in assignments
-            ]
-            bounds = evaluator.lower_bounds([scenario for scenario, _ in leaves])
+            leaves = [space.candidate(policy, assignment) for assignment in assignments]
+            bounds = evaluator.lower_bounds(leaves)
             node_bound = min(bounds)
-            ordered = sorted(
-                zip(leaves, bounds), key=lambda pair: (pair[1], pair[0][0].label)
-            )
+            ordered = sorted(zip(leaves, bounds), key=lambda pair: (pair[1], pair[0].label))
             subtrees.append((node_bound, policy, ordered))
         # Best-first: cheapest-bound subtree explored first, so the
         # incumbent tightens as early as possible.
         subtrees.sort(key=lambda node: (node[0], node[1]))
 
-        for node_bound, policy, ordered in subtrees:
+        # Every leaf in walk order. A leaf's bound is at least its
+        # subtree's, so a leaf its own bound cannot prune sits in a
+        # subtree that cannot be pruned either.
+        walk = [leaf for _, _, ordered in subtrees for leaf in ordered]
+
+        def frontier(start: int) -> Iterable[Scenario]:
+            """The leaves after walk position ``start`` not prunable now."""
+            return (
+                scenario
+                for scenario, bound in itertools.islice(walk, start, None)
+                if not self._prunable(bound, trace)
+            )
+
+        starts = itertools.accumulate((len(node[2]) for node in subtrees), initial=0)
+        for (node_bound, policy, ordered), start in zip(subtrees, starts):
             if trace.stopping():
                 break
             trace.stats.opened += 1
@@ -314,7 +372,7 @@ class BranchBoundSearcher:
                     )
                 )
                 continue
-            for (scenario, _assignment), bound in ordered:
+            for position, (scenario, bound) in enumerate(ordered, start + 1):
                 if trace.stopping():
                     break
                 label = scenario.label
@@ -332,7 +390,7 @@ class BranchBoundSearcher:
                     continue
                 trace.stats.opened += 1
                 evaluator.emit(CandidateOpened(label=label, bound_s=bound))
-                trace.evaluate(scenario)
+                trace.evaluate(scenario, frontier(position))
             else:
                 trace.stats.backtracks += 1
                 continue
@@ -363,13 +421,13 @@ class RandomSearcher:
         trace = _start(self.name, space, evaluator, budget, timeout_s, clock)
         candidates = list(space.candidates())
         rng = generator(seed, "search", self.name)
-        for index in rng.permutation(len(candidates)):
+        order = [candidates[int(index)] for index in rng.permutation(len(candidates))]
+        for position, scenario in enumerate(order, 1):
             if trace.stopping():
                 break
-            scenario = candidates[int(index)]
             trace.stats.opened += 1
             evaluator.emit(CandidateOpened(label=scenario.label, bound_s=math.nan))
-            trace.evaluate(scenario)
+            trace.evaluate(scenario, itertools.islice(order, position, None))
         return trace.result()
 
 

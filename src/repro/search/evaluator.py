@@ -4,12 +4,17 @@ Every candidate a driver wants simulated goes through
 :meth:`Session.sweep <repro.api.session.Session.sweep>` — never a bare
 :class:`~repro.sim.engine.Simulator` — so each evaluation lands in (or
 is answered by) the content-addressed result cache under the
-scenario's fingerprint. Repeated searches, overlapping spaces and
-interrupted-then-resumed runs are therefore warm for free; the
-evaluator's :attr:`~Evaluator.hits` / :attr:`~Evaluator.misses`
-counters split evaluations into cache-served and freshly simulated,
-which is how the tests *prove* a warm re-search performs zero
-re-simulations.
+scenario's fingerprint. A driver prices a batch of candidates in one
+sweep: the leaf it is about to record plus the frontier leaves that
+share its scenario (:meth:`Evaluator.context_key`), which the serial
+executor runs as one epoch-major lineup. Repeated searches,
+overlapping spaces and interrupted-then-resumed runs are warm for
+free; the evaluator's :attr:`~Evaluator.hits` /
+:attr:`~Evaluator.misses` counters split priced candidates into
+cache-served and freshly simulated, which is how the tests *prove* a
+warm re-search performs zero re-simulations, and
+:attr:`~Evaluator.speculative` counts the batched candidates the
+driver never recorded.
 
 Lower bounds (:func:`~repro.sim.bounds.policy_lower_bound`) are priced
 here too, memoized per fingerprint, with one
@@ -49,6 +54,9 @@ class Evaluator:
         self.hits = 0
         #: Evaluations that actually simulated (cache misses).
         self.misses = 0
+        #: Candidates a driver priced in a batch but never recorded:
+        #: pruned by a later incumbent, or skipped by a timeout.
+        self.speculative = 0
         self._bounds: dict[str, float] = {}
         self._contexts: dict[str, ScenarioContext] = {}
 
@@ -65,7 +73,9 @@ class Evaluator:
 
         Duplicate fingerprints are evaluated once; the whole batch is
         a single :meth:`Session.sweep` call, so it parallelizes across
-        the session's executor and memoizes per candidate.
+        the session's executor and memoizes per candidate, and the
+        serial executor prices candidates that share a scenario as one
+        epoch-major lineup.
         """
         order: list[str] = []
         unique: dict[str, Scenario] = {}
@@ -91,15 +101,23 @@ class Evaluator:
 
     # -- bounds --------------------------------------------------------
 
-    def _context_for(self, scenario: Scenario) -> ScenarioContext:
-        """A scenario context shared across the policy axis.
+    def context_key(self, scenario: Scenario) -> str:
+        """Every scenario field except the policy, as canonical JSON.
 
-        Keyed on every scenario field except the policy, because the
-        context (access streams, sample sizes) is policy-independent.
+        Candidates with equal keys differ only in policy: they share a
+        bound context here, and a driver prices them as one lineup.
         """
         payload = scenario.to_dict()
         payload.pop("policy", None)
-        key = json.dumps(payload, sort_keys=True, default=repr)
+        return json.dumps(payload, sort_keys=True, default=repr)
+
+    def _context_for(self, scenario: Scenario) -> ScenarioContext:
+        """A scenario context shared across the policy axis.
+
+        Keyed on :meth:`context_key`, because the context (access
+        streams, sample sizes) is policy-independent.
+        """
+        key = self.context_key(scenario)
         ctx = self._contexts.get(key)
         if ctx is None:
             ctx = ScenarioContext(scenario.build_config())

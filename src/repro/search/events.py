@@ -3,8 +3,10 @@
 Search events subclass :class:`~repro.sweep.events.SweepEvent`, so
 they ride the exact bus the sweep layer already owns: a subscriber on
 :attr:`Session.bus <repro.api.session.Session.bus>` sees the per-cell
-sweep lifecycle (each candidate evaluation is a one-cell sweep) *and*
-the search-level narrative interleaved, in emission order:
+sweep lifecycle (each pricing batch is one sweep, whose cell events
+arrive before the :class:`CandidateOpened` of every batched leaf but
+the first) *and* the search-level narrative interleaved, in emission
+order:
 
 * :class:`SearchStarted` / :class:`SearchFinished` bracket a driver
   run (``search_finished`` carries the final counter snapshot);

@@ -19,7 +19,7 @@ samples over its RDMA shuffle layer afterwards:
 from __future__ import annotations
 
 from ...core import CachePlan, partition_placement
-from ...errors import ConfigurationError
+from ...errors import ConfigurationError, PolicyError
 from ..context import ScenarioContext
 from .base import Policy, PolicyCapabilities, PreparedPolicy
 
@@ -66,7 +66,16 @@ class DeepIOPolicy(Policy):
             return PreparedPolicy(name=self.name, plan=plan, warm_epochs=1)
 
         # Opportunistic: iterate only over locally cached samples after
-        # the first epoch; the PFS is never touched again.
+        # the first epoch; the PFS is never touched again. A worker that
+        # cached nothing has nothing to iterate then (a one-epoch run
+        # never gets there).
+        if ctx.config.num_epochs > 1:
+            for placement in placements:
+                if not any(len(ids) for ids in placement.class_ids):
+                    raise PolicyError(
+                        f"{self.name}: worker {placement.worker} cached no "
+                        "sample to iterate after epoch 0"
+                    )
         covered = plan.coverage_fraction() >= 1.0 - 1e-12
 
         def stream_fn(worker: int, epoch: int):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...core import CachePlan, partition_placement
+from ...errors import PolicyError
 from ..context import ScenarioContext
 from .base import Policy, PolicyCapabilities, PreparedPolicy
 
@@ -61,7 +62,9 @@ class ParallelStagingPolicy(Policy):
         Staging scripts in practice (and in the paper's simulation —
         Fig 8d/e mark ParallelStaging "Does not access entire dataset"
         even though shards would fit RAM+SSD) target a single storage
-        tier; shards are capacity-limited by worker memory.
+        tier; shards are capacity-limited by worker memory. A worker
+        whose memory holds none of its shard has nothing to iterate, so
+        the scenario is unsupported (:class:`~repro.errors.PolicyError`).
         """
         n = ctx.num_workers
         f = ctx.config.dataset.num_samples
@@ -76,6 +79,11 @@ class ParallelStagingPolicy(Policy):
             placements.append(placement)
             staged_bytes.append(placement.cached_bytes(ctx.sizes_mb))
             staged_counts.append(int(placement.cached_ids.size))
+            if not staged_counts[-1]:
+                raise PolicyError(
+                    f"{self.name}: worker {worker} stages none of its shard "
+                    "(its memory tier holds no sample)"
+                )
         plan = CachePlan(placements, f, max(len(caps), 1))
         covered = plan.coverage_fraction() >= 1.0 - 1e-12
 

@@ -61,6 +61,36 @@ class TestSearchCommand:
         assert main(["search", "--space", str(path), "--driver", "random"]) == 0
         assert "space: 2 candidates" in capsys.readouterr().out
 
+    def test_prints_the_speculative_count(self, tmp_path, capsys):
+        """Batched leaves a later incumbent prunes are counted, not recorded
+        (the space of ``test_frontier.EXAMPLES[0]``: 10 cells, 8 evaluations)."""
+        space = {
+            "base": {
+                "dataset": "mnist", "system": "piz_daint:4", "policy": "naive",
+                "batch_size": 16, "num_epochs": 4, "scale": 0.1,
+            },
+            "policies": [
+                "lbann:preloading", "staging_buffer", "naive", "nopfs", "locality_aware",
+            ],
+            "knobs": [
+                {"name": "batch_size", "values": [8, 32]},
+                {
+                    "name": "system",
+                    "values": [
+                        {"name": "piz_daint:4", "class_capacities_mb": [0.0]},
+                        "piz_daint:4",
+                    ],
+                },
+            ],
+        }
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(space))
+        assert main(["search", "--space", str(path), "--driver", "bb"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "8 evaluated" in "\n".join(lines)
+        assert lines[-1].startswith("10 cells in ")
+        assert lines[-1].endswith("| 2 speculative")
+
     def test_knob_flags_expand_the_space(self, capsys):
         assert main([
             *SMOKE_FLAGS, "--policies", "nopfs,naive",
