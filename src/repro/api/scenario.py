@@ -24,6 +24,8 @@ pure data.
 from __future__ import annotations
 
 import inspect
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -255,6 +257,14 @@ class Scenario(ConfigMixin):
 
     ``noise=None`` means the simulator's default noise model; pass an
     explicit :class:`~repro.sim.NoiseConfig` to pin or disable it.
+
+    The knob fields are type-checked on construction, never coerced:
+    ``batch_size``, ``num_epochs`` and ``seed`` take integers (NumPy's
+    too, but not ``bool``), ``barrier`` and ``record_batch_times`` take
+    ``bool``, and ``scale`` and ``network_interference`` finite real
+    numbers (not ``bool``). Anything else raises
+    :class:`~repro.errors.ConfigurationError`, so a malformed value from
+    JSON or a ``--knob`` flag is rejected before it reaches the engine.
     """
 
     dataset: DatasetSpec
@@ -273,6 +283,31 @@ class Scenario(ConfigMixin):
         object.__setattr__(self, "dataset", DatasetSpec.parse(self.dataset))
         object.__setattr__(self, "system", SystemSpec.parse(self.system))
         object.__setattr__(self, "policy", PolicySpec.parse(self.policy))
+        # The builtin types lead each isinstance tuple: they match without
+        # the slower ABC check that admits NumPy's numbers.
+        for name, value in (
+            ("batch_size", self.batch_size),
+            ("num_epochs", self.num_epochs),
+            ("seed", self.seed),
+        ):
+            if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        for name, value in (
+            ("barrier", self.barrier),
+            ("record_batch_times", self.record_batch_times),
+        ):
+            if not isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be true or false, got {value!r}")
+        for name, value in (
+            ("scale", self.scale),
+            ("network_interference", self.network_interference),
+        ):
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (float, int, numbers.Real))
+                or not math.isfinite(value)
+            ):
+                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
         if self.batch_size <= 0:
             raise ConfigurationError("batch_size must be positive")
         if self.num_epochs <= 0:

@@ -328,15 +328,19 @@ class BranchBoundSearcher:
         trace = _start(self.name, space, evaluator, budget, timeout_s, clock)
         assignments = list(space.assignments())
 
-        # Bound every leaf up front (bounds are cheap — no simulation);
-        # a policy subtree's bound is its best leaf's.
+        # Bound every leaf up front (bounds are cheap — no simulation),
+        # in one call, which the evaluator prices context-major; a
+        # policy subtree's bound is its best leaf's.
+        grid = [
+            [space.candidate(policy, assignment) for assignment in assignments]
+            for policy in space.policies
+        ]
+        bounds = iter(evaluator.lower_bounds(itertools.chain.from_iterable(grid)))
         subtrees = []
-        for policy in space.policies:
-            leaves = [space.candidate(policy, assignment) for assignment in assignments]
-            bounds = evaluator.lower_bounds(leaves)
-            node_bound = min(bounds)
-            ordered = sorted(zip(leaves, bounds), key=lambda pair: (pair[1], pair[0].label))
-            subtrees.append((node_bound, policy, ordered))
+        for policy, leaves in zip(space.policies, grid):
+            leaf_bounds = list(itertools.islice(bounds, len(leaves)))
+            ordered = sorted(zip(leaves, leaf_bounds), key=lambda pair: (pair[1], pair[0].label))
+            subtrees.append((min(leaf_bounds), policy, ordered))
         # Best-first: cheapest-bound subtree explored first, so the
         # incumbent tightens as early as possible.
         subtrees.sort(key=lambda node: (node[0], node[1]))
@@ -390,7 +394,16 @@ class BranchBoundSearcher:
                     continue
                 trace.stats.opened += 1
                 evaluator.emit(CandidateOpened(label=label, bound_s=bound))
+                incumbent_s = trace.incumbent_s
                 trace.evaluate(scenario, frontier(position))
+                if trace.incumbent_s < incumbent_s:
+                    # The leaves the new incumbent prunes are never
+                    # evaluated: free their prepared policies now.
+                    evaluator.discard(
+                        leaf
+                        for leaf, leaf_bound in itertools.islice(walk, position, None)
+                        if self._prunable(leaf_bound, trace)
+                    )
             else:
                 trace.stats.backtracks += 1
                 continue

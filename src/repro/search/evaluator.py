@@ -17,23 +17,46 @@ warm re-search performs zero re-simulations, and
 driver never recorded.
 
 Lower bounds (:func:`~repro.sim.bounds.policy_lower_bound`) are priced
-here too, memoized per fingerprint, with one
-:class:`~repro.sim.context.ScenarioContext` shared across every
-candidate that differs only in policy — the ``run_many`` trick applied
-to bounding, so bounding a nine-policy lineup builds the scenario's
+here too, memoized per fingerprint, on one
+:class:`~repro.sim.context.ScenarioContext` shared by every candidate
+that differs only in policy — the ``run_many`` trick applied to
+bounding, so bounding a nine-policy lineup builds the scenario's
 access streams once.
+
+One context per search. The evaluator keeps at most one context alive,
+the current scenario's, and bounds a batch of candidates grouped by
+context, so it switches contexts once per scenario. On a serial
+session the context memoizes its prepared policies
+(:meth:`ScenarioContext.prepare <repro.sim.context.ScenarioContext.prepare>`),
+and an evaluation of the current scenario borrows it
+(:meth:`SerialExecutor.lend <repro.sweep.executors.SerialExecutor.lend>`):
+the bound and the evaluation of a candidate share one policy object,
+one prepare and its plan scalars. Only bounds build contexts: an
+evaluation of another scenario drops the current context and sweeps
+the scenarios' own cells. The memo holds only candidates that may
+still be evaluated: an evaluation drops the prepared policies it
+simulated, and a driver drops the ones its incumbent prunes
+(:meth:`~Evaluator.discard`). :meth:`~Evaluator.release_context`
+(which :func:`~repro.search.run.run_search` calls when it returns) and
+dropping the evaluator drop the context and its memo. Pool sessions
+simulate in other processes, which cannot share the context; there the
+context memoizes nothing.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from typing import Iterable, Sequence
 
 from ..api.scenario import Scenario
 from ..api.session import Session
+from ..sim import Policy
 from ..sim.bounds import policy_lower_bound
 from ..sim.context import ScenarioContext
 from ..sweep.events import SweepEvent
+from ..sweep.executors import SerialExecutor
+from ..sweep.grid import SweepCell
 
 __all__ = ["Evaluator"]
 
@@ -58,7 +81,19 @@ class Evaluator:
         #: pruned by a later incumbent, or skipped by a timeout.
         self.speculative = 0
         self._bounds: dict[str, float] = {}
+        executor = session.runner.executor
+        #: The session's serial executor, which the current context is
+        #: lent to; ``None`` on a pool session.
+        self._serial = executor if isinstance(executor, SerialExecutor) else None
+        #: The current scenario's context by :meth:`context_key`: at most
+        #: one entry.
         self._contexts: dict[str, ScenarioContext] = {}
+        #: The current context's candidates' policy objects, by
+        #: fingerprint: the keys of the context's prepared-policy memo.
+        self._policies: dict[str, Policy] = {}
+        # An evaluator dropped without release_context() frees its
+        # context by reference counting all the same.
+        weakref.finalize(self, _release, self._contexts)
 
     # -- events --------------------------------------------------------
 
@@ -75,7 +110,11 @@ class Evaluator:
         a single :meth:`Session.sweep` call, so it parallelizes across
         the session's executor and memoizes per candidate, and the
         serial executor prices candidates that share a scenario as one
-        epoch-major lineup.
+        epoch-major lineup. On a serial session, when the first
+        scenario's context is the current one, that lineup runs on it,
+        with the policy objects and prepared policies its bounds used;
+        otherwise the current context is dropped and the sweep builds
+        its own, as a plain sweep does.
         """
         order: list[str] = []
         unique: dict[str, Scenario] = {}
@@ -85,8 +124,26 @@ class Evaluator:
             unique.setdefault(fingerprint, scenario)
         if not unique:
             return []
-        cells = [s.cell(tag=fp) for fp, s in unique.items()]
-        outcome = self.session.sweep(cells)
+        ctx = None
+        if self._serial is not None and self._contexts:
+            key = self.context_key(next(iter(unique.values())))
+            ctx = self._contexts.get(key)
+        if ctx is None:
+            # Building a context here would cost cells the cache answers,
+            # and another scenario's memo would sit beside this lineup.
+            self.release_context()
+            outcome = self.session.sweep([s.cell(tag=fp) for fp, s in unique.items()])
+        else:
+            cells = [
+                SweepCell(tag=fp, config=ctx.config, policy=self._policy(fp, s))
+                if self.context_key(s) == key
+                else s.cell(tag=fp)
+                for fp, s in unique.items()
+            ]
+            with self._serial.lend(ctx):
+                outcome = self.session.sweep(cells)
+            # Drivers price a candidate once: its prepared policy is spent.
+            self._drop(unique)
         self.hits += outcome.stats.hits
         self.misses += outcome.stats.misses
         objectives = {
@@ -99,30 +156,73 @@ class Evaluator:
         """Objective for one candidate (``None`` = unsupported)."""
         return self.evaluate_many([scenario])[0]
 
-    # -- bounds --------------------------------------------------------
+    # -- contexts ------------------------------------------------------
 
     def context_key(self, scenario: Scenario) -> str:
         """Every scenario field except the policy, as canonical JSON.
 
         Candidates with equal keys differ only in policy: they share a
-        bound context here, and a driver prices them as one lineup.
+        context here, and a driver prices them as one lineup.
         """
         payload = scenario.to_dict()
         payload.pop("policy", None)
         return json.dumps(payload, sort_keys=True, default=repr)
 
     def _context_for(self, scenario: Scenario) -> ScenarioContext:
-        """A scenario context shared across the policy axis.
+        """The scenario's context: the current one, or a new one replacing it.
 
         Keyed on :meth:`context_key`, because the context (access
-        streams, sample sizes) is policy-independent.
+        streams, sample sizes) is policy-independent. The old context is
+        released before the new one is built, so two never coexist.
         """
         key = self.context_key(scenario)
         ctx = self._contexts.get(key)
         if ctx is None:
-            ctx = ScenarioContext(scenario.build_config())
-            self._contexts[key] = ctx
+            self.release_context()
+            ctx = self._contexts[key] = ScenarioContext(scenario.build_config())
+            if self._serial is not None:
+                ctx.prepared = {}
         return ctx
+
+    def _policy(self, fingerprint: str, scenario: Scenario) -> Policy:
+        """The current context's policy object for one candidate."""
+        policy = self._policies.get(fingerprint)
+        if policy is None:
+            policy = self._policies[fingerprint] = scenario.build_policy()
+        return policy
+
+    def discard(self, scenarios: Iterable[Scenario]) -> None:
+        """Drop the prepared policies of candidates that will not be evaluated.
+
+        A driver calls this for the candidates its incumbent prunes, so
+        the memo holds only candidates it may still evaluate;
+        :meth:`evaluate_many` drops the ones it simulated. Dropping is
+        always safe: a dropped candidate evaluated after all is prepared
+        again.
+        """
+        self._drop(scenario.fingerprint() for scenario in scenarios)
+
+    def _drop(self, fingerprints: Iterable[str]) -> None:
+        """Forget these candidates' policy objects and prepared policies."""
+        memos = [ctx.prepared for ctx in self._contexts.values() if ctx.prepared is not None]
+        for fingerprint in fingerprints:
+            policy = self._policies.pop(fingerprint, None)
+            if policy is not None:
+                for memo in memos:
+                    memo.pop(policy, None)
+
+    def release_context(self) -> None:
+        """Drop the current context, its prepared policies and policy objects.
+
+        The memo is unset first: a memoized policy that rewrites streams
+        refers back to the context through its ``stream_fn``, and the
+        unset breaks that cycle, so reference counting frees the
+        context and its lineup here rather than at a later collection.
+        """
+        _release(self._contexts)
+        self._policies = {}
+
+    # -- bounds --------------------------------------------------------
 
     def lower_bound(self, scenario: Scenario) -> float:
         """Admissible lower bound on the candidate's objective.
@@ -135,14 +235,29 @@ class Evaluator:
         fingerprint = scenario.fingerprint()
         bound = self._bounds.get(fingerprint)
         if bound is None:
-            bound = policy_lower_bound(
-                scenario.build_config(),
-                scenario.build_policy(),
-                self._context_for(scenario),
-            )
+            ctx = self._context_for(scenario)
+            bound = policy_lower_bound(ctx.config, self._policy(fingerprint, scenario), ctx)
             self._bounds[fingerprint] = bound
         return bound
 
     def lower_bounds(self, scenarios: Iterable[Scenario]) -> list[float]:
-        """:meth:`lower_bound` for each scenario, in order."""
-        return [self.lower_bound(s) for s in scenarios]
+        """:meth:`lower_bound` for each scenario, in order.
+
+        Computed context-major: grouped by :meth:`context_key`, groups
+        in first-seen order, so the one-context rule switches contexts
+        once per scenario rather than once per candidate.
+        """
+        scenarios = list(scenarios)
+        keys = [self.context_key(s) for s in scenarios]
+        group = {key: rank for rank, key in enumerate(dict.fromkeys(keys))}
+        bounds = [0.0] * len(scenarios)
+        for i in sorted(range(len(scenarios)), key=lambda i: group[keys[i]]):
+            bounds[i] = self.lower_bound(scenarios[i])
+        return bounds
+
+
+def _release(contexts: dict[str, ScenarioContext]) -> None:
+    """Unset each context's prepared-policy memo and forget the contexts."""
+    for ctx in contexts.values():
+        ctx.prepared = None
+    contexts.clear()

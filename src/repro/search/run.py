@@ -49,7 +49,9 @@ def run_search(
     :class:`~repro.search.drivers.Searcher`. ``session`` supplies the
     executor and result cache every evaluation routes through (a fresh
     serial, uncached session when omitted). ``on_event`` subscribes to
-    the session bus for the duration of the search only.
+    the session bus for the duration of the search only. The
+    evaluator's context and its prepared policies are released before
+    the call returns (:meth:`Evaluator.release_context`).
     """
     if session is None:
         session = Session()
@@ -70,6 +72,7 @@ def run_search(
             clock=time.monotonic if clock is None else clock,
         )
     finally:
+        evaluator.release_context()
         if unsubscribe is not None:
             unsubscribe()
     return SearchManifest(

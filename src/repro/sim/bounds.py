@@ -94,16 +94,21 @@ def policy_lower_bound(
     Pass ``ctx`` to reuse an existing :class:`ScenarioContext` built
     from the same ``config``: bounds across a policy lineup then share
     its memoized per-worker byte totals (:meth:`ScenarioContext.worker_mb`)
-    instead of rebuilding every epoch permutation once per policy.
+    instead of rebuilding every epoch permutation once per policy. The
+    policy is prepared through :meth:`ScenarioContext.prepare` and its
+    plan scalars are kept on it (``prep.scalars``, as the engine keeps
+    them), so on a context that memoizes prepared policies a later
+    simulation of the same policy object prepares and plans nothing
+    again.
     """
     if ctx is None:
         ctx = ScenarioContext(config)
-    try:
-        prep = policy.prepare(ctx)
-    except PolicyError:
+    prep = ctx.prepare(policy)
+    if isinstance(prep, PolicyError):
         return math.inf
-
-    scalars = plan_scalars(prep, ctx)
+    if prep.scalars is None:
+        prep.scalars = plan_scalars(prep, ctx)
+    scalars = prep.scalars
     system = config.system
     divisor = float(system.staging.threads) if prep.overlap else 1.0
     samples = ctx.samples_per_worker_per_epoch

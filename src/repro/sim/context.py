@@ -18,18 +18,29 @@ epoch-major loop requests each epoch once and serves every policy from
 that one materialization; requesting another epoch replaces it. The
 stream-rewriting policies' per-worker shuffle streams are seeded the
 same way: one epoch's families at a time (:meth:`tiled_epoch_stream`).
+
+A prepared policy is a pure function of the policy and the context, so
+a context can memoize its prepared policies (:meth:`ScenarioContext.prepare`):
+the search evaluator's context does, so its lower bounds and its serial
+evaluations share one prepare per candidate. A plain context memoizes
+nothing.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import operator
+from collections.abc import Iterator, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..core import AccessStream
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, PolicyError
 from ..rng import generator_states
 from .config import SimulationConfig
+
+if TYPE_CHECKING:
+    from .policies.base import Policy, PreparedPolicy
 
 __all__ = ["ScenarioContext"]
 
@@ -63,6 +74,37 @@ class ScenarioContext:
         self._families: tuple[int, dict[str, Sequence[dict]]] | None = None
         #: The one generator :meth:`tiled_epoch_stream` re-states per stream.
         self._scratch = np.random.Generator(np.random.PCG64(0))
+        #: Prepared policies by policy object (:meth:`prepare`), or
+        #: ``None``: a context memoizes only when its owner sets a dict.
+        self.prepared: dict[Policy, PreparedPolicy | PolicyError] | None = None
+
+    # -- prepared policies ---------------------------------------------------
+
+    def prepare(self, policy: "Policy") -> "PreparedPolicy | PolicyError":
+        """``policy.prepare(self)``, or the :class:`~repro.errors.PolicyError`
+        it raised.
+
+        When :attr:`prepared` is a dict the outcome is memoized there,
+        keyed by the policy object, and served to every later call for
+        that object. A memoized error keeps no traceback: its frames
+        would tie the memo to this call's locals. A memoized prepared
+        policy that rewrites streams refers back to this context through
+        its ``stream_fn``, so the memo and the context form a cycle;
+        setting :attr:`prepared` to ``None`` breaks it, and reference
+        counting then frees both.
+        """
+        memo = self.prepared
+        if memo is not None and policy in memo:
+            return memo[policy]
+        try:
+            outcome = policy.prepare(self)
+        except PolicyError as exc:
+            outcome = exc
+        if memo is not None:
+            if isinstance(outcome, PolicyError):
+                outcome.__traceback__ = None
+            memo[policy] = outcome
+        return outcome
 
     # -- stream access -----------------------------------------------------
 
@@ -152,15 +194,14 @@ class ScenarioContext:
 
     # -- frequency analysis -------------------------------------------------
 
-    def worker_frequencies_sparse(self) -> list[tuple[np.ndarray, np.ndarray]]:
+    def worker_frequencies_sparse(self) -> "FrequencyTable":
         """Per-worker ``(accessed_ids, counts)`` over all ``E`` epochs.
 
         The sparse form keeps memory at O(samples actually accessed per
         worker) instead of O(N * F), which matters at Sec 7 scales
         (N=1024). Built afresh on every call from the epoch matrices and
-        not kept: the table is ~62 MB at Lassen's 1024-GPU scale, and
-        its one consumer (NoPFS's prepare) drops it once its placement
-        exists, so a prepared lineup never holds it.
+        not kept: its one consumer (NoPFS's prepare) drops it once its
+        placement exists, so a prepared lineup never holds it.
 
         Row ``w`` equals ``np.unique(ids_w, return_counts=True)`` over
         worker ``w``'s ``E * L`` ids, computed the way ``np.unique``
@@ -168,7 +209,9 @@ class ScenarioContext:
         ``sort(axis=1)`` of the stacked copy and one flag matrix marking
         each row's first occurrence of an id, plus a closing flag past
         its end; a row's ids are its flagged entries and its counts the
-        gaps between consecutive flags.
+        gaps between consecutive flags. The table keeps those two
+        matrices and builds a row's arrays when the row is read
+        (:class:`FrequencyTable`).
         """
         epochs = self.config.num_epochs
         n = self.num_workers
@@ -183,11 +226,7 @@ class ScenarioContext:
         flags = np.empty((n, width + 1), dtype=bool)
         flags[:, 0] = flags[:, width] = True
         np.not_equal(all_ids[:, 1:], all_ids[:, :-1], out=flags[:, 1:width])
-        table = []
-        for row, row_flags in zip(all_ids, flags):
-            bounds = np.flatnonzero(row_flags)
-            table.append((row[bounds[:-1]], bounds[1:] - bounds[:-1]))
-        return table
+        return FrequencyTable(all_ids, flags)
 
     # -- stream length helpers ----------------------------------------------
 
@@ -234,3 +273,30 @@ class ScenarioContext:
             return shuffled[:length]
         reps = -(-length // shuffled.size)
         return np.tile(shuffled, reps)[:length]
+
+
+class FrequencyTable(Sequence):
+    """:meth:`ScenarioContext.worker_frequencies_sparse`'s rows, built on read.
+
+    Holds each worker's sorted ``E * L`` ids and their first-occurrence
+    flags; reading row ``w`` gathers its distinct ids and counts. At
+    ``lassen:1024`` on full ImageNet-1k (E=3) the two matrices are
+    ~34 MB, and every row's arrays would be ~62 MB more. NoPFS's
+    prepare reads each row once and keeps only the placement it ranks
+    from it, so one row's arrays at a time are alive.
+    """
+
+    def __init__(self, sorted_ids: np.ndarray, flags: np.ndarray) -> None:
+        self._ids = sorted_ids
+        self._flags = flags
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, worker: int) -> tuple[np.ndarray, np.ndarray]:
+        worker = operator.index(worker)
+        bounds = np.flatnonzero(self._flags[worker])
+        return self._ids[worker][bounds[:-1]], bounds[1:] - bounds[:-1]
+
+    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        return (self[worker] for worker in range(len(self)))

@@ -447,7 +447,11 @@ class Simulator:
     ctx:
         Reuse an existing :class:`ScenarioContext` built from the same
         ``config`` (e.g. to share its sample sizes and per-epoch worker
-        totals between simulators) instead of constructing a fresh one.
+        totals between simulators) instead of constructing a fresh one;
+        a context built from an unequal config raises
+        :class:`~repro.errors.ConfigurationError`. Prepares go through
+        :meth:`ScenarioContext.prepare`, so a context that memoizes its
+        prepared policies (the search evaluator's) serves them here.
     helper:
         Finish each epoch's band items on one helper thread while the
         band loop stages the next, for epochs whose lineup has at least
@@ -469,6 +473,11 @@ class Simulator:
         if tile_rows is not None and int(tile_rows) < 1:
             raise ConfigurationError(
                 f"tile_rows must be a positive worker count, got {tile_rows!r}"
+            )
+        if ctx is not None and ctx.config is not config and ctx.config != config:
+            raise ConfigurationError(
+                "ctx was built for another scenario: a simulator's context "
+                "must come from a config equal to its own"
             )
         self.config = config
         self.tile_rows = None if tile_rows is None else int(tile_rows)
@@ -540,21 +549,20 @@ class Simulator:
     ) -> "list[tuple[Policy, PreparedPolicy] | PolicyError]":
         """Prepare ``policies`` on this context for :meth:`_run_epoch_major`.
 
-        Each slot is ``(policy, policy.prepare(ctx))`` or the
-        :class:`~repro.errors.PolicyError` the prepare raised. Epoch 0
-        is held through the prepares: placement-building prepares
-        (DeepIO, LBANN) gather it, and the loop's first epoch then
-        reuses that build. Any other error drops the resident epoch
-        and propagates.
+        Each slot is ``(policy, prep)`` or the
+        :class:`~repro.errors.PolicyError` the prepare raised, from
+        :meth:`ScenarioContext.prepare`: a context that memoizes serves
+        the prepared policies it already holds. Epoch 0 is held through
+        the prepares: placement-building prepares (DeepIO, LBANN)
+        gather it, and the loop's first epoch then reuses that build.
+        Any other error drops the resident epoch and propagates.
         """
         slots: list[tuple[Policy, PreparedPolicy] | PolicyError] = []
         self.ctx.hold_epoch(0)
         try:
             for policy in policies:
-                try:
-                    slots.append((policy, policy.prepare(self.ctx)))
-                except PolicyError as exc:
-                    slots.append(exc)
+                prep = self.ctx.prepare(policy)
+                slots.append(prep if isinstance(prep, PolicyError) else (policy, prep))
         except BaseException:
             self.ctx.release_held_epoch()
             raise

@@ -69,12 +69,13 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Protocol, Sequence, runtime_checkable
 
 from ..errors import ConfigurationError, PolicyError
-from ..sim import Policy, SimulationConfig, Simulator
+from ..sim import Policy, ScenarioContext, SimulationConfig, Simulator
 from .events import CellFinished, CellStarted, CellUnsupported, SweepEvent
 from .grid import SweepCell
 
@@ -364,21 +365,43 @@ class SerialExecutor:
     per-cell runs. Finished cells of a batch hit by an unexpected error
     still yield before the error propagates. A scenario's simulator
     gets a helper thread (:class:`~repro.sim.engine.Simulator`'s
-    ``helper``) when :func:`_helper_pays` for its config.
+    ``helper``) when :func:`_helper_pays` for its config, and a lent
+    context (:meth:`lend`) when the context was built for its config.
     """
 
     name = "serial"
     in_process = True
+    #: The context :meth:`lend` lends to the sweep in progress, or ``None``.
+    _lent: ScenarioContext | None = None
+
+    @contextmanager
+    def lend(self, ctx: ScenarioContext) -> Iterator[None]:
+        """Within the block, simulate on ``ctx`` each batch whose config
+        equals ``ctx.config``; other batches build their own context.
+
+        The search evaluator lends its context to the sweeps it starts,
+        so the prepared policies its lower bounds memoized on the context
+        (:meth:`~repro.sim.context.ScenarioContext.prepare`) are not
+        prepared again. The executor forgets the context when the block
+        ends.
+        """
+        self._lent = ctx
+        try:
+            yield
+        finally:
+            self._lent = None
 
     def execute(self, tasks: Sequence[CellTask], emit: Emit) -> Iterator[CellResult]:
         """Simulate each scenario batch in turn, yielding results as they finish."""
         # Keep only the *current* batch's Simulator alive: retaining
         # every scenario's streams would balloon peak memory on
         # many-scenario sweeps.
+        lent = self._lent
         for batch in _scenario_batches(tasks):
             config = batch[0].cell.config
+            ctx = lent if lent is not None and lent.config == config else None
             sim = Simulator(
-                config, tile_rows=batch[0].tile_rows, helper=_helper_pays(config)
+                config, tile_rows=batch[0].tile_rows, ctx=ctx, helper=_helper_pays(config)
             )
             for task in batch:
                 emit(CellStarted(tag=task.cell.tag, index=task.index))

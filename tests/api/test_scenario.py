@@ -1,5 +1,6 @@
 """Scenario round-trips, constructor-path parity, bitwise result identity."""
 
+import numpy as np
 import pytest
 
 from repro.api import POLICIES, PolicySpec, Scenario, Session, SystemSpec
@@ -63,6 +64,63 @@ class TestRoundTrip:
 
     def test_label_is_readable(self):
         assert tiny().label.startswith("mnist/sec6_cluster:2/nopfs/b16/e2")
+
+
+#: ``(field, value)`` pairs of the wrong type, never coerced.
+MALFORMED = [
+    ("batch_size", "x"),
+    ("batch_size", 1.5),
+    ("batch_size", True),
+    ("num_epochs", "two"),
+    ("num_epochs", 2.0),
+    ("seed", 1.5),
+    ("seed", "1"),
+    ("seed", False),
+    ("scale", "abc"),
+    ("scale", float("nan")),
+    ("scale", float("inf")),
+    ("scale", True),
+    ("barrier", "maybe"),
+    ("barrier", 1),
+    ("record_batch_times", "yes"),
+    ("record_batch_times", None),
+    ("network_interference", float("nan")),
+    ("network_interference", float("-inf")),
+    ("network_interference", "0.25"),
+]
+
+
+class TestFieldTypes:
+    """Knob fields are type-checked on construction, never coerced."""
+
+    @pytest.mark.parametrize("field,value", MALFORMED)
+    def test_constructor_rejects(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            tiny(**{field: value})
+
+    @pytest.mark.parametrize("field,value", MALFORMED)
+    def test_from_dict_rejects(self, field, value):
+        data = {**tiny().to_dict(), field: value}
+        with pytest.raises(ConfigurationError, match=field):
+            Scenario.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field,value,plain",
+        [
+            ("batch_size", np.int64(16), 16),
+            ("num_epochs", np.uint8(2), 2),
+            ("seed", np.int32(3), 3),
+            ("scale", np.float64(0.2), 0.2),
+        ],
+    )
+    def test_numpy_numbers_pass_as_they_are(self, field, value, plain):
+        s = tiny(**{field: value})
+        assert getattr(s, field) is value
+        assert s.fingerprint() == tiny(**{field: plain}).fingerprint()
+
+    def test_integral_reals_pass(self):
+        s = tiny(scale=1, network_interference=0)
+        assert s.scale == 1 and s.network_interference == 0
 
 
 class TestConstructorParity:

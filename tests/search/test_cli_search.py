@@ -149,6 +149,23 @@ class TestSearchErrors:
         assert main([*SMOKE_FLAGS, "--knob", "batch_size"]) == 2
         assert "field=v1,v2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            "batch_size=x",
+            "num_epochs=two",
+            "scale=abc",
+            "batch_size=1.5",
+            "seed=1.5",
+            "barrier=maybe",
+            "network_interference=nan",
+        ],
+    )
+    def test_malformed_knob_value_exits_2(self, knob, capsys):
+        assert main([*SMOKE_FLAGS, "--knob", knob]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and knob.partition("=")[0] in err
+
     def test_unknown_knob_field_rejected(self, capsys):
         assert main([*SMOKE_FLAGS, "--knob", "policy=nopfs"]) == 2
         assert "not a searchable" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """ScenarioContext caching and stream-helper tests."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -100,6 +101,19 @@ class TestFrequencies:
         for (ids, counts), (ids_again, counts_again) in zip(first, second, strict=True):
             np.testing.assert_array_equal(ids_again, ids)
             np.testing.assert_array_equal(counts_again, counts)
+
+    def test_rows_built_on_read(self):
+        """The table keeps the sorted ids and their flags, not every row's
+        arrays: a row read and dropped is freed while the table lives."""
+        c = ctx()
+        table = c.worker_frequencies_sparse()
+        ids, counts = table[1]
+        refs = [weakref.ref(ids), weakref.ref(counts)]
+        del ids, counts
+        assert [ref() for ref in refs] == [None, None]
+        assert len(table) == len(list(table)) == c.num_workers
+        with pytest.raises(TypeError):
+            table[0:2]
 
     def test_nopfs_run_keeps_no_table(self):
         """The table NoPFS's prepare reads is freed once its placement exists."""
@@ -231,3 +245,102 @@ class TestHoldEpoch:
         # Reads every epoch once; epoch 0 is still resident.
         c.worker_frequencies_sparse()
         assert c.perm_builds == c.config.num_epochs
+
+
+class TestPreparedMemo:
+    """``ScenarioContext.prepare``: plain by default, memoized on request."""
+
+    def test_plain_context_prepares_afresh(self):
+        c = ctx()
+        policy = NoPFSPolicy()
+        assert c.prepared is None
+        assert c.prepare(policy) is not c.prepare(policy)
+
+    def test_memo_serves_the_same_object_per_policy(self):
+        c = ctx()
+        c.prepared = {}
+        policy = NoPFSPolicy()
+        prep = c.prepare(policy)
+        assert c.prepare(policy) is prep
+        # Keyed by the policy object: an equal twin prepares its own.
+        assert c.prepare(NoPFSPolicy()) is not prep
+
+    def test_memoized_error_keeps_its_text_and_no_traceback(self):
+        from repro.api import Scenario
+        from repro.errors import PolicyError
+
+        scenario = Scenario(
+            dataset="imagenet22k",
+            system="sec6_cluster:2",
+            policy="lbann:dynamic",
+            batch_size=32,
+            num_epochs=2,
+        )
+        plain = ScenarioContext(scenario.build_config())
+        memo = ScenarioContext(scenario.build_config())
+        memo.prepared = {}
+        policy = scenario.build_policy()
+        expected = plain.prepare(policy)
+        error = memo.prepare(policy)
+        assert isinstance(error, PolicyError)
+        assert str(error) == str(expected)
+        assert error.__traceback__ is None
+        assert memo.prepare(policy) is error
+
+    def test_unsetting_the_memo_frees_context_and_lineup(self):
+        """A stream-rewriting policy's ``stream_fn`` refers to the context:
+        unsetting the memo breaks that cycle, with no collection."""
+        from repro.api.presets import make_policy
+
+        c = ctx()
+        c.prepared = {}
+        preps = [
+            c.prepare(make_policy(spec))
+            for spec in ("deepio:opportunistic", "locality_aware", "nopfs")
+        ]
+        assert any(prep.stream_fn is not None for prep in preps)
+        refs = [weakref.ref(c), *(weakref.ref(prep) for prep in preps)]
+        del preps
+        gc.disable()
+        try:
+            c.prepared = None
+            del c
+            alive = [ref for ref in refs if ref() is not None]
+        finally:
+            gc.enable()
+        assert not alive
+
+
+class TestLentContext:
+    """``Simulator(config, ctx=...)`` takes only a context of an equal config."""
+
+    @pytest.mark.parametrize("change", [dict(seed=2), dict(batch_size=4)])
+    def test_context_of_another_scenario_rejected(self, change):
+        other = ctx()
+        config = dataclasses.replace(other.config, **change)
+        with pytest.raises(ConfigurationError, match="another scenario"):
+            Simulator(config, ctx=other)
+
+    def test_equal_config_shares_the_context(self):
+        c = ctx()
+        twin = dataclasses.replace(c.config)
+        assert twin is not c.config and twin == c.config
+        assert Simulator(twin, ctx=c).ctx is c
+        assert Simulator(c.config, ctx=c).ctx is c
+
+    def test_memoized_lineup_simulates_bitwise(self):
+        """A simulator on a memoizing context, after the memo is filled by
+        a lower bound, returns a fresh simulator's results."""
+        from repro.api.presets import make_policy
+        from repro.sim import policy_lower_bound
+
+        c = ctx()
+        c.prepared = {}
+        policies = [make_policy(s) for s in ("naive", "deepio:opportunistic", "nopfs")]
+        for policy in policies:
+            policy_lower_bound(c.config, policy, c)
+        assert all(prep.scalars is not None for prep in c.prepared.values())
+        shared = Simulator(c.config, ctx=c).run_many_outcomes(policies)
+        fresh = Simulator(c.config).run_many_outcomes(policies)
+        assert [r.to_dict() for r in shared] == [r.to_dict() for r in fresh]
+        assert set(c.prepared) == set(policies)
