@@ -1,11 +1,11 @@
 """One module per paper table/figure; see DESIGN.md's experiment index.
 
 Each module exposes ``run(...)`` (returns a result object with
-``render()``) plus ``cells(...)`` declaring its sweep grid, and is
-runnable as ``python -m repro.experiments.figX``. The full-paper driver
-lives in :mod:`repro.experiments.paper`; its incremental artifact
-pipeline (figure -> cell keys -> output digest manifests) in
-:mod:`repro.experiments.artifacts`.
+``render()``) plus ``cells(...)`` declaring its sweep grid. The
+full-paper driver lives in :mod:`repro.experiments.paper` and renders
+any of them (``python -m repro experiments --figures figX``); its
+incremental artifact pipeline (figure -> cell keys -> output digest
+manifests) in :mod:`repro.experiments.artifacts`.
 """
 
 from . import (  # noqa: F401  (re-exported experiment modules)

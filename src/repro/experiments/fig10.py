@@ -143,14 +143,3 @@ def run(
         runner=runner,
     )
     return Fig10Result(sweep=sweep, machine=machine)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    for machine in ("piz_daint", "lassen"):
-        print(f"=== Fig 10 ({machine}) ===")
-        print(run(machine).render())
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -112,11 +112,3 @@ def run(
         labels=tuple(label for label, _ in _SPECS),
         scale=scale,
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

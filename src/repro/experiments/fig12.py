@@ -102,11 +102,3 @@ def run(
     return Fig12Result(
         stall_s=stalls, shares=shares, gpu_counts=tuple(gpu_counts), scale=scale
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -104,11 +104,3 @@ def run(
         gpus=gpus,
         scale=scale,
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

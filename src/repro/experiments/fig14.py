@@ -87,11 +87,3 @@ def run(
         runner=runner,
     )
     return Fig14Result(sweep=sweep)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -104,11 +104,3 @@ def run(
         runner=runner,
     )
     return Fig15Result(sweep=sweep)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

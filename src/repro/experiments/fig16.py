@@ -123,11 +123,3 @@ def run(
         goyal_resnet50_schedule(paper.FIG16["final_top1"]),
     )
     return Fig16Result(comparison=comparison, scale=scale)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

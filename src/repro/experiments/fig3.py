@@ -95,12 +95,3 @@ def run(
         paper_expected_hot=paper.SEC31_EXPECTED_HOT,
         paper_measured_hot=paper.SEC31_MONTE_CARLO_HOT,
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print("Fig 3: access frequency of one worker (N=16, E=90, ImageNet-1k)")
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -214,13 +214,3 @@ def run_all(
     """Regenerate every panel through one (shared) sweep runner."""
     runner = resolve_runner(runner)
     return {panel: run(panel, scale=scale, seed=seed, runner=runner) for panel in PANELS}
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    for panel in PANELS:
-        print(run(panel).render())
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

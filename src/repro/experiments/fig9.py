@@ -141,11 +141,3 @@ def run(
         ram_gb=tuple(ram_gb),
         ssd_gb=tuple(ssd_gb),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -47,14 +47,3 @@ def run() -> Table1Result:
             (policy.display_name, *marks, "yes" if marks == expected else "no")
         )
     return Table1Result(rows=tuple(rows))
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    result = run()
-    print("Table 1: I/O framework comparison (regenerated)")
-    print(result.render())
-    print(f"\nAll rows match the paper: {result.all_match}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

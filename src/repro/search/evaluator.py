@@ -36,17 +36,19 @@ evaluation of another scenario drops the current context and sweeps
 the scenarios' own cells. The memo holds only candidates that may
 still be evaluated: an evaluation drops the prepared policies it
 simulated, and a driver drops the ones its incumbent prunes
-(:meth:`~Evaluator.discard`). :meth:`~Evaluator.release_context`
-(which :func:`~repro.search.run.run_search` calls when it returns) and
-dropping the evaluator drop the context and its memo. Pool sessions
-simulate in other processes, which cannot share the context; there the
-context memoizes nothing.
+(:meth:`~Evaluator.discard`). Prepared policies and memoized errors
+never refer back to their context, so forgetting the context frees it
+and its memo by reference counting alone:
+:meth:`~Evaluator.release_context` (which
+:func:`~repro.search.run.run_search` calls when it returns) forgets it,
+and so does dropping the evaluator. Pool sessions simulate in other
+processes, which cannot share the context; there the context memoizes
+nothing.
 """
 
 from __future__ import annotations
 
 import json
-import weakref
 from typing import Iterable, Sequence
 
 from ..api.scenario import Scenario
@@ -85,15 +87,11 @@ class Evaluator:
         #: The session's serial executor, which the current context is
         #: lent to; ``None`` on a pool session.
         self._serial = executor if isinstance(executor, SerialExecutor) else None
-        #: The current scenario's context by :meth:`context_key`: at most
-        #: one entry.
-        self._contexts: dict[str, ScenarioContext] = {}
+        #: The current scenario's ``(context_key, context)``, or ``None``.
+        self._context: tuple[str, ScenarioContext] | None = None
         #: The current context's candidates' policy objects, by
         #: fingerprint: the keys of the context's prepared-policy memo.
         self._policies: dict[str, Policy] = {}
-        # An evaluator dropped without release_context() frees its
-        # context by reference counting all the same.
-        weakref.finalize(self, _release, self._contexts)
 
     # -- events --------------------------------------------------------
 
@@ -125,9 +123,10 @@ class Evaluator:
         if not unique:
             return []
         ctx = None
-        if self._serial is not None and self._contexts:
+        if self._serial is not None and self._context is not None:
             key = self.context_key(next(iter(unique.values())))
-            ctx = self._contexts.get(key)
+            if key == self._context[0]:
+                ctx = self._context[1]
         if ctx is None:
             # Building a context here would cost cells the cache answers,
             # and another scenario's memo would sit beside this lineup.
@@ -176,12 +175,13 @@ class Evaluator:
         released before the new one is built, so two never coexist.
         """
         key = self.context_key(scenario)
-        ctx = self._contexts.get(key)
-        if ctx is None:
-            self.release_context()
-            ctx = self._contexts[key] = ScenarioContext(scenario.build_config())
-            if self._serial is not None:
-                ctx.prepared = {}
+        if self._context is not None and self._context[0] == key:
+            return self._context[1]
+        self.release_context()
+        ctx = ScenarioContext(scenario.build_config())
+        if self._serial is not None:
+            ctx.prepared = {}
+        self._context = (key, ctx)
         return ctx
 
     def _policy(self, fingerprint: str, scenario: Scenario) -> Policy:
@@ -204,22 +204,15 @@ class Evaluator:
 
     def _drop(self, fingerprints: Iterable[str]) -> None:
         """Forget these candidates' policy objects and prepared policies."""
-        memos = [ctx.prepared for ctx in self._contexts.values() if ctx.prepared is not None]
+        memo = None if self._context is None else self._context[1].prepared
         for fingerprint in fingerprints:
             policy = self._policies.pop(fingerprint, None)
-            if policy is not None:
-                for memo in memos:
-                    memo.pop(policy, None)
+            if policy is not None and memo is not None:
+                memo.pop(policy, None)
 
     def release_context(self) -> None:
-        """Drop the current context, its prepared policies and policy objects.
-
-        The memo is unset first: a memoized policy that rewrites streams
-        refers back to the context through its ``stream_fn``, and the
-        unset breaks that cycle, so reference counting frees the
-        context and its lineup here rather than at a later collection.
-        """
-        _release(self._contexts)
+        """Forget the current context, its prepared policies and policy objects."""
+        self._context = None
         self._policies = {}
 
     # -- bounds --------------------------------------------------------
@@ -254,10 +247,3 @@ class Evaluator:
         for i in sorted(range(len(scenarios)), key=lambda i: group[keys[i]]):
             bounds[i] = self.lower_bound(scenarios[i])
         return bounds
-
-
-def _release(contexts: dict[str, ScenarioContext]) -> None:
-    """Unset each context's prepared-policy memo and forget the contexts."""
-    for ctx in contexts.values():
-        ctx.prepared = None
-    contexts.clear()

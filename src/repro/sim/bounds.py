@@ -119,7 +119,7 @@ def policy_lower_bound(
         per_worker_mb = ctx.worker_mb(epoch)
         if per_worker_mb.size == 0:
             continue
-        if prep.stream_fn is None and config.barrier:
+        if prep.pools is None and config.barrier:
             # Canonical clairvoyant streams under lockstep barriers: the
             # epoch's per-worker byte totals are exact and every epoch
             # ends on its own straggler, so the per-epoch maxima sum.

@@ -23,7 +23,9 @@ A prepared policy is a pure function of the policy and the context, so
 a context can memoize its prepared policies (:meth:`ScenarioContext.prepare`):
 the search evaluator's context does, so its lower bounds and its serial
 evaluations share one prepare per candidate. A plain context memoizes
-nothing.
+nothing. A prepared policy is plain data that never refers back to its
+context, and a returned error keeps no traceback, so reference counting
+alone frees a context together with its memo.
 """
 
 from __future__ import annotations
@@ -86,12 +88,8 @@ class ScenarioContext:
 
         When :attr:`prepared` is a dict the outcome is memoized there,
         keyed by the policy object, and served to every later call for
-        that object. A memoized error keeps no traceback: its frames
-        would tie the memo to this call's locals. A memoized prepared
-        policy that rewrites streams refers back to this context through
-        its ``stream_fn``, so the memo and the context form a cycle;
-        setting :attr:`prepared` to ``None`` breaks it, and reference
-        counting then frees both.
+        that object. The error is returned without its traceback, whose
+        frames would tie this context to whoever keeps the error.
         """
         memo = self.prepared
         if memo is not None and policy in memo:
@@ -99,10 +97,8 @@ class ScenarioContext:
         try:
             outcome = policy.prepare(self)
         except PolicyError as exc:
-            outcome = exc
+            outcome = exc.with_traceback(None)
         if memo is not None:
-            if isinstance(outcome, PolicyError):
-                outcome.__traceback__ = None
             memo[policy] = outcome
         return outcome
 
@@ -125,7 +121,7 @@ class ScenarioContext:
         epoch so the previous epoch's matrix is freed *before* the next
         one is built — two epochs never overlap in memory. It builds
         nothing: an epoch no policy reads (e.g. one every policy
-        rewrites through ``stream_fn``) is never materialized. Another
+        rewrites from its pools) is never materialized. Another
         epoch's rewrite-stream families are dropped with it.
         """
         if self._held is not None and self._held[0] != epoch:

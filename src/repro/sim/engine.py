@@ -284,8 +284,9 @@ class EpochPlan:
     Everything the policy and contention model decide about an epoch.
     No per-sample matrix is held: the size/class matrices are
     materialized on demand, band by band, via :meth:`tile`, and so are
-    a rewritten stream's ids — a plan holds at most a reference to the
-    context's one resident epoch permutation, even at paper scale.
+    a rewritten stream's ids, drawn from the prepared policy's pools —
+    a plan holds at most a reference to the context's one resident
+    epoch permutation, even at paper scale.
 
     Attributes
     ----------
@@ -305,7 +306,7 @@ class EpochPlan:
         The context's ``(N, L)`` clairvoyant epoch matrix when the
         policy reads it (its bands' size gathers are then shared across
         policies); ``None`` when the policy rewrites this epoch's
-        streams through ``prep.stream_fn``.
+        streams from its pools (``prep.pools``).
     """
 
     epoch: int
@@ -338,15 +339,19 @@ class EpochPlan:
     def band_ids(self, rows: slice) -> np.ndarray:
         """``(rows, L)`` sample ids of one row band.
 
-        A rewritten stream stacks the band's per-worker ``stream_fn``
-        rows — each one deterministic per-worker shuffle, so a band is
+        A rewritten stream stacks the band's workers' rows, each one
+        deterministic shuffle of the worker's pool
+        (:meth:`ScenarioContext.tiled_epoch_stream`), so a band is
         O(rows) RNG setups, not O(rows*L) Python work.
         """
         if self.canonical is not None:
             return self.canonical[rows]
-        stream_fn = self.prep.stream_fn
+        prep, ctx = self.prep, self.ctx
         return np.stack(
-            [stream_fn(worker, self.epoch) for worker in range(rows.start, rows.stop)]
+            [
+                ctx.tiled_epoch_stream(prep.pools[worker], worker, self.epoch, prep.name)
+                for worker in range(rows.start, rows.stop)
+            ]
         )
 
     def tile(self, rows: slice, shared: SizeBand | None = None) -> EpochTile:
@@ -679,7 +684,7 @@ class Simulator:
         """
         warm = prep.plan is not None and epoch >= prep.warm_epochs
         phase = self._scalars(prep).phase(epoch < prep.warm_epochs)
-        rewritten = prep.stream_fn is not None and (warm or prep.warm_epochs == 0)
+        rewritten = prep.pools is not None and (warm or prep.warm_epochs == 0)
         return EpochPlan(
             epoch=epoch,
             warm=warm,
@@ -813,8 +818,8 @@ class Simulator:
         states, :class:`~repro.sim.noise.SourceBand` and size gather
         (held in :attr:`_band`), a rewritten stream's scratch generator
         — is built here, and an entry's
-        :class:`~repro.errors.PolicyError` is recorded here before the
-        next band decides which entries are live.
+        :class:`~repro.errors.PolicyError` is recorded here, without its
+        traceback, before the next band decides which entries are live.
         """
         cfg = self.config
         for rows in bands:
@@ -838,7 +843,8 @@ class Simulator:
                 try:
                     yield run, self._stage_band(run, rows, band, shared)
                 except PolicyError as exc:
-                    run.error = exc
+                    # Its frames would tie this simulator to the outcome.
+                    run.error = exc.with_traceback(None)
 
     def _stage_band(
         self, run: _Pricing, rows: slice, band: SourceBand, shared: SizeBand | None

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -119,10 +119,13 @@ class PreparedPolicy:
         Prefetch depth in batches; ``None`` derives it from the staging
         buffer capacity (NoPFS-style deep buffers). Double-buffering
         loaders use small fixed values (PyTorch: 2).
-    stream_fn:
-        Optional replacement for the clairvoyant per-worker stream —
-        ``stream_fn(worker, epoch) -> ids`` — used by policies that
-        change the access order.
+    pools:
+        Per-worker sample-id arrays that replace the clairvoyant stream,
+        set by policies that change the access order: in a rewritten
+        epoch (a warm one, or any when ``warm_epochs`` is 0) worker
+        ``w`` reads ``ctx.tiled_epoch_stream(pools[w], w, epoch, name)``.
+        Plain arrays the policy already holds (typically its
+        placement's), so a prepared policy never refers to its context.
     ideal:
         Perfect/no-I/O baseline: skip fetching entirely.
     scalars:
@@ -141,7 +144,7 @@ class PreparedPolicy:
     prestage_time_s: float = 0.0
     accesses_full_dataset: bool = True
     lookahead_batches: int | None = None
-    stream_fn: Callable[[int, int], np.ndarray] | None = None
+    pools: list[np.ndarray] | None = None
     ideal: bool = False
     lookups: list[WorkerLookup] = field(default_factory=list)
     best_map: np.ndarray | None = None

@@ -66,9 +66,10 @@ class DeepIOPolicy(Policy):
             return PreparedPolicy(name=self.name, plan=plan, warm_epochs=1)
 
         # Opportunistic: iterate only over locally cached samples after
-        # the first epoch; the PFS is never touched again. A worker that
-        # cached nothing has nothing to iterate then (a one-epoch run
-        # never gets there).
+        # the first epoch; the PFS is never touched again. Only the RAM
+        # tier fills, so a worker's pool is its placement's tier-0 array.
+        # A worker that cached nothing has nothing to iterate then (a
+        # one-epoch run never gets there).
         if ctx.config.num_epochs > 1:
             for placement in placements:
                 if not any(len(ids) for ids in placement.class_ids):
@@ -77,12 +78,6 @@ class DeepIOPolicy(Policy):
                         "sample to iterate after epoch 0"
                     )
         covered = plan.coverage_fraction() >= 1.0 - 1e-12
-
-        def stream_fn(worker: int, epoch: int):
-            return ctx.tiled_epoch_stream(
-                plan.placements[worker].cached_ids, worker, epoch, self.name
-            )
-
         return PreparedPolicy(
             name=self.name,
             plan=plan,
@@ -90,5 +85,5 @@ class DeepIOPolicy(Policy):
             pfs_in_warm=False,
             warm_pfs_fraction=0.0,
             accesses_full_dataset=covered,
-            stream_fn=stream_fn,
+            pools=[placement.class_ids[0] for placement in placements] if caps else [],
         )

@@ -62,15 +62,11 @@ class LocalityAwarePolicy(Policy):
             np.concatenate([plan.placements[w].cached_ids, leftover[w::n]])
             for w in range(n)
         ]
-
-        def stream_fn(worker: int, epoch: int):
-            return ctx.tiled_epoch_stream(pools[worker], worker, epoch, self.name)
-
         return PreparedPolicy(
             name=self.name,
             plan=plan,
             warm_epochs=1,
             warm_pfs_fraction=leftover_fraction,
             accesses_full_dataset=True,
-            stream_fn=stream_fn,
+            pools=pools,
         )

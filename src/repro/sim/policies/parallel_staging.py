@@ -86,12 +86,6 @@ class ParallelStagingPolicy(Policy):
                 )
         plan = CachePlan(placements, f, max(len(caps), 1))
         covered = plan.coverage_fraction() >= 1.0 - 1e-12
-
-        def stream_fn(worker: int, epoch: int):
-            return ctx.tiled_epoch_stream(
-                plan.placements[worker].cached_ids, worker, epoch, self.name
-            )
-
         return PreparedPolicy(
             name=self.name,
             plan=plan,
@@ -100,5 +94,6 @@ class ParallelStagingPolicy(Policy):
             warm_pfs_fraction=0.0,
             prestage_time_s=staging_phase_time(ctx, staged_bytes, staged_counts),
             accesses_full_dataset=covered,
-            stream_fn=stream_fn,
+            # A worker iterates its staged shard: the RAM tier's array.
+            pools=[placement.class_ids[0] for placement in placements],
         )

@@ -31,7 +31,6 @@ instead of aborting the sweep, and the rejection itself is memoized.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,18 +41,11 @@ from ..sim import SimulationResult
 from .backends import CacheBackend
 from .cache import CachedOutcome, ResultCache, cell_key_from_dict
 from .events import CellCached, ProgressBus, SweepFinished, SweepStarted
-from .executors import CellResult, CellTask, Executor, resolve_executor
+from .executors import CellResult, CellTask, Executor, _cpu_budget, resolve_executor
 from .grid import ScenarioGrid, SweepCell, as_cells
 from .shard import ShardPlanner, ShardSpec
 
 __all__ = ["SweepOutcome", "SweepRunner", "SweepStats"]
-
-
-def _available_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, not the host's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 @dataclass
@@ -163,9 +155,9 @@ class SweepRunner:
     ----------
     n_jobs:
         Worker processes. ``1`` (the default) runs serially in-process;
-        ``None`` uses every core this process may run on (its CPU
-        affinity, which cgroup- or ``taskset``-limited hosts narrow).
-        Results are identical either way.
+        ``None`` uses every core this process may run on: its CPU
+        affinity (which ``taskset`` narrows), capped by a cgroup CPU
+        quota rounded up. Results are identical either way.
     cache_dir:
         Root of the on-disk result cache. ``None`` disables caching
         (every cell simulates).
@@ -198,7 +190,7 @@ class SweepRunner:
         tile_rows: int | None = None,
     ) -> None:
         if n_jobs is None:
-            n_jobs = _available_cpus()
+            n_jobs = _cpu_budget()
         if n_jobs < 1:
             raise ConfigurationError("n_jobs must be >= 1 (or None for all cores)")
         if tile_rows is not None and int(tile_rows) < 1:

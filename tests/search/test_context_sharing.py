@@ -128,8 +128,8 @@ class TestLifetime:
     def test_run_search_leaves_no_context_or_prepared_policy(
         self, monkeypatch, smoke_base, driver, system
     ):
-        """The lineup includes stream rewriters (their ``stream_fn``
-        refers to the context) and, without RAM, memoized errors."""
+        """The lineup includes stream rewriters and, without RAM,
+        memoized errors."""
         log = Contexts(monkeypatch)
         gc.disable()
         try:
@@ -207,7 +207,7 @@ class TestLifetime:
         evaluate_many = Evaluator.evaluate_many
 
         def watched(evaluator, scenarios):
-            (ctx,) = evaluator._contexts.values()
+            _, ctx = evaluator._context
             fingerprints = {s.fingerprint() for s in scenarios}
             calls.append((len(ctx.prepared), len(fingerprints)))
             objectives = evaluate_many(evaluator, scenarios)
@@ -227,7 +227,7 @@ class TestLifetime:
         evaluator = Evaluator(Session())
         evaluator.lower_bounds(candidates)
         evaluator.discard(candidates[::2])
-        (ctx,) = evaluator._contexts.values()
+        _, ctx = evaluator._context
         assert len(ctx.prepared) == len(candidates) // 2
         assert evaluator.evaluate_many(candidates) == Evaluator(Session()).evaluate_many(
             candidates
@@ -285,12 +285,8 @@ class TestWhereSharingHappens:
         candidates = list(space.candidates())
         evaluator = Evaluator(Session(cache=InMemoryBackend()))
         evaluator.lower_bounds(candidates)
-        errors = [
-            prep
-            for ctx in evaluator._contexts.values()
-            for prep in ctx.prepared.values()
-            if not isinstance(prep, PreparedPolicy)
-        ]
+        _, ctx = evaluator._context
+        errors = [prep for prep in ctx.prepared.values() if not isinstance(prep, PreparedPolicy)]
         objectives = evaluator.evaluate_many(candidates)
         # The lent cells keyed the cache as the scenarios' own cells do.
         shared = evaluator.session.sweep(candidates)

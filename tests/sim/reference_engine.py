@@ -118,11 +118,11 @@ class ReferenceSimulator:
             fetch_counts = np.zeros(4, dtype=np.int64)
 
             for worker in range(n):
-                use_override = prep.stream_fn is not None and (
+                use_override = prep.pools is not None and (
                     warm or prep.warm_epochs == 0
                 )
                 if use_override:
-                    ids = prep.stream_fn(worker, epoch)
+                    ids = ctx.tiled_epoch_stream(prep.pools[worker], worker, epoch, prep.name)
                 else:
                     ids = ctx.worker_epoch_ids(worker, epoch)
                 sizes = ctx.sizes_mb[ids]

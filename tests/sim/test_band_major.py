@@ -23,7 +23,7 @@ from repro.core import CachePlan, WorkerPlacement
 from repro.datasets import DatasetModel
 from repro.errors import ConfigurationError, PolicyError
 from repro.perfmodel import Source, sec6_cluster
-from repro.sim import NoiseConfig, SimulationConfig, Simulator, kernels
+from repro.sim import NoiseConfig, ScenarioContext, SimulationConfig, Simulator, kernels
 from repro.sim import engine as engine_mod
 from repro.sim import noise as noise_mod
 from repro.sim.engine import BAND_ELEMENTS, band_rows
@@ -232,14 +232,19 @@ def test_band_rows_bounds():
     assert band_rows(8, 10, 64) == 8
 
 
-def test_rewritten_streams_are_built_per_band():
+def test_rewritten_streams_are_built_per_band(monkeypatch):
     """plan_epoch stacks no rewritten rows; each band builds its own."""
     config = _config()
     sim = Simulator(config, tile_rows=1)
     prep = make_policy("parallel_staging").prepare(sim.ctx)
     built = []
-    stream_fn = prep.stream_fn
-    prep.stream_fn = lambda worker, epoch: built.append(worker) or stream_fn(worker, epoch)
+    tiled = ScenarioContext.tiled_epoch_stream
+
+    def stream(ctx, ids, worker, epoch, tag):
+        built.append(worker)
+        return tiled(ctx, ids, worker, epoch, tag)
+
+    monkeypatch.setattr(ScenarioContext, "tiled_epoch_stream", stream)
     plan = sim.plan_epoch(prep, 1)
     assert built == [] and plan.canonical is None
     policy = make_policy("parallel_staging")
@@ -247,7 +252,7 @@ def test_rewritten_streams_are_built_per_band():
     assert built == list(range(N))
     # The parity seam still sees the whole rewritten epoch.
     np.testing.assert_array_equal(
-        plan.ids, np.stack([stream_fn(w, 1) for w in range(N)])
+        plan.ids, np.stack([tiled(sim.ctx, prep.pools[w], w, 1, prep.name) for w in range(N)])
     )
     solo = Simulator(config).run(make_policy("parallel_staging"))
     assert result.to_dict() == solo.epochs[1].to_dict()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import DatasetModel
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PolicyError
 from repro.perfmodel import sec6_cluster
 from repro.sim import NoPFSPolicy, ScenarioContext, SimulationConfig, Simulator
 
@@ -287,28 +287,67 @@ class TestPreparedMemo:
         assert error.__traceback__ is None
         assert memo.prepare(policy) is error
 
-    def test_unsetting_the_memo_frees_context_and_lineup(self):
-        """A stream-rewriting policy's ``stream_fn`` refers to the context:
-        unsetting the memo breaks that cycle, with no collection."""
+    def test_dropped_context_frees_itself_and_its_lineup(self):
+        """Prepared policies never refer to their context, stream
+        rewriters included: a context dropped with its memo still set
+        is freed with no collection."""
         from repro.api.presets import make_policy
 
         c = ctx()
         c.prepared = {}
-        preps = [
-            c.prepare(make_policy(spec))
-            for spec in ("deepio:opportunistic", "locality_aware", "nopfs")
-        ]
-        assert any(prep.stream_fn is not None for prep in preps)
+        specs = ("deepio:opportunistic", "locality_aware", "parallel_staging", "nopfs")
+        preps = [c.prepare(make_policy(spec)) for spec in specs]
+        assert [prep.pools is not None for prep in preps] == [True, True, True, False]
         refs = [weakref.ref(c), *(weakref.ref(prep) for prep in preps)]
         del preps
         gc.disable()
         try:
-            c.prepared = None
             del c
             alive = [ref for ref in refs if ref() is not None]
         finally:
             gc.enable()
         assert not alive
+
+
+class TestStoredErrors:
+    """An unsupported cell's error keeps no frame, so it pins no context."""
+
+    @staticmethod
+    def _alive_after_outcomes(config, policies):
+        """Whether the simulator's context outlives it and its outcomes,
+        with the cyclic collector off."""
+        gc.disable()
+        try:
+            sim = Simulator(config)
+            ref = weakref.ref(sim.ctx)
+            outcomes = sim.run_many_outcomes(policies)
+            assert isinstance(outcomes[0], PolicyError)
+            del sim, outcomes
+            return ref() is not None
+        finally:
+            gc.enable()
+
+    def test_prepare_time_error(self):
+        from repro.api import Scenario
+
+        scenario = Scenario(
+            dataset="imagenet1k",
+            system={"name": "piz_daint:8", "class_capacities_mb": [0.0]},
+            policy="parallel_staging",
+            batch_size=32,
+            num_epochs=2,
+            scale=0.01,
+        )
+        policies = [scenario.build_policy()]
+        assert not self._alive_after_outcomes(scenario.build_config(), policies)
+
+    def test_mid_epoch_error(self):
+        from repro.api.presets import make_policy
+
+        from .test_fetch_table import _config, _Placed
+
+        policies = [_Placed(uncovered_from=2), make_policy("naive")]
+        assert not self._alive_after_outcomes(_config(), policies)
 
 
 class TestLentContext:

@@ -86,14 +86,19 @@ class TestDeepIO:
         prep = DeepIOPolicy("opportunistic").prepare(ctx())
         assert not prep.pfs_in_warm
         assert prep.warm_pfs_fraction == 0.0
-        assert prep.stream_fn is not None
+        assert prep.pools is not None
 
     def test_opportunistic_stream_only_cached(self):
         c = ctx()
         prep = DeepIOPolicy("opportunistic").prepare(c)
         cached0 = set(prep.plan.placements[0].cached_ids.tolist())
-        stream = prep.stream_fn(0, 1)
+        stream = c.tiled_epoch_stream(prep.pools[0], 0, 1, prep.name)
         assert set(stream.tolist()) <= cached0
+
+    def test_opportunistic_pools_are_the_ram_tier(self):
+        prep = DeepIOPolicy("opportunistic").prepare(ctx())
+        for pool, placement in zip(prep.pools, prep.plan.placements, strict=True):
+            assert np.shares_memory(pool, placement.class_ids[0])
 
 
 class TestParallelStaging:
@@ -114,6 +119,11 @@ class TestParallelStaging:
         c = ctx(total_mb=6 * TB)
         prep = ParallelStagingPolicy().prepare(c)
         assert not prep.accesses_full_dataset
+
+    def test_pools_are_the_ram_tier(self):
+        prep = ParallelStagingPolicy().prepare(ctx())
+        for pool, placement in zip(prep.pools, prep.plan.placements, strict=True):
+            assert np.shares_memory(pool, placement.class_ids[0])
 
 
 class TestLBANN:
@@ -155,7 +165,8 @@ class TestLocalityAware:
         c = ctx()
         prep = LocalityAwarePolicy().prepare(c)
         pools = [
-            set(prep.stream_fn(w, 1).tolist()) for w in range(c.num_workers)
+            set(c.tiled_epoch_stream(prep.pools[w], w, 1, prep.name).tolist())
+            for w in range(c.num_workers)
         ]
         # streams are truncated to L, so pools need not be exhaustive, but
         # they must be pairwise disjoint (each sample has one serving pool)

@@ -10,7 +10,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.common import policy_cells, scaled_scenario
 from repro.perfmodel import sec6_cluster
 from repro.sim import LBANNPolicy, NaivePolicy, NoPFSPolicy, StagingBufferPolicy
-from repro.sweep import InMemoryBackend, SweepCell, SweepRunner
+from repro.sweep import InMemoryBackend, SweepCell, SweepRunner, executors
 
 
 class ExplodingPolicy(NaivePolicy):
@@ -124,6 +124,7 @@ class TestParallel:
 
     def test_all_cores_counts_cpus_this_process_may_run_on(self, monkeypatch):
         """``None`` follows the affinity mask (cgroup/taskset), not the host."""
+        monkeypatch.setattr(executors, "_cpu_quota", lambda: None)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         assert SweepRunner(n_jobs=None).n_jobs == 3
@@ -132,6 +133,14 @@ class TestParallel:
         assert SweepRunner(n_jobs=None).n_jobs == 64
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert SweepRunner(n_jobs=None).n_jobs == 1
+
+    def test_all_cores_honours_a_cpu_quota(self, monkeypatch):
+        """``None`` counts the CPUs the cgroup quota lets this process use,
+        rounded up, as the helper-thread rule does."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(executors, "_cpu_quota", lambda: 1.5)
+        assert SweepRunner(n_jobs=None).n_jobs == 2
+        assert Session(jobs=None).runner.n_jobs == 2
 
     def test_worker_crash_raises_but_keeps_finished_cells(self, cells, config):
         """Unexpected failures propagate; completed cells stay memoized."""
