@@ -17,12 +17,14 @@ re-simulates nothing.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from ..errors import ConfigurationError
 from ..rng import DEFAULT_SEED
-from ..sweep import EXECUTORS, SweepCell, SweepRunner, SweepStats
+from ..sweep import EXECUTORS, SweepCell, SweepRunner, SweepStats, executors
 from .common import render_result, resolve_runner
 
 __all__ = [
@@ -318,16 +320,90 @@ def run_figures(
     ``"full"`` bench defaults); ``overrides`` merges per-figure kwargs
     on top. ``figures`` restricts the run to a subset, in the given
     order.
+
+    With an in-process runner and a second CPU
+    (``executors._cpu_budget() > 1``), a plan that holds both
+    runner-free figures (``FigureSpec.cells is None``: Table 1, Fig 3)
+    and runner-backed ones builds the runner-free ones, in plan order,
+    on one helper thread while the calling thread builds the rest
+    (:func:`_build_figures`). Only the calling thread touches the
+    runner, the cache and the simulator (Figs 8 and 9's lower bounds
+    build epoch matrices too). A pool runner gets no helper: it forks
+    its workers, and a fork must not find a live thread. Results are
+    the same either way, and ``results`` keeps plan order.
     """
     runner = resolve_runner(runner)
     specs = _figure_specs(runner, seed)
     plan = resolve_figure_params(specs, profile, figures, overrides)
 
     before = dataclasses.replace(runner.lifetime)
-    results = {}
-    for name, kwargs in plan:
-        results[name] = specs[name].build(**kwargs)
+    free = {name for name, _ in plan if specs[name].cells is None}
+    if (
+        0 < len(free) < len(plan)
+        and runner.executor.in_process
+        and executors._cpu_budget() > 1
+    ):
+        results = _build_figures(specs, plan, free)
+    else:
+        results = {name: specs[name].build(**kwargs) for name, kwargs in plan}
     return PaperRun(results=results, sweep_stats=runner.lifetime.minus(before))
+
+
+def _build_figures(
+    specs: Mapping[str, FigureSpec],
+    plan: list[tuple[str, dict[str, Any]]],
+    free: set[str],
+) -> dict[str, Any]:
+    """Build the ``free`` figures on a helper thread and the rest here.
+
+    The runner-free figures call none of the runner, cache or simulator
+    callables the runner-backed ones use, so the two threads share no
+    state. The helper is started and joined inside this call. A
+    figure's error is raised, with its own type, once the helper is
+    joined; when several fail, the first in plan order wins. Builds
+    stop at the first error they can see, and every figure they skip
+    comes after it in plan order.
+    """
+    helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-figure")
+    try:
+        built: dict[str, Future] = {
+            name: helper.submit(specs[name].build, **kwargs)
+            for name, kwargs in plan
+            if name in free
+        }
+        for at, (name, kwargs) in enumerate(plan):
+            if name in free:
+                continue
+            if any(_failed(built[earlier]) for earlier, _ in plan[:at] if earlier in free):
+                break
+            built[name] = _settle(specs[name].build, kwargs)
+            if _failed(built[name]):
+                for later, _ in plan[at + 1:]:
+                    if later in free:
+                        built[later].cancel()
+                break
+        # Every figure not cancelled above finishes; the shutdown below
+        # cancels queued figures only when an interrupt escapes.
+        wait(built.values())
+    finally:
+        helper.shutdown(wait=True, cancel_futures=True)
+    # Plan order reaches an error before any figure a build skipped.
+    return {name: built[name].result() for name, _ in plan}
+
+
+def _settle(build: Callable[..., Any], kwargs: dict[str, Any]) -> Future:
+    """A done future holding ``build(**kwargs)``'s result or error."""
+    future: Future = Future()
+    try:
+        future.set_result(build(**kwargs))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
+def _failed(future: Future) -> bool:
+    """Whether ``future`` (never a cancelled one) has finished with an error."""
+    return future.done() and future.exception() is not None
 
 
 def resolve_figure_params(
@@ -340,7 +416,7 @@ def resolve_figure_params(
 
     Returns ``(name, kwargs)`` pairs in run order: the profile's
     defaults with the caller's per-figure ``overrides`` on top. Unknown
-    figure or override names raise
+    or repeated figure names and unknown override names raise
     :class:`~repro.errors.ConfigurationError`. Shared with the
     incremental artifact pipeline so both drivers resolve identically.
     """
@@ -351,6 +427,9 @@ def resolve_figure_params(
     unknown = [n for n in names if n not in specs]
     if unknown:
         raise ConfigurationError(f"unknown figures: {unknown}; known: {sorted(specs)}")
+    repeated = [n for n, count in Counter(names).items() if count > 1]
+    if repeated:
+        raise ConfigurationError(f"repeated figures: {repeated}")
     bad_overrides = [n for n in (overrides or {}) if n not in specs]
     if bad_overrides:
         raise ConfigurationError(

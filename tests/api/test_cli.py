@@ -232,6 +232,11 @@ class TestExperimentsDispatch:
         assert main(["experiments", "--figures", "fig99"]) == 2
         assert "unknown figures" in capsys.readouterr().err
 
+    def test_experiments_repeated_figure(self, capsys):
+        assert main(["experiments", "--figures", "table1,table1"]) == 2
+        captured = capsys.readouterr()
+        assert "repeated figures: ['table1']" in captured.err and captured.out == ""
+
     def test_experiments_usage_names_the_command(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["experiments", "--help"])

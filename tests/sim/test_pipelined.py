@@ -226,8 +226,8 @@ def test_helper_is_off_by_default_and_inherited():
 # -- the end-to-end tracer's invariant ------------------------------------
 
 
-def _engine_trace_points(monkeypatch) -> list:
-    """The engine entries of ``e2ebench/tracing.py::trace_points()``."""
+def load_tracing(monkeypatch):
+    """``e2ebench/tracing.py``, loaded by path."""
     spec = importlib.util.spec_from_file_location(
         "e2ebench_tracing", ROOT / "e2ebench" / "tracing.py"
     )
@@ -235,7 +235,13 @@ def _engine_trace_points(monkeypatch) -> list:
     # Registered while it loads: its dataclasses resolve their module.
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
-    return [point for point in module.trace_points() if point.owner.startswith("repro.sim")]
+    return module
+
+
+def _engine_trace_points(monkeypatch) -> list:
+    """The engine entries of ``e2ebench/tracing.py::trace_points()``."""
+    points = load_tracing(monkeypatch).trace_points()
+    return [point for point in points if point.owner.startswith("repro.sim")]
 
 
 class SpanStack:

@@ -103,6 +103,15 @@ class TestPaperDriver:
         with pytest.raises(ConfigurationError, match="unknown figures"):
             paper.run_figures(figures=["fig99"])
 
+    def test_repeated_figure_rejected(self, tmp_path):
+        from repro.errors import ConfigurationError
+        from repro.experiments.artifacts import run_incremental
+
+        with pytest.raises(ConfigurationError, match=r"repeated figures: \['fig3'\]"):
+            paper.run_figures(figures=["fig3", "table1", "fig3"])
+        with pytest.raises(ConfigurationError, match=r"repeated figures: \['table1'\]"):
+            run_incremental(tmp_path, figures=["table1", "table1"])
+
     def test_misspelled_override_rejected(self):
         from repro.errors import ConfigurationError
 
